@@ -578,7 +578,7 @@ let run_obs () =
 
 (* --- retry-layer overhead (BENCH_chaos.json) ---
 
-   The fault-tolerant client (Client.Durable) buys reconnection,
+   The retrying client (Retry_policy.default) buys reconnection,
    deadlines and idempotent retries; its price on the happy path is an
    id digest, a deadline subtraction and an envelope-id comparison per
    request. This benchmark drives the result-hot regime (cached replay
@@ -682,14 +682,17 @@ let run_chaos () =
         match Client.connect (Client.Unix_socket path) with
         | Error e -> failwith ("bench chaos: " ^ Ac_runtime.Error.message e)
         | Ok pc ->
-            let dc = Client.Durable.create (Client.Unix_socket path) in
+            let dc =
+              Client.create ~policy:Ac_server.Retry_policy.default
+                (Client.Unix_socket path)
+            in
             Fun.protect
               ~finally:(fun () ->
                 Client.close pc;
-                Client.Durable.close dc)
+                Client.close dc)
               (fun () ->
                 let plain () = expect_counted (Client.call pc request) in
-                let durable () = expect_counted (Client.Durable.call dc request) in
+                let durable () = expect_counted (Client.call dc request) in
                 plain ();
                 durable ();
                 (* warm-up: fills plan + result caches *)
@@ -716,25 +719,25 @@ let run_chaos () =
     Fun.protect
       ~finally:(fun () -> Chaos_proxy.stop proxy)
       (fun () ->
-        let config =
+        let policy =
           {
-            Client.Durable.default_config with
-            Client.Durable.backoff_base_ms = 1.0;
+            Ac_server.Retry_policy.default with
+            backoff_base_ms = 1.0;
             backoff_cap_ms = 10.0;
-            retries = 6;
+            attempts = 7;
           }
         in
-        let c = Client.Durable.create ~config (Client.Unix_socket path) in
+        let c = Client.create ~policy (Client.Unix_socket path) in
         Fun.protect
-          ~finally:(fun () -> Client.Durable.close c)
+          ~finally:(fun () -> Client.close c)
           (fun () ->
-            expect_counted (Client.Durable.call c request);
+            expect_counted (Client.call c request);
             (* warm-up *)
             let p50 =
-              p50_of (fun () -> expect_counted (Client.Durable.call c request))
+              p50_of (fun () -> expect_counted (Client.call c request))
             in
             ( p50,
-              Client.Durable.retries_total c,
+              Client.retries_total c,
               List.length (Chaos.Wire_plan.history plan) )))
   in
   let overhead = (durable_p50 /. plain_p50) -. 1.0 in

@@ -67,6 +67,14 @@ let epsilon_term =
 let delta_term =
   Arg.(value & opt float 0.1 & info [ "delta" ] ~docv:"DELTA" ~doc:"Failure probability.")
 
+(* the wire's range rule: out-of-range ε/δ is a parse error (exit 10)
+   before any work is done *)
+let check_accuracy ~eps ~delta =
+  match (Api.check_accuracy `Eps eps, Api.check_accuracy `Delta delta) with
+  | Ok _, Ok _ -> Ok ()
+  | Error msg, _ -> Error (Error.Parse { source = "--eps"; msg })
+  | _, Error msg -> Error (Error.Parse { source = "--delta"; msg })
+
 let seed_term =
   Arg.(
     value
@@ -461,6 +469,9 @@ let count_cmd =
       verbose hex trace_file trace_fmt =
     let method_ = resolve_engine method_ engine in
     let jobs = if jobs <= 0 then None else Some jobs in
+    match check_accuracy ~eps ~delta with
+    | Error e -> report e
+    | Ok () -> (
     match connect with
     | Some addr -> (
         match remote_db_ref ~use_name ~db_path with
@@ -479,7 +490,7 @@ let count_cmd =
         | Ok db_path ->
             local query_text db_path ~method_ ~eps ~delta ~seed ~jobs
               ~timeout_ms ~max_heap_mb ~max_db_mb ~strict ~verbose ~hex
-              ~trace_file ~trace_fmt)
+              ~trace_file ~trace_fmt))
   in
   let doc = "Count the answers of a query in a database." in
   Cmd.v (Cmd.info "count" ~doc)
@@ -535,6 +546,9 @@ let sample_cmd =
   let run query_text db_path connect use_name engine eps delta seed jobs draws
       timeout_ms deadline_ms retries tenant max_heap_mb max_db_mb verbose =
     let jobs = if jobs <= 0 then None else Some jobs in
+    match check_accuracy ~eps ~delta with
+    | Error e -> report e
+    | Ok () -> (
     match connect with
     | Some addr -> (
         match remote_db_ref ~use_name ~db_path with
@@ -551,7 +565,7 @@ let sample_cmd =
         | Error e -> report e
         | Ok db_path ->
             local query_text db_path ~engine ~eps ~delta ~seed ~jobs ~draws
-              ~timeout_ms ~max_heap_mb ~max_db_mb ~verbose)
+              ~timeout_ms ~max_heap_mb ~max_db_mb ~verbose))
   in
   let doc = "Draw approximately-uniform answers (§6 JVV sampling)." in
   Cmd.v (Cmd.info "sample" ~doc)
@@ -1026,30 +1040,9 @@ let parse_op_line ~file lineno line =
              msg = Printf.sprintf "line %d: %s" lineno (error_message e);
            })
   | Ok j -> (
-      let ( let* ) = Option.bind in
-      let decoded =
-        let* dir = Option.bind (mem "op" j) to_str in
-        let* insert =
-          match dir with
-          | "insert" -> Some true
-          | "delete" -> Some false
-          | _ -> None
-        in
-        let* rel = Option.bind (mem "rel" j) to_str in
-        let* items = Option.bind (mem "tuple" j) to_list in
-        let* comps =
-          List.fold_left
-            (fun acc item ->
-              let* acc = acc in
-              let* v = to_int item in
-              Some (v :: acc))
-            (Some []) items
-        in
-        Some { Wire.insert; rel; tuple = Array.of_list (List.rev comps) }
-      in
-      match decoded with
-      | Some op -> Ok op
-      | None ->
+      match Ac_analysis.Codec.of_json Ac_live.Journal.op "op" j with
+      | Ok op -> Ok op
+      | Error _ ->
           Error
             (Error.Parse
                {

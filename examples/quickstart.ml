@@ -43,7 +43,10 @@ let () =
 
   (* The same count through the unified Api facade: result-typed,
      seeded (replayable) and parallelisable with ~jobs. *)
-  (match Approxcount.Api.(run (request ~eps:0.1 ~delta:0.05 ~seed:42 q db)) with
+  let request =
+    Approxcount.Api.Request.(make q db |> with_eps 0.1 |> with_delta 0.05 |> with_seed (Some 42))
+  in
+  (match Approxcount.Api.run request with
   | Ok resp ->
       Format.printf "Api estimate   = %.1f (seed %d, jobs %d, %d ticks)@."
         resp.Approxcount.Api.estimate resp.telemetry.seed resp.telemetry.jobs
@@ -55,7 +58,7 @@ let () =
   let tracer = Ac_obs.Trace.create () in
   (match
      Approxcount.Api.(
-       run (request ~eps:0.1 ~delta:0.05 ~seed:42 ~trace:tracer q db))
+       run (Request.with_trace (Some tracer) request))
    with
   | Ok resp -> (
       match resp.Approxcount.Api.telemetry.Approxcount.Api.trace with
@@ -73,7 +76,7 @@ let () =
 
   (* Draw approximately-uniform answers: Api.sample returns a response
      record like Api.run — draws plus the same telemetry envelope. *)
-  (match Approxcount.Api.(sample ~draws:3 (request ~seed:42 q db)) with
+  (match Approxcount.Api.(sample ~draws:3 Request.(make q db |> with_seed (Some 42))) with
   | Ok s ->
       Array.iter
         (function

@@ -3,6 +3,7 @@ type t =
   | Bool of bool
   | Int of int
   | Float of float
+  | Exact of float
   | String of string
   | List of t list
   | Obj of (string * t) list
@@ -23,10 +24,27 @@ let escape s =
     s;
   Buffer.contents buf
 
-let float_repr f =
+(* the C printer behind Printf's %g, without Printf's format
+   interpretation: identical text, a fraction of the cost *)
+external format_float : string -> float -> string = "caml_format_float"
+
+let g_formats = Array.init 18 (Printf.sprintf "%%.%dg")
+
+(* [%.6g], or with [~exact] the shortest [%.{6..17}g] that reads back
+   as the same bits — identical to [%.6g] whenever that suffices. *)
+let float_repr ?(exact = false) f =
   if not (Float.is_finite f) then "null"
   else
-    let s = Printf.sprintf "%.6g" f in
+    let rec digits p =
+      let s = format_float g_formats.(p) f in
+      if (not exact) || p >= 17
+         || Int64.equal
+              (Int64.bits_of_float (float_of_string s))
+              (Int64.bits_of_float f)
+      then s
+      else digits (p + 1)
+    in
+    let s = digits 6 in
     (* "1" would parse as an int downstream; keep floats recognisable *)
     if String.contains s '.' || String.contains s 'e' then s else s ^ ".0"
 
@@ -35,6 +53,7 @@ let rec emit buf = function
   | Bool b -> Buffer.add_string buf (string_of_bool b)
   | Int i -> Buffer.add_string buf (string_of_int i)
   | Float f -> Buffer.add_string buf (float_repr f)
+  | Exact f -> Buffer.add_string buf (float_repr ~exact:true f)
   | String s ->
       Buffer.add_char buf '"';
       Buffer.add_string buf (escape s);
@@ -65,7 +84,7 @@ let to_string j =
   Buffer.contents buf
 
 let rec emit_pretty buf indent = function
-  | (Null | Bool _ | Int _ | Float _ | String _) as j -> emit buf j
+  | (Null | Bool _ | Int _ | Float _ | Exact _ | String _) as j -> emit buf j
   | List [] -> Buffer.add_string buf "[]"
   | List items ->
       let pad = String.make (indent + 2) ' ' in
@@ -342,7 +361,7 @@ let mem key = function
 let to_int = function Int i -> Some i | _ -> None
 
 let to_float = function
-  | Float f -> Some f
+  | Float f | Exact f -> Some f
   | Int i -> Some (float_of_int i)
   | _ -> None
 

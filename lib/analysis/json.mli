@@ -4,7 +4,8 @@
     dependency into the core.
 
     Printing is deterministic (object fields keep insertion order,
-    floats render with [%.6g], non-finite floats become [null]), so the
+    floats render with [%.6g] — [Exact] ones with the shortest
+    round-trip rendering — and non-finite floats become [null]), so the
     output can be used as a golden file in CI.
 
     Parsing accepts standard JSON (RFC 8259) and is total: every
@@ -19,6 +20,11 @@ type t =
   | Bool of bool
   | Int of int
   | Float of float
+  | Exact of float
+      (** a float that must survive the round trip: printed as the
+          shortest [%.{6..17}g] that reads back bit-for-bit (so exactly
+          like [Float] whenever [%.6g] suffices); the parser never
+          produces it — every fractional number parses as [Float] *)
   | String of string
   | List of t list
   | Obj of (string * t) list

@@ -42,6 +42,13 @@ let method_of_string s =
   | "brute" -> Some Brute
   | _ -> None
 
+let check_accuracy which v =
+  match which with
+  | `Eps when Float.is_finite v && v > 0.0 -> Ok v
+  | `Delta when Float.is_finite v && v > 0.0 && v < 1.0 -> Ok v
+  | `Eps -> Error (Printf.sprintf "eps must be finite and > 0 (got %g)" v)
+  | `Delta -> Error (Printf.sprintf "delta must be in (0, 1) (got %g)" v)
+
 type request = {
   query : Ecq.t;
   db : Structure.t;
@@ -59,9 +66,7 @@ type request = {
 
 (* The builder: [Request.make] carries the documented defaults and the
    [with_*] setters replace one field each, so call sites name exactly
-   the knobs they turn and pipe the rest through unchanged. The
-   optional-argument [request] constructor below is a thin veneer over
-   it, kept for existing callers. *)
+   the knobs they turn and pipe the rest through unchanged. *)
 module Request = struct
   let make query db =
     {
@@ -91,21 +96,6 @@ module Request = struct
   let with_trace trace r = { r with trace }
 end
 
-let request ?(eps = 0.25) ?(delta = 0.1) ?(method_ = Auto) ?seed ?jobs ?budget
-    ?(strict = false) ?(verbose = false) ?chaos ?trace query db =
-  {
-    (Request.make query db) with
-    eps;
-    delta;
-    method_;
-    seed;
-    jobs;
-    budget;
-    strict;
-    verbose;
-    chaos;
-    trace;
-  }
 
 type telemetry = {
   seed : int;

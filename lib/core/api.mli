@@ -40,6 +40,12 @@ val method_to_string : method_ -> string
     anything else. *)
 val method_of_string : string -> method_ option
 
+(** The accepted accuracy targets: ε finite and [> 0], δ in [(0, 1)].
+    [Ok v] or the refusal message; the one rule behind the wire's
+    [eps]/[delta] fields and [acq --eps/--delta], both of which refuse
+    with the [parse] class (exit 10) before any work is done. *)
+val check_accuracy : [ `Eps | `Delta ] -> float -> (float, string) result
+
 type request = {
   query : Ac_query.Ecq.t;
   db : Ac_relational.Structure.t;
@@ -66,11 +72,7 @@ type request = {
       Api.Request.make query db
       |> Api.Request.with_eps 0.1
       |> Api.Request.with_seed (Some 42)
-    ]}
-
-    Behaviour is identical to the optional-argument {!request}
-    constructor (which is now a veneer over this module and remains
-    supported). *)
+    ]} *)
 module Request : sig
   val make : Ac_query.Ecq.t -> Ac_relational.Structure.t -> request
   val with_eps : float -> request -> request
@@ -84,24 +86,6 @@ module Request : sig
   val with_chaos : Ac_runtime.Chaos.t option -> request -> request
   val with_trace : Ac_obs.Trace.t option -> request -> request
 end
-
-(** Request builder with the documented defaults; positional arguments
-    are the query and the database. Thin veneer over {!Request};
-    prefer the builder in new code. *)
-val request :
-  ?eps:float ->
-  ?delta:float ->
-  ?method_:method_ ->
-  ?seed:int ->
-  ?jobs:int ->
-  ?budget:Ac_runtime.Budget.t ->
-  ?strict:bool ->
-  ?verbose:bool ->
-  ?chaos:Ac_runtime.Chaos.t ->
-  ?trace:Ac_obs.Trace.t ->
-  Ac_query.Ecq.t ->
-  Ac_relational.Structure.t ->
-  request
 
 type telemetry = {
   seed : int;        (** the seed actually used — pass back to replay *)

@@ -8,64 +8,56 @@ type line = {
   ops : Live.Db.op list;
 }
 
-let op_to_json (o : Live.Db.op) =
-  let verb, rel, tuple =
-    match o with
-    | Insert { rel; tuple } -> ("insert", rel, tuple)
-    | Delete { rel; tuple } -> ("delete", rel, tuple)
-  in
-  Json.Obj
-    [
-      ("op", Json.String verb);
-      ("rel", Json.String rel);
-      ("tuple", Json.List (Array.to_list (Array.map (fun v -> Json.Int v) tuple)));
-    ]
+module Codec = Ac_analysis.Codec
 
-let op_of_json j =
-  let ( let* ) = Option.bind in
-  let* verb = Option.bind (Json.mem "op" j) Json.to_str in
-  let* rel = Option.bind (Json.mem "rel" j) Json.to_str in
-  let* elems = Option.bind (Json.mem "tuple" j) Json.to_list in
-  let* values =
-    List.fold_right
-      (fun e acc ->
-        match (Json.to_int e, acc) with
-        | Some v, Some tl -> Some (v :: tl)
-        | _ -> None)
-      elems (Some [])
-  in
-  let tuple = Array.of_list values in
-  match verb with
-  | "insert" -> Some (Live.Db.Insert { rel; tuple })
-  | "delete" -> Some (Live.Db.Delete { rel; tuple })
-  | _ -> None
+let tuple =
+  Codec.(
+    array
+      ~bad:(Printf.sprintf "field %S must contain integer lists")
+      (with_error (Printf.sprintf "field %S: tuple components must be integers") int))
 
-let line_to_json l =
-  let fields =
-    [ ("seq", Json.Int l.seq) ]
-    @ (match l.id with Some id -> [ ("id", Json.String id) ] | None -> [])
-    @ [
-        ("fingerprint", Json.String l.fingerprint);
-        ("ops", Json.List (List.map op_to_json l.ops));
-      ]
-  in
-  Json.Obj fields
+let direction =
+  Codec.enum
+    ~unknown:(Printf.sprintf "unknown op %S (insert|delete)")
+    (fun insert -> if insert then "insert" else "delete")
+    (function "insert" -> Some true | "delete" -> Some false | _ -> None)
+    [ true; false ]
 
-let line_of_json j =
-  let ( let* ) = Option.bind in
-  let* seq = Option.bind (Json.mem "seq" j) Json.to_int in
-  let* fingerprint = Option.bind (Json.mem "fingerprint" j) Json.to_str in
-  let id = Option.bind (Json.mem "id" j) Json.to_str in
-  let* raw = Option.bind (Json.mem "ops" j) Json.to_list in
-  let* ops =
-    List.fold_right
-      (fun o acc ->
-        match (op_of_json o, acc) with
-        | Some op, Some tl -> Some (op :: tl)
-        | _ -> None)
-      raw (Some [])
-  in
-  Some { seq; id; fingerprint; ops }
+let op =
+  Codec.(
+    obj
+      (record
+         (fun insert rel tuple : Live.Db.op ->
+           if insert then Insert { rel; tuple } else Delete { rel; tuple })
+         [
+           req "op" direction (function Live.Db.Insert _ -> true | Delete _ -> false);
+           req "rel" string (function
+             | Live.Db.Insert { rel; _ } | Delete { rel; _ } -> rel);
+           req "tuple" tuple (function
+             | Live.Db.Insert { tuple; _ } | Delete { tuple; _ } -> tuple);
+         ]))
+
+(* the client's idempotency key is lenient: a line whose id is not a
+   string still replays, as an id-less batch *)
+let line_record =
+  Codec.(
+    record
+      (fun seq id fingerprint ops -> { seq; id; fingerprint; ops })
+      [
+        req "seq" int (fun l -> l.seq);
+        lax_opt "id" string (fun l -> l.id);
+        req "fingerprint" string (fun l -> l.fingerprint);
+        req "ops" (list op) (fun l -> l.ops);
+      ])
+
+let encode_line l = Json.to_string (Json.Obj (Codec.emit line_record l []))
+
+let decode_line s =
+  match Json.parse s with
+  | Ok j -> Result.to_option (Codec.read line_record j)
+  | Error _ -> None
+
+let gen_line = Codec.gen_record line_record
 
 let io_error path exn =
   let msg =
@@ -90,6 +82,12 @@ let fsync_dir dir =
         ~finally:(fun () -> Unix.close fd)
         (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
 
+(* The whole payload in a single [write], then [fsync]. *)
+let write_synced fd path payload =
+  let n = Unix.write_substring fd payload 0 (String.length payload) in
+  if n <> String.length payload then raise (Sys_error ("short write to " ^ path));
+  Unix.fsync fd
+
 (* One durable write per batch: open in append mode, write the whole
    line (payload + newline) with a single [write], fsync, close — and
    when the append created the file, fsync the directory so the new
@@ -98,23 +96,36 @@ let fsync_dir dir =
    it. *)
 let append path l =
   match
-    let payload = Json.to_string (line_to_json l) ^ "\n" in
     let created = not (Sys.file_exists path) in
     let fd =
       Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ] 0o644
     in
     Fun.protect
       ~finally:(fun () -> Unix.close fd)
-      (fun () ->
-        let bytes = Bytes.of_string payload in
-        let n = Unix.write fd bytes 0 (Bytes.length bytes) in
-        if n <> Bytes.length bytes then
-          raise (Sys_error "short write to journal");
-        Unix.fsync fd);
+      (fun () -> write_synced fd path (encode_line l ^ "\n"));
     if created then fsync_dir (Filename.dirname path)
   with
   | () -> Ok ()
   | exception e -> Error (io_error path e)
+
+(* Write to [path.tmp], fsync it, rename it over [path], fsync the
+   directory: a crash (or power loss) at any instruction leaves either
+   the old complete file or the new complete file, never a torn one,
+   and never a rename of bytes that had not reached the disk. *)
+let write_atomic path contents =
+  let tmp = path ^ ".tmp" in
+  match
+    let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_TRUNC; Unix.O_CREAT ] 0o644 in
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () -> write_synced fd tmp contents);
+    Unix.rename tmp path;
+    fsync_dir (Filename.dirname path)
+  with
+  | () -> Ok ()
+  | exception e ->
+      (try Sys.remove tmp with Sys_error _ -> ());
+      Error (io_error path e)
 
 let replay path =
   if not (Sys.file_exists path) then Ok []
@@ -144,7 +155,7 @@ let replay path =
         let rec decode i acc = function
           | [] -> Ok (List.rev acc)
           | s :: rest -> (
-              match Option.bind (Result.to_option (Json.parse s)) line_of_json with
+              match decode_line s with
               | Some l -> decode (i + 1) (l :: acc) rest
               | None when i = n - 1 && not terminated ->
                   (* torn tail: the batch was never acknowledged *)
@@ -174,41 +185,20 @@ let reset path =
   | () -> Ok ()
   | exception e -> Error (io_error path e)
 
-(* Atomic rewrite keeping only lines above the compacted version:
-   write the survivors to a temp file, fsync it, rename over the
-   journal, fsync the directory — a crash at any instruction leaves
-   either the old journal or the new one, both replayable. The caller
-   must serialize against concurrent appends (the server holds the
-   db's write lock, [Live.Db.exclusively]) or a batch appended between
-   the read and the rename would be silently dropped. *)
+(* Atomic rewrite keeping only lines above the compacted version. The
+   caller must serialize against concurrent appends (the server holds
+   the db's write lock, [Live.Db.exclusively]) or a batch appended
+   between the read and the rename would be silently dropped. *)
 let truncate path ~upto =
   match replay path with
   | Error _ as e -> e
-  | Ok lines -> (
-      let keep = List.filter (fun l -> l.seq > upto) lines in
-      match
-        let tmp = path ^ ".tmp" in
-        let fd =
-          Unix.openfile tmp
-            [ Unix.O_WRONLY; Unix.O_TRUNC; Unix.O_CREAT ]
-            0o644
-        in
-        Fun.protect
-          ~finally:(fun () -> Unix.close fd)
-          (fun () ->
-            let buf = Buffer.create 256 in
-            List.iter
-              (fun l ->
-                Buffer.add_string buf (Json.to_string (line_to_json l));
-                Buffer.add_char buf '\n')
-              keep;
-            let bytes = Buffer.to_bytes buf in
-            let n = Unix.write fd bytes 0 (Bytes.length bytes) in
-            if n <> Bytes.length bytes then
-              raise (Sys_error "short write to journal");
-            Unix.fsync fd);
-        Unix.rename tmp path;
-        fsync_dir (Filename.dirname path)
-      with
-      | () -> Ok ()
-      | exception e -> Error (io_error path e))
+  | Ok lines ->
+      let buf = Buffer.create 256 in
+      List.iter
+        (fun l ->
+          if l.seq > upto then begin
+            Buffer.add_string buf (encode_line l);
+            Buffer.add_char buf '\n'
+          end)
+        lines;
+      write_atomic path (Buffer.contents buf)

@@ -23,6 +23,23 @@ type line = {
   ops : Live.Db.op list;
 }
 
+(** The [{"op","rel","tuple"}] shape of one operation — shared with the
+    wire's [LOAD_BATCH] elements and [acq load-batch] input lines. *)
+val op : Live.Db.op Ac_analysis.Codec.t
+
+(** A fact as an integer array (["tuple"] here, each element of the
+    wire's ["tuples"]). *)
+val tuple : int array Ac_analysis.Codec.t
+
+(** One journal line, without the newline. *)
+val encode_line : line -> string
+
+(** [None] for anything that is not a journal line (never raises). *)
+val decode_line : string -> line option
+
+(** Random lines that survive {!encode_line}/{!decode_line}. *)
+val gen_line : Random.State.t -> line
+
 (** Append one line durably: single write of the rendered line plus
     newline, then [fsync]; when the append creates the file, the
     containing directory is fsynced too (power-loss durability).
@@ -45,6 +62,9 @@ val reset : string -> (unit, Ac_runtime.Error.t) result
     serialize against appends (e.g. [Live.Db.exclusively]). *)
 val truncate : string -> upto:int -> (unit, Ac_runtime.Error.t) result
 
-(** Best-effort [fsync] of a directory — makes file creations/renames
-    inside it durable against power loss. Exposed for [Manifest]. *)
-val fsync_dir : string -> unit
+(** [write_atomic path contents] replaces [path] durably: write
+    [path.tmp], fsync it, rename it over [path], fsync the directory.
+    A crash at any point leaves the old or the new complete file (and
+    no [.tmp] behind on a reported failure). Shared by {!truncate}, the
+    catalog manifest and compacted snapshots. *)
+val write_atomic : string -> string -> (unit, Ac_runtime.Error.t) result

@@ -371,46 +371,3 @@ let call_retrying t request =
 let call t request =
   if Retry_policy.retrying t.policy then call_retrying t request
   else call_once t request
-
-(* ---------- deprecated aliases ---------- *)
-
-module Durable = struct
-  type config = {
-    retries : int;
-    backoff_base_ms : float;
-    backoff_cap_ms : float;
-    read_timeout_ms : int option;
-    deadline_ms : int option;
-    seed : int;
-  }
-
-  let default_config =
-    {
-      retries = 3;
-      backoff_base_ms = 10.0;
-      backoff_cap_ms = 500.0;
-      read_timeout_ms = None;
-      deadline_ms = None;
-      seed = 0;
-    }
-
-  let policy_of_config c =
-    {
-      Retry_policy.attempts = c.retries + 1;
-      backoff_base_ms = c.backoff_base_ms;
-      backoff_cap_ms = c.backoff_cap_ms;
-      read_timeout_ms = c.read_timeout_ms;
-      deadline_ms = c.deadline_ms;
-      seed = c.seed;
-    }
-
-  type nonrec t = t
-
-  let create ?(config = default_config) addr =
-    create ~policy:(policy_of_config config) addr
-
-  let address = address
-  let retries_total = retries_total
-  let call = call
-  let close = close
-end

@@ -5,8 +5,8 @@
     ([Retry_policy.none]) is the plain synchronous client — one
     attempt, no envelope ids, byte-identical wire behaviour to the
     historical [Client.connect] — while [Retry_policy.default] (or any
-    policy with [attempts > 1]) buys the historical [Client.Durable]
-    machinery: per-call deadlines, read timeouts, reconnection, capped
+    policy with [attempts > 1]) buys the retrying machinery: per-call
+    deadlines, read timeouts, reconnection, capped
     decorrelated-jitter backoff, and envelope request ids that make
     duplicated or delayed frames harmless.
 
@@ -24,11 +24,7 @@
     Every error a client returns names the address it was talking to
     (in the [file]/[source] field) and the verb it was sending (as a
     message prefix) — a transport failure is attributable without
-    reproducing it.
-
-    The historical entry points survive as thin deprecated aliases:
-    plain [connect] is now literally [connect ?policy:None], and the
-    {!Durable} submodule maps the old config record onto a policy. *)
+    reproducing it. *)
 
 type address = Unix_socket of string | Tcp of string * int
 
@@ -81,29 +77,3 @@ val retries_total : t -> int
 val call : t -> Wire.request -> (Wire.response, Ac_runtime.Error.t) result
 
 val close : t -> unit
-
-(** @deprecated The historical retrying client, kept for one release as
-    a veneer: [Durable.create ~config] is [create] with the config
-    mapped onto a {!Retry_policy.t} ([attempts = retries + 1]). New
-    code passes [~policy:Retry_policy.default] to {!connect}/{!create}
-    directly. *)
-module Durable : sig
-  type config = {
-    retries : int;  (** max retries after the first attempt (default 3) *)
-    backoff_base_ms : float;  (** first sleep (default 10) *)
-    backoff_cap_ms : float;  (** sleep ceiling (default 500) *)
-    read_timeout_ms : int option;
-    deadline_ms : int option;
-    seed : int;  (** seeds the backoff jitter (default 0) *)
-  }
-
-  val default_config : config
-
-  type nonrec t = t
-
-  val create : ?config:config -> address -> t
-  val address : t -> address
-  val retries_total : t -> int
-  val call : t -> Wire.request -> (Wire.response, Ac_runtime.Error.t) result
-  val close : t -> unit
-end

@@ -32,106 +32,72 @@ type entry = {
 
 let version = 1
 
-(* ---------- encoding ---------- *)
+(* ---------- codec ---------- *)
+
+module Codec = Ac_analysis.Codec
 
 (* The live fields are additive (version 1 readers older than them fill
    in the static-catalog defaults: db_version 0, live fingerprint =
-   content fingerprint, no journal), so the manifest version stays 1. *)
-let entry_to_json e =
-  Json.Obj
-    ([
-       ("name", Json.String e.name);
-       ("path", Json.String e.path);
-       ("fingerprint", Json.String e.fingerprint);
-     ]
-    @ (if e.db_version <> 0 then [ ("db_version", Json.Int e.db_version) ]
-       else [])
-    @ (if e.live_fingerprint <> e.fingerprint then
-         [ ("live_fingerprint", Json.String e.live_fingerprint) ]
-       else [])
-    @ (match e.journal with
-      | Some j -> [ ("journal", Json.String j) ]
-      | None -> [])
-    @
-    match e.partition with
-    | Some p -> [ ("partition", Json.String p) ]
-    | None -> [])
-
-let to_json entries =
-  Json.Obj
-    [
-      ("manifest_version", Json.Int version);
-      ("databases", Json.List (List.map entry_to_json entries));
-    ]
-
-let entry_of_json j =
-  let str field =
-    match Json.mem field j with Some (Json.String s) -> Some s | _ -> None
-  in
-  match (str "name", str "path", str "fingerprint") with
-  | Some name, Some path, Some fingerprint ->
-      Ok
+   content fingerprint, no journal), so the manifest version stays 1;
+   they are written only when they differ from those defaults. *)
+let entry =
+  Codec.(
+    record
+      (fun name path fingerprint db_version live_fingerprint journal partition ->
         {
           name;
           path;
           fingerprint;
-          db_version =
-            Option.value
-              (Option.bind (Json.mem "db_version" j) Json.to_int)
-              ~default:0;
-          live_fingerprint =
-            Option.value (str "live_fingerprint") ~default:fingerprint;
-          journal = str "journal";
-          partition = str "partition";
-        }
-  | _ -> Result.Error "manifest entry: need name, path, fingerprint strings"
+          db_version;
+          live_fingerprint = Option.value live_fingerprint ~default:fingerprint;
+          journal;
+          partition;
+        })
+      [
+        req "name" string (fun e -> e.name);
+        req "path" string (fun e -> e.path);
+        req "fingerprint" string (fun e -> e.fingerprint);
+        lax ~omit:(( = ) 0) "db_version" int 0 (fun e -> e.db_version);
+        lax_opt "live_fingerprint" string (fun e ->
+            if e.live_fingerprint = e.fingerprint then None
+            else Some e.live_fingerprint);
+        lax_opt "journal" string (fun e -> e.journal);
+        lax_opt "partition" string (fun e -> e.partition);
+      ])
 
-let of_json j =
-  match Json.mem "manifest_version" j with
-  | Some (Json.Int v) when v <> version ->
-      Result.Error (Printf.sprintf "unsupported manifest version %d" v)
-  | _ -> (
-      match Json.mem "databases" j with
-      | Some (Json.List l) ->
-          List.fold_left
-            (fun acc e ->
-              match (acc, entry_of_json e) with
-              | Ok entries, Ok entry -> Ok (entry :: entries)
-              | (Result.Error _ as err), _ -> err
-              | _, (Result.Error _ as err) -> err)
-            (Ok []) l
-          |> Result.map List.rev
-      | _ -> Result.Error "manifest: missing \"databases\" list")
+let no_databases = "manifest: missing \"databases\" list"
+
+(* a missing or non-integer manifest_version reads as this one *)
+let manifest =
+  Codec.(
+    record
+      (fun (_ : int) entries -> entries)
+      [
+        dft "manifest_version"
+          (refine
+             (fun v ->
+               if v = version then Ok v
+               else Error (Printf.sprintf "unsupported manifest version %d" v))
+             (or_default version int))
+          version
+          (fun _ -> version);
+        req ~missing:no_databases "databases"
+          (list
+             ~bad:(fun _ -> no_databases)
+             (with_error
+                (fun _ -> "manifest entry: need name, path, fingerprint strings")
+                (obj entry)))
+          Fun.id;
+      ])
+
+let entry_to_json e = Codec.to_json (Codec.obj entry) e
+let to_json entries = Json.Obj (Codec.emit manifest entries [])
+let gen_entry = Codec.gen_record entry
 
 (* ---------- atomic persistence ---------- *)
 
-(* Write-to-temp + fsync + rename + directory fsync: the manifest at
-   [path] is always either the previous complete snapshot or the new
-   complete snapshot, never a torn write — a crash (or power loss: the
-   temp file is fsynced before the rename and the directory after it)
-   at any instruction leaves a loadable file. *)
 let write ~path entries =
-  let tmp = path ^ ".tmp" in
-  let run () =
-    let oc = open_out tmp in
-    (match
-       output_string oc (Json.to_string_pretty (to_json entries));
-       output_char oc '\n';
-       flush oc;
-       Unix.fsync (Unix.descr_of_out_channel oc)
-     with
-    | () -> close_out oc
-    | exception e ->
-        close_out_noerr oc;
-        raise e);
-    Unix.rename tmp path;
-    Journal.fsync_dir (Filename.dirname path)
-  in
-  match run () with
-  | () -> Ok ()
-  | exception Sys_error msg -> Result.Error (Error.Io { file = path; msg })
-  | exception Unix.Unix_error (e, _, _) ->
-      Result.Error (Error.Io { file = path; msg = Unix.error_message e })
+  Journal.write_atomic path (Json.to_string_pretty (to_json entries) ^ "\n")
 
 let snapshot ?partition catalog =
   List.map
@@ -157,11 +123,10 @@ let read ~path =
       | Result.Error e ->
           Result.Error
             (Error.Parse { source = path; msg = Json.error_message e })
-      | Ok j -> (
-          match of_json j with
-          | Ok entries -> Ok entries
-          | Result.Error msg -> Result.Error (Error.Parse { source = path; msg })
-          ))
+      | Ok j ->
+          Result.map_error
+            (fun msg -> Error.Parse { source = path; msg })
+            (Codec.read manifest j))
 
 (* ---------- recovery ---------- *)
 

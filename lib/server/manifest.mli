@@ -51,7 +51,8 @@ val version : int
     stamped on every entry. *)
 val snapshot : ?partition:string -> Catalog.t -> entry list
 
-(** Atomic write (temp file + rename, same directory). *)
+(** Atomic write ([Ac_live.Journal.write_atomic]: temp file, fsync,
+    rename, directory fsync). *)
 val write : path:string -> entry list -> (unit, Ac_runtime.Error.t) result
 
 (** [write] of [snapshot]. *)
@@ -70,3 +71,6 @@ val recover :
 
 val entry_to_json : entry -> Ac_analysis.Json.t
 val to_json : entry list -> Ac_analysis.Json.t
+
+(** Random entries that survive {!write}/{!read}. *)
+val gen_entry : Random.State.t -> entry

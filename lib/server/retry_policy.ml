@@ -1,9 +1,8 @@
 (* How hard a client tries: one record, two canonical points.
    [none] is the plain single-attempt client (no envelope ids, no
    deadline rewriting — byte-identical wire behaviour to the historical
-   [Client.connect]); [default] reproduces the historical
-   [Client.Durable.default_config] (1 + 3 retries, 10..500 ms capped
-   decorrelated-jitter backoff). *)
+   [Client.connect]); [default] retries (1 + 3 attempts, 10..500 ms
+   capped decorrelated-jitter backoff). *)
 
 type t = {
   attempts : int;

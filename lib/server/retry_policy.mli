@@ -8,8 +8,7 @@
     - {!none} (the default) is the plain client: one attempt, no
       envelope request ids, no deadline rewriting — byte-identical wire
       behaviour to the pre-policy [Client.connect];
-    - {!default} is the historical durable client
-      ([Client.Durable.default_config]): 4 total attempts with capped
+    - {!default} is the retrying client: 4 total attempts with capped
       decorrelated-jitter backoff between them.
 
     An engaged policy (see {!retrying}) buys the full fault-tolerance
@@ -36,8 +35,7 @@ type t = {
 (** One attempt, nothing else — today's plain client. *)
 val none : t
 
-(** 4 attempts, 10..500 ms capped decorrelated-jitter backoff — the
-    historical durable client. *)
+(** 4 attempts, 10..500 ms capped decorrelated-jitter backoff. *)
 val default : t
 
 (** Does the policy engage the durable call path? True when

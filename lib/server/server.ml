@@ -558,12 +558,7 @@ let live_ops_of_request = function
       List.map (fun tuple -> Live.Db.Insert { rel; tuple }) tuples
   | Wire.Delete { rel; tuples; _ } ->
       List.map (fun tuple -> Live.Db.Delete { rel; tuple }) tuples
-  | Wire.Load_batch { ops; _ } ->
-      List.map
-        (fun (o : Wire.mutation_op) ->
-          if o.Wire.insert then Live.Db.Insert { rel = o.Wire.rel; tuple = o.Wire.tuple }
-          else Live.Db.Delete { rel = o.Wire.rel; tuple = o.Wire.tuple })
-        ops
+  | Wire.Load_batch { ops; _ } -> ops
   | _ -> []
 
 (* Post-mutation compaction. When the delta crosses the policy
@@ -594,9 +589,11 @@ let persist_merge t ~name live budget manifest =
           let path =
             Printf.sprintf "%s.%s.v%d.snapshot" manifest name version
           in
-          match Structure_io.save path snap with
-          | exception _ -> ()
-          | () ->
+          (* durable before the manifest names it: the journal lines
+             it replaces are dropped right after *)
+          match Journal.write_atomic path (Structure_io.to_string snap) with
+          | Error _ -> ()
+          | Ok () ->
               let fingerprint = Ac_relational.Structure.fingerprint snap in
               Catalog.compact_source t.catalog name ~path ~fingerprint
                 ~version ~live_fingerprint;

@@ -1,8 +1,11 @@
 module Json = Ac_analysis.Json
+module Codec = Ac_analysis.Codec
 module Api = Approxcount.Api
 module Error = Ac_runtime.Error
 module Trace = Ac_obs.Trace
 module Metrics = Ac_obs.Metrics
+module Live = Ac_live.Live
+module Journal = Ac_live.Journal
 
 (* Protocol version. Negotiation rule (docs/server.md): every message
    may carry a "version" field; a missing field means version 1; a
@@ -16,109 +19,41 @@ type db_ref = Named of string | Inline of string | Session
 (* The closed verb alphabet. Dispatch pattern-matches on this variant
    instead of on strings, so a verb added to the protocol without a
    handler is a compile error (non-exhaustive match), not a runtime
-   "unknown verb" surprise; [of_string]/[to_string] are the single,
-   total codec (pinned by a qcheck round-trip test). *)
+   "unknown verb" surprise; the name table is the single, total codec
+   (pinned by a qcheck round-trip test). *)
 module Verb = struct
   type t =
-    | Count
-    | Sample
-    | Use
-    | Load
-    | Insert
-    | Delete
-    | Load_batch
-    | Stats
-    | Metrics
-    | Ping
-    | Health
+    | Count | Sample | Use | Load | Insert | Delete | Load_batch | Stats | Metrics
+    | Ping | Health
 
-  let all =
-    [
-      Count;
-      Sample;
-      Use;
-      Load;
-      Insert;
-      Delete;
-      Load_batch;
-      Stats;
-      Metrics;
-      Ping;
-      Health;
-    ]
+  let names =
+    [ (Count, "count"); (Sample, "sample"); (Use, "use"); (Load, "load");
+      (Insert, "insert"); (Delete, "delete"); (Load_batch, "load_batch");
+      (Stats, "stats"); (Metrics, "metrics"); (Ping, "ping"); (Health, "health") ]
 
-  let to_string = function
-    | Count -> "count"
-    | Sample -> "sample"
-    | Use -> "use"
-    | Load -> "load"
-    | Insert -> "insert"
-    | Delete -> "delete"
-    | Load_batch -> "load_batch"
-    | Stats -> "stats"
-    | Metrics -> "metrics"
-    | Ping -> "ping"
-    | Health -> "health"
+  let all = List.map fst names
+  let to_string v = List.assoc v names
 
-  let of_string = function
-    | "count" -> Some Count
-    | "sample" -> Some Sample
-    | "use" -> Some Use
-    | "load" -> Some Load
-    | "insert" -> Some Insert
-    | "delete" -> Some Delete
-    | "load_batch" -> Some Load_batch
-    | "stats" -> Some Stats
-    | "metrics" -> Some Metrics
-    | "ping" -> Some Ping
-    | "health" -> Some Health
-    | _ -> None
+  let of_string s =
+    List.find_map (fun (v, n) -> if String.equal n s then Some v else None) names
 end
 
 type params = {
-  query : string;
-  db : db_ref;
-  eps : float;
-  delta : float;
-  method_ : Api.method_;
-  seed : int option;
-  jobs : int option;
-  timeout_ms : int option;
-  deadline_ms : int option;
-  max_heap_mb : int option;
-  strict : bool;
-  trace : bool;
+  query : string; db : db_ref; eps : float; delta : float; method_ : Api.method_;
+  seed : int option; jobs : int option; timeout_ms : int option;
+  deadline_ms : int option; max_heap_mb : int option; strict : bool; trace : bool;
   tenant : string option;
 }
 
 let params ?(eps = 0.25) ?(delta = 0.1) ?(method_ = Api.Auto) ?seed ?jobs
     ?timeout_ms ?deadline_ms ?max_heap_mb ?(strict = false) ?(trace = false)
     ?tenant ~db query =
-  {
-    query;
-    db;
-    eps;
-    delta;
-    method_;
-    seed;
-    jobs;
-    timeout_ms;
-    deadline_ms;
-    max_heap_mb;
-    strict;
-    trace;
-    tenant;
-  }
-
-(* One element of a LOAD_BATCH: direction + fact. INSERT/DELETE are
-   sugar for a batch of same-direction ops over one relation. *)
-type mutation_op = { insert : bool; rel : string; tuple : int array }
+  { query; db; eps; delta; method_; seed; jobs; timeout_ms; deadline_ms;
+    max_heap_mb; strict; trace; tenant }
 
 type metrics_format = Metrics_json | Metrics_prometheus
 
-let metrics_format_name = function
-  | Metrics_json -> "json"
-  | Metrics_prometheus -> "prometheus"
+let metrics_format_name = function Metrics_json -> "json" | Metrics_prometheus -> "prometheus"
 
 let metrics_format_of_name = function
   | "json" -> Some Metrics_json
@@ -130,23 +65,9 @@ type request =
   | Sample of { params : params; draws : int }
   | Use of string
   | Load of { name : string; text : string }
-  | Insert of {
-      db : db_ref;
-      rel : string;
-      tuples : int array list;
-      batch_id : string option;
-    }
-  | Delete of {
-      db : db_ref;
-      rel : string;
-      tuples : int array list;
-      batch_id : string option;
-    }
-  | Load_batch of {
-      db : db_ref;
-      ops : mutation_op list;
-      batch_id : string option;
-    }
+  | Insert of { db : db_ref; rel : string; tuples : int array list; batch_id : string option }
+  | Delete of { db : db_ref; rel : string; tuples : int array list; batch_id : string option }
+  | Load_batch of { db : db_ref; ops : Live.Db.op list; batch_id : string option }
   | Stats
   | Metrics_req of { format : metrics_format }
   | Ping
@@ -155,17 +76,10 @@ type request =
 let method_of_name = Api.method_of_string
 
 let verb_of_request = function
-  | Ping -> Verb.Ping
-  | Stats -> Verb.Stats
-  | Metrics_req _ -> Verb.Metrics
-  | Use _ -> Verb.Use
-  | Load _ -> Verb.Load
-  | Count _ -> Verb.Count
-  | Sample _ -> Verb.Sample
-  | Insert _ -> Verb.Insert
-  | Delete _ -> Verb.Delete
-  | Load_batch _ -> Verb.Load_batch
-  | Health -> Verb.Health
+  | Ping -> Verb.Ping | Stats -> Verb.Stats | Metrics_req _ -> Verb.Metrics
+  | Use _ -> Verb.Use | Load _ -> Verb.Load | Count _ -> Verb.Count
+  | Sample _ -> Verb.Sample | Insert _ -> Verb.Insert | Delete _ -> Verb.Delete
+  | Load_batch _ -> Verb.Load_batch | Health -> Verb.Health
 
 let verb_name r = Verb.to_string (verb_of_request r)
 
@@ -174,13 +88,10 @@ let verb_name r = Verb.to_string (verb_of_request r)
    Seeded COUNT/SAMPLE are deterministic (and the daemon dedupes them
    against the result cache and in-flight table); unseeded ones draw a
    fresh seed per run, so a retry would silently answer a different
-   random experiment. *)
-(* Mutations are idempotent iff they carry a [batch_id]: the daemon's
-   live-db dedupe table replays the stored result instead of applying
-   the batch twice, so a resend is safe. Without one, a retried
-   mutation would double-apply. *)
-(* LOAD replaces the slot with the shipped content — resending the
-   same text converges on the same catalog state, so it is safe. *)
+   random experiment. Mutations are idempotent iff they carry a
+   [batch_id]: the daemon's live-db dedupe table replays the stored
+   result instead of applying the batch twice. LOAD replaces the slot
+   with the shipped content, so resending it converges. *)
 let idempotent = function
   | Ping | Stats | Metrics_req _ | Use _ | Health | Load _ -> true
   | Count p -> p.seed <> None
@@ -189,59 +100,176 @@ let idempotent = function
     ->
       batch_id <> None
 
+(* ---------- record declarations ---------- *)
+
+(* Every record below is declared once: its members in wire order, each
+   with its rule for absent, null and ill-typed values (Codec). The
+   encoder, the decoder and the round-trip generator all come from that
+   declaration. Requests are strict — an ill-typed field is a typed
+   refusal — while responses are lenient, so a newer server's replies
+   still decode here. *)
+
+let sprintf = Printf.sprintf
+
+let method_kind =
+  Codec.enum ~unknown:(sprintf "unknown method %S") Api.method_to_string Api.method_of_string
+    Approxcount.(
+      Api.[ Auto; Fpras; Fptras Colour_oracle.Tree_dp; Fptras Colour_oracle.Generic;
+            Fptras Colour_oracle.Direct; Exact; Brute ])
+
+let format_kind =
+  Codec.enum ~unknown:(sprintf "unknown metrics format %S") metrics_format_name
+    metrics_format_of_name [ Metrics_json; Metrics_prometheus ]
+
+(* ε and δ travel bit-exact and must be in range (Api.check_accuracy);
+   the generator includes the values %.6g cannot carry *)
+let accuracy which =
+  let gen rs =
+    match (which, Random.State.int rs 3) with
+    | `Eps, 0 -> 1.0 /. 3.0
+    | `Delta, 0 -> 0.1 /. 3.0
+    | `Eps, _ -> ldexp (0.5 +. Random.State.float rs 0.5) (Random.State.int rs 12 - 8)
+    | `Delta, _ -> 0.001 +. Random.State.float rs 0.998
+  in
+  Codec.refine ~gen (Api.check_accuracy which) Codec.exact_float
+
+(* "use" names a catalog entry, "db_inline" ships the text, neither
+   means the session's database *)
+let db_ref get =
+  Codec.member get
+    ~emit:(fun db (tail : Codec.tail) : Codec.tail ->
+      match db with
+      | Named n -> ("use", Json.String n) :: tail
+      | Inline text -> ("db_inline", Json.String text) :: tail
+      | Session -> tail)
+    ~read:(fun j ->
+      match (Json.mem "use" j, Json.mem "db_inline" j) with
+      | Some (Json.String n), None -> Ok (Named n)
+      | None, Some (Json.String text) -> Ok (Inline text)
+      | None, None -> Ok Session
+      | Some _, Some _ -> Error "give either \"use\" or \"db_inline\", not both"
+      | _ -> Error "fields \"use\"/\"db_inline\" must be strings")
+    ~gen:(fun rs ->
+      match Random.State.int rs 3 with
+      | 0 -> Session
+      | 1 -> Named (Codec.gen Codec.string rs)
+      | _ -> Inline (Codec.gen Codec.string rs))
+
+let params_record =
+  Codec.(
+    record (fun query eps delta method_ strict trace db tenant seed jobs timeout_ms
+           deadline_ms max_heap_mb ->
+        { query; db; eps; delta; method_; seed; jobs; timeout_ms; deadline_ms;
+          max_heap_mb; strict; trace; tenant })
+      [ req "query" string (fun p -> p.query);
+        dft "eps" (accuracy `Eps) 0.25 (fun p -> p.eps);
+        dft "delta" (accuracy `Delta) 0.1 (fun p -> p.delta);
+        dft "method" method_kind Api.Auto (fun p -> p.method_);
+        dft "strict" bool false (fun p -> p.strict);
+        dft ~omit:not "trace" bool false (fun p -> p.trace);
+        db_ref (fun p -> p.db);
+        opt "tenant" string (fun p -> p.tenant);
+        opt "seed" int (fun p -> p.seed);
+        opt "jobs" int (fun p -> p.jobs);
+        opt "timeout_ms" int (fun p -> p.timeout_ms);
+        opt "deadline_ms" int (fun p -> p.deadline_ms);
+        opt "max_heap_mb" int (fun p -> p.max_heap_mb) ])
+
+let draws =
+  Codec.refine ~gen:(fun rs -> 1 + Random.State.int rs 100)
+    (fun d -> if d < 1 then Error "field \"draws\" must be positive" else Ok d)
+    Codec.int
+
+let nonempty = sprintf "field %S must be non-empty"
+let tuples_missing = "missing field \"tuples\" (a list of tuples)"
+let ops_missing = "missing field \"ops\" (a list of operations)"
+
+(* INSERT and DELETE: one relation, a non-empty list of facts *)
+let edit_record =
+  Codec.(
+    record (fun db rel tuples batch_id -> (db, rel, tuples, batch_id))
+      [ db_ref (fun (db, _, _, _) -> db);
+        req "rel" string (fun (_, rel, _, _) -> rel);
+        req ~missing:tuples_missing "tuples"
+          (list ~bad:(fun _ -> tuples_missing) ~empty:nonempty Journal.tuple)
+          (fun (_, _, tuples, _) -> tuples);
+        opt "batch_id" string (fun (_, _, _, id) -> id) ])
+
+let request_case v =
+  let case record inj prj = Codec.case (Verb.to_string v) record inj prj in
+  let bare r = case (Codec.record () []) (fun () -> r) (fun r' -> if r' = r then Some () else None) in
+  match v with
+  | Verb.Count -> case params_record (fun p -> Count p) (function Count p -> Some p | _ -> None)
+  | Verb.Sample ->
+      case
+        Codec.(record (fun p d -> (p, d)) [ embed params_record fst; dft "draws" draws 1 snd ])
+        (fun (params, draws) -> Sample { params; draws })
+        (function Sample { params; draws } -> Some (params, draws) | _ -> None)
+  | Verb.Use ->
+      case Codec.(record Fun.id [ req "name" string Fun.id ]) (fun name -> Use name)
+        (function Use name -> Some name | _ -> None)
+  | Verb.Load ->
+      case
+        Codec.(record (fun n t -> (n, t)) [ req "name" string fst; req "text" string snd ])
+        (fun (name, text) -> Load { name; text })
+        (function Load { name; text } -> Some (name, text) | _ -> None)
+  | Verb.Insert ->
+      case edit_record
+        (fun (db, rel, tuples, batch_id) -> Insert { db; rel; tuples; batch_id })
+        (function Insert { db; rel; tuples; batch_id } -> Some (db, rel, tuples, batch_id) | _ -> None)
+  | Verb.Delete ->
+      case edit_record
+        (fun (db, rel, tuples, batch_id) -> Delete { db; rel; tuples; batch_id })
+        (function Delete { db; rel; tuples; batch_id } -> Some (db, rel, tuples, batch_id) | _ -> None)
+  | Verb.Load_batch ->
+      case
+        Codec.(
+          record (fun db ops batch_id -> (db, ops, batch_id))
+            [ db_ref (fun (db, _, _) -> db);
+              req ~missing:ops_missing "ops"
+                (list ~bad:(fun _ -> ops_missing) ~empty:nonempty Journal.op)
+                (fun (_, ops, _) -> ops);
+              opt "batch_id" string (fun (_, _, id) -> id) ])
+        (fun (db, ops, batch_id) -> Load_batch { db; ops; batch_id })
+        (function Load_batch { db; ops; batch_id } -> Some (db, ops, batch_id) | _ -> None)
+  | Verb.Metrics ->
+      case
+        Codec.(record Fun.id [ dft "format" format_kind Metrics_json Fun.id ])
+        (fun format -> Metrics_req { format })
+        (function Metrics_req { format } -> Some format | _ -> None)
+  | Verb.Stats -> bare Stats
+  | Verb.Ping -> bare Ping
+  | Verb.Health -> bare Health
+
+let request_cases = List.map request_case Verb.all
+
+(* ---------- responses ---------- *)
+
 type attempt = { rung : string; error_class : string; error_message : string }
 
 type outcome = {
-  estimate : float;
-  exact : bool;
-  rung : string option;
-  guarantee : bool;
-  degraded : bool;
-  attempts : attempt list;
-  seed : int;
-  jobs : int;
-  ticks : int;
-  elapsed_ms : float;
-  trace : Trace.summary option;
-  plan_cache : string;
+  estimate : float; exact : bool; rung : string option; guarantee : bool;
+  degraded : bool; attempts : attempt list; seed : int; jobs : int; ticks : int;
+  elapsed_ms : float; trace : Trace.summary option; plan_cache : string;
   result_cache : string;
 }
 
 type health = {
-  ready : bool;
-  live : bool;
-  draining : bool;
-  in_flight : int;
-  queue_capacity : int;
-  catalog_entries : int;
-  recovered : bool;
-  uptime_ms : float;
+  ready : bool; live : bool; draining : bool; in_flight : int; queue_capacity : int;
+  catalog_entries : int; recovered : bool; uptime_ms : float;
 }
 
 type response =
   | Counted of outcome
   | Sampled of {
-      samples : int array option array;
-      seed : int;
-      jobs : int;
-      ticks : int;
-      elapsed_ms : float;
-      trace : Trace.summary option;
+      samples : int array option array; seed : int; jobs : int; ticks : int;
+      elapsed_ms : float; trace : Trace.summary option;
     }
   | Used of { name : string; fingerprint : string; universe : int; size : int }
-  | Loaded of {
-      name : string;
-      fingerprint : string;
-      universe : int;
-      size : int;
-    }
+  | Loaded of { name : string; fingerprint : string; universe : int; size : int }
   | Mutated of {
-      name : string;
-      db_version : int;
-      fingerprint : string;
-      inserted : int;
-      deleted : int;
-      replayed : bool;
+      name : string; db_version : int; fingerprint : string; inserted : int;
+      deleted : int; replayed : bool;
     }
   | Stats_reply of Json.t
   | Metrics_reply of { format : metrics_format; payload : Json.t }
@@ -258,166 +286,251 @@ let status_of_response = function
 
 let response_of_error e =
   Refused
-    {
-      code = Error.exit_code e;
-      error_class = Error.class_name e;
-      message = Error.message e;
-    }
+    { code = Error.exit_code e; error_class = Error.class_name e; message = Error.message e }
 
-(* ---------- encoding ---------- *)
+let agg =
+  Codec.(
+    record (fun agg_name count total_ms agg_ticks ->
+        { Trace.agg_name; count; total_ms; agg_ticks })
+      [ req "name" string (fun a -> a.Trace.agg_name);
+        req "count" int (fun a -> a.Trace.count);
+        req "total_ms" float (fun a -> a.Trace.total_ms);
+        req "ticks" int (fun a -> a.Trace.agg_ticks) ])
 
-let opt_int_field name = function
-  | Some v -> [ (name, Json.Int v) ]
-  | None -> []
+(* malformed aggregates are dropped, not refused *)
+let summary =
+  Codec.(
+    record (fun spans summary_dropped wall_ms aggs ->
+        { Trace.spans; summary_dropped; wall_ms; aggs })
+      [ lax "spans" int 0 (fun s -> s.Trace.spans);
+        lax "dropped" int 0 (fun s -> s.Trace.summary_dropped);
+        lax "wall_ms" float 0.0 (fun s -> s.Trace.wall_ms);
+        lax "aggs" (list ~skip_bad:true (obj agg)) [] (fun s -> s.Trace.aggs) ])
 
-let params_fields (p : params) =
-  [
-    ("query", Json.String p.query);
-    ("eps", Json.Float p.eps);
-    ("delta", Json.Float p.delta);
-    ("method", Json.String (Api.method_to_string p.method_));
-    ("strict", Json.Bool p.strict);
-  ]
-  @ (if p.trace then [ ("trace", Json.Bool true) ] else [])
-  @ (match p.db with
-    | Named n -> [ ("use", Json.String n) ]
-    | Inline text -> [ ("db_inline", Json.String text) ]
-    | Session -> [])
-  @ (match p.tenant with
-    | Some tn -> [ ("tenant", Json.String tn) ]
-    | None -> [])
-  @ opt_int_field "seed" p.seed
-  @ opt_int_field "jobs" p.jobs
-  @ opt_int_field "timeout_ms" p.timeout_ms
-  @ opt_int_field "deadline_ms" p.deadline_ms
-  @ opt_int_field "max_heap_mb" p.max_heap_mb
+let summary_kind = Codec.obj ~bad:(sprintf "field %S must be an object") summary
+let trace_summary_json s = Codec.to_json summary_kind s
 
-let db_ref_fields = function
-  | Named n -> [ ("use", Json.String n) ]
-  | Inline text -> [ ("db_inline", Json.String text) ]
-  | Session -> []
+(* the telemetry object shared by COUNT and SAMPLE replies *)
+let telemetry ~seed ~jobs ~ticks ~elapsed_ms ~trace =
+  Codec.(
+    nest ~missing:"missing \"telemetry\" object"
+      ~bad:"malformed \"telemetry\" object" "telemetry"
+      [ req "seed" int seed; req "jobs" int jobs; req "ticks" int ticks;
+        req "elapsed_ms" float elapsed_ms; lax_opt "trace" summary_kind trace ])
 
-let tuple_json tuple =
-  Json.List (Array.to_list (Array.map (fun v -> Json.Int v) tuple))
+(* the estimate travels twice: "estimate" (%.6g, for people) and
+   "estimate_hex" (%h, bit-exact), which decoders prefer *)
+let estimate get =
+  Codec.member get
+    ~emit:(fun e (tail : Codec.tail) : Codec.tail ->
+      ("estimate", Json.Float e) :: ("estimate_hex", Json.String (sprintf "%h" e)) :: tail)
+    ~read:(fun j ->
+      match Json.mem "estimate_hex" j with
+      | Some (Json.String h) ->
+          Option.to_result ~none:"unreadable \"estimate_hex\"" (float_of_string_opt h)
+      | _ ->
+          Option.to_result ~none:"missing \"estimate\""
+            (Option.bind (Json.mem "estimate" j) Json.to_float))
+    ~gen:(Codec.gen Codec.exact_float)
 
-let batch_id_fields = function
-  | Some id -> [ ("batch_id", Json.String id) ]
-  | None -> []
+let attempt =
+  Codec.(
+    record (fun rung error_class error_message -> { rung; error_class; error_message })
+      [ req "rung" string (fun (a : attempt) -> a.rung);
+        req "class" string (fun a -> a.error_class);
+        req "message" string (fun a -> a.error_message) ])
 
-let mutation_op_json (o : mutation_op) =
-  Json.Obj
-    [
-      ("op", Json.String (if o.insert then "insert" else "delete"));
-      ("rel", Json.String o.rel);
-      ("tuple", tuple_json o.tuple);
-    ]
+let outcome =
+  Codec.(
+    record (fun estimate exact rung guarantee degraded attempts seed jobs ticks
+           elapsed_ms trace plan_cache result_cache ->
+        { estimate; exact; rung; guarantee; degraded; attempts; seed; jobs; ticks;
+          elapsed_ms; trace; plan_cache; result_cache })
+      [ estimate (fun o -> o.estimate);
+        dft "exact" truthy false (fun o -> o.exact);
+        lax "rung" (nullable string) None (fun o -> o.rung);
+        dft "guarantee" truthy true (fun o -> o.guarantee);
+        dft "degraded" truthy false (fun o -> o.degraded);
+        dft "attempts"
+          (list (with_error (fun _ -> "malformed attempt entry") (obj attempt)))
+          []
+          (fun o -> o.attempts);
+        telemetry ~seed:(fun o -> o.seed) ~jobs:(fun o -> o.jobs)
+          ~ticks:(fun o -> o.ticks) ~elapsed_ms:(fun o -> o.elapsed_ms)
+          ~trace:(fun (o : outcome) -> o.trace);
+        nest "cache"
+          [ lax "plan" string "bypass" (fun o -> o.plan_cache);
+            lax "result" string "bypass" (fun o -> o.result_cache) ] ])
 
+let health =
+  Codec.(
+    record (fun ready live draining in_flight queue_capacity catalog_entries
+           recovered uptime_ms ->
+        { ready; live; draining; in_flight; queue_capacity; catalog_entries;
+          recovered; uptime_ms })
+      [ dft "ready" truthy false (fun h -> h.ready);
+        dft "live" truthy false (fun h -> h.live);
+        dft "draining" truthy false (fun h -> h.draining);
+        nest "queue"
+          [ lax "in_flight" int 0 (fun h -> h.in_flight);
+            lax "capacity" int 0 (fun h -> h.queue_capacity) ];
+        lax "catalog_entries" int 0 (fun h -> h.catalog_entries);
+        dft "recovered" truthy false (fun h -> h.recovered);
+        lax "uptime_ms" float 0.0 (fun h -> h.uptime_ms) ])
+
+(* USE and LOAD answer with the entry's identity *)
+let identity =
+  Codec.(
+    record (fun name fingerprint universe size -> (name, fingerprint, universe, size))
+      [ req "name" string (fun (n, _, _, _) -> n);
+        req "fingerprint" string (fun (_, f, _, _) -> f);
+        lax "universe" int 0 (fun (_, _, u, _) -> u);
+        lax "size" int 0 (fun (_, _, _, s) -> s) ])
+
+(* a refusal carries no verb; its code is the envelope's "status" *)
+let refused =
+  Codec.(
+    case "error"
+      (record
+         (fun code error_class message -> (code, error_class, message))
+         [ lax ~omit:(fun _ -> true) "status" int 16 (fun (c, _, _) -> c);
+           nest "error"
+             [ lax "class" string "internal" (fun (_, c, _) -> c);
+               lax "message" string "(no message)" (fun (_, _, m) -> m) ] ])
+      (fun (code, error_class, message) -> Refused { code; error_class; message })
+      (function
+        | Refused { code; error_class; message } -> Some (code, error_class, message)
+        | _ -> None))
+
+let sample_entries = "missing \"samples\" list"
+
+let response_cases : response Codec.case list =
+  Codec.
+    [ case "count" outcome (fun o -> Counted o) (function Counted o -> Some o | _ -> None);
+      case "sample"
+        (record
+           (fun samples seed jobs ticks elapsed_ms trace ->
+             (samples, seed, jobs, ticks, elapsed_ms, trace))
+           [ req ~missing:sample_entries "samples"
+               (array ~bad:(fun _ -> sample_entries)
+                  (nullable
+                     (array ~bad:(fun _ -> "malformed sample entry")
+                        (with_error (fun _ -> "sample entries must be integers") int))))
+               (fun (s, _, _, _, _, _) -> s);
+             telemetry ~seed:(fun (_, s, _, _, _, _) -> s)
+               ~jobs:(fun (_, _, j, _, _, _) -> j) ~ticks:(fun (_, _, _, t, _, _) -> t)
+               ~elapsed_ms:(fun (_, _, _, _, e, _) -> e) ~trace:(fun (_, _, _, _, _, t) -> t) ])
+        (fun (samples, seed, jobs, ticks, elapsed_ms, trace) ->
+          Sampled { samples; seed; jobs; ticks; elapsed_ms; trace })
+        (function
+          | Sampled { samples; seed; jobs; ticks; elapsed_ms; trace } ->
+              Some (samples, seed, jobs, ticks, elapsed_ms, trace)
+          | _ -> None);
+      case "use" identity
+        (fun (name, fingerprint, universe, size) -> Used { name; fingerprint; universe; size })
+        (function
+          | Used { name; fingerprint; universe; size } -> Some (name, fingerprint, universe, size)
+          | _ -> None);
+      case "load" identity
+        (fun (name, fingerprint, universe, size) -> Loaded { name; fingerprint; universe; size })
+        (function
+          | Loaded { name; fingerprint; universe; size } -> Some (name, fingerprint, universe, size)
+          | _ -> None);
+      (* one shape for all three mutation verbs; "version" is the
+         protocol's, so the db counter travels as "db_version" *)
+      case "mutate"
+        (record
+           (fun name db_version fingerprint inserted deleted replayed ->
+             (name, db_version, fingerprint, inserted, deleted, replayed))
+           [ req "name" string (fun (n, _, _, _, _, _) -> n);
+             lax "db_version" int 0 (fun (_, v, _, _, _, _) -> v);
+             req "fingerprint" string (fun (_, _, f, _, _, _) -> f);
+             lax "inserted" int 0 (fun (_, _, _, i, _, _) -> i);
+             lax "deleted" int 0 (fun (_, _, _, _, d, _) -> d);
+             dft "replayed" truthy false (fun (_, _, _, _, _, r) -> r) ])
+        (fun (name, db_version, fingerprint, inserted, deleted, replayed) ->
+          Mutated { name; db_version; fingerprint; inserted; deleted; replayed })
+        (function
+          | Mutated { name; db_version; fingerprint; inserted; deleted; replayed } ->
+              Some (name, db_version, fingerprint, inserted, deleted, replayed)
+          | _ -> None);
+      case "stats"
+        (record Fun.id [ req ~missing:"missing \"stats\" object" "stats" json Fun.id ])
+        (fun blob -> Stats_reply blob)
+        (function Stats_reply blob -> Some blob | _ -> None);
+      case "metrics"
+        (record
+           (fun format payload -> (format, payload))
+           [ dft "format" format_kind Metrics_json fst;
+             req ~missing:"missing \"metrics\" payload" "metrics" json snd ])
+        (fun (format, payload) -> Metrics_reply { format; payload })
+        (function Metrics_reply { format; payload } -> Some (format, payload) | _ -> None);
+      case "ping" (record () []) (fun () -> Pong) (function Pong -> Some () | _ -> None);
+      case "health" health (fun h -> Health_reply h) (function
+        | Health_reply h -> Some h
+        | _ -> None) ]
+
+(* ---------- envelopes ---------- *)
+
+let ( let* ) = Result.bind
 let version_field = ("version", Json.Int protocol_version)
 
 (* The optional envelope-level request id: the client's handle for
    matching responses to requests across retries and duplicated frames.
    Echoed verbatim by the server; requests without one get responses
    without one (the pre-id protocol). *)
-let id_fields = function
-  | None -> []
-  | Some id -> [ ("id", Json.String id) ]
+let with_id id (members : Codec.tail) : Codec.tail =
+  match id with None -> members | Some id -> ("id", Json.String id) :: members
 
 let json_id j =
   match Json.mem "id" j with Some (Json.String s) -> Some s | _ -> None
 
-let request_to_json ?id = function
-  | Count p ->
-      Json.Obj
-        (("verb", Json.String "count")
-        :: version_field
-        :: (id_fields id @ params_fields p))
-  | Sample { params = p; draws } ->
-      Json.Obj
-        ((("verb", Json.String "sample")
-         :: version_field
-         :: (id_fields id @ params_fields p))
-        @ [ ("draws", Json.Int draws) ])
-  | Use name ->
-      Json.Obj
-        (("verb", Json.String "use")
-        :: version_field
-        :: (id_fields id @ [ ("name", Json.String name) ]))
-  | Load { name; text } ->
-      Json.Obj
-        (("verb", Json.String "load")
-        :: version_field
-        :: (id_fields id
-           @ [ ("name", Json.String name); ("text", Json.String text) ]))
-  | Insert { db; rel; tuples; batch_id } ->
-      Json.Obj
-        (("verb", Json.String "insert")
-        :: version_field
-        :: (id_fields id @ db_ref_fields db
-           @ [
-               ("rel", Json.String rel);
-               ("tuples", Json.List (List.map tuple_json tuples));
-             ]
-           @ batch_id_fields batch_id))
-  | Delete { db; rel; tuples; batch_id } ->
-      Json.Obj
-        (("verb", Json.String "delete")
-        :: version_field
-        :: (id_fields id @ db_ref_fields db
-           @ [
-               ("rel", Json.String rel);
-               ("tuples", Json.List (List.map tuple_json tuples));
-             ]
-           @ batch_id_fields batch_id))
-  | Load_batch { db; ops; batch_id } ->
-      Json.Obj
-        (("verb", Json.String "load_batch")
-        :: version_field
-        :: (id_fields id @ db_ref_fields db
-           @ [ ("ops", Json.List (List.map mutation_op_json ops)) ]
-           @ batch_id_fields batch_id))
-  | Stats -> Json.Obj (("verb", Json.String "stats") :: version_field :: id_fields id)
-  | Metrics_req { format } ->
-      Json.Obj
-        (("verb", Json.String "metrics")
-        :: version_field
-        :: (id_fields id
-           @ [ ("format", Json.String (metrics_format_name format)) ]))
-  | Ping -> Json.Obj (("verb", Json.String "ping") :: version_field :: id_fields id)
-  | Health ->
-      Json.Obj (("verb", Json.String "health") :: version_field :: id_fields id)
+(* The negotiation rule: absent means version 1, anything we do not
+   speak is a hard (typed) refusal — never a silent misparse. *)
+let check_version j =
+  match Codec.get_opt "version" Codec.int j with
+  | Ok None -> Ok ()
+  | Ok (Some v) when v = protocol_version -> Ok ()
+  | Ok (Some v) ->
+      Error
+        (sprintf "unsupported protocol version %d (this peer speaks %d)" v
+           protocol_version)
+  | Error e -> Error e
 
-let trace_summary_json (s : Trace.summary) =
-  Json.Obj
-    [
-      ("spans", Json.Int s.Trace.spans);
-      ("dropped", Json.Int s.Trace.summary_dropped);
-      ("wall_ms", Json.Float s.Trace.wall_ms);
-      ( "aggs",
-        Json.List
-          (List.map
-             (fun (a : Trace.agg) ->
-               Json.Obj
-                 [
-                   ("name", Json.String a.Trace.agg_name);
-                   ("count", Json.Int a.Trace.count);
-                   ("total_ms", Json.Float a.Trace.total_ms);
-                   ("ticks", Json.Int a.Trace.agg_ticks);
-                 ])
-             s.Trace.aggs) );
-    ]
+let request_to_json ?id r =
+  let verb, members = Codec.emit_case request_cases r in
+  Json.Obj (("verb", Json.String verb) :: version_field :: with_id id members)
 
-let telemetry_json ?trace ~seed ~jobs ~ticks ~elapsed_ms () =
+let request_of_json j =
+  let* () = check_version j in
+  let* verb = Codec.get "verb" Codec.string j in
+  match Codec.read_case request_cases verb j with
+  | Some decoded -> decoded
+  | None -> Error (sprintf "unknown verb %S" verb)
+
+let response_to_json ?id r =
+  let members =
+    match Codec.emit_case (refused :: response_cases) r with
+    | "error", members -> members
+    | verb, members -> ("verb", Json.String verb) :: members
+  in
   Json.Obj
-    ([
-       ("seed", Json.Int seed);
-       ("jobs", Json.Int jobs);
-       ("ticks", Json.Int ticks);
-       ("elapsed_ms", Json.Float elapsed_ms);
-     ]
-    @
-    match trace with
-    | None -> []
-    | Some s -> [ ("trace", trace_summary_json s) ])
+    (("status", Json.Int (status_of_response r))
+    :: version_field :: with_id id members)
+
+let response_of_json j =
+  let* () = check_version j in
+  if Json.mem "error" j <> None then Option.get (Codec.read_case [ refused ] "error" j)
+  else
+    let* verb = Codec.get "verb" Codec.string j in
+    match Codec.read_case response_cases verb j with
+    | Some decoded -> decoded
+    | None -> Error (sprintf "unknown response verb %S" verb)
+
+let gen_request = Codec.gen_case request_cases
+let gen_response = Codec.gen_case (refused :: response_cases)
+
+(* ---------- metrics ---------- *)
 
 (* The registry snapshot as structured JSON: one entry per series.
    Histogram bucket upper bounds are the stable
@@ -429,20 +542,12 @@ let metrics_json registry =
   let metric_json (m : Metrics.metric) =
     let value_fields =
       match m.Metrics.value with
-      | Metrics.Counter v ->
-          [ ("type", Json.String "counter"); ("value", Json.Int v) ]
-      | Metrics.Gauge v ->
-          [ ("type", Json.String "gauge"); ("value", Json.Int v) ]
+      | Metrics.Counter v -> [ ("type", Json.String "counter"); ("value", Json.Int v) ]
+      | Metrics.Gauge v -> [ ("type", Json.String "gauge"); ("value", Json.Int v) ]
       | Metrics.Histogram h ->
-          [
-            ("type", Json.String "histogram");
-            ("count", Json.Int h.Metrics.count);
+          [ ("type", Json.String "histogram"); ("count", Json.Int h.Metrics.count);
             ("sum", Json.Float h.Metrics.sum);
-            ( "buckets",
-              Json.List
-                (Array.to_list
-                   (Array.map (fun c -> Json.Int c) h.Metrics.counts)) );
-          ]
+            ("buckets", Codec.(to_json (array int)) h.Metrics.counts) ]
     in
     Json.Obj
       (("name", Json.String m.Metrics.metric_name)
@@ -455,633 +560,6 @@ let metrics_payload ~format registry =
   match format with
   | Metrics_json -> metrics_json registry
   | Metrics_prometheus -> Json.String (Metrics.to_prometheus registry)
-
-let response_to_json ?id r =
-  let status = ("status", Json.Int (status_of_response r)) in
-  let version = version_field in
-  let base = status :: version :: id_fields id in
-  match r with
-  | Counted o ->
-      Json.Obj
-        (base
-        @ [
-          ("verb", Json.String "count");
-          ("estimate", Json.Float o.estimate);
-          ("estimate_hex", Json.String (Printf.sprintf "%h" o.estimate));
-          ("exact", Json.Bool o.exact);
-          ( "rung",
-            match o.rung with Some r -> Json.String r | None -> Json.Null );
-          ("guarantee", Json.Bool o.guarantee);
-          ("degraded", Json.Bool o.degraded);
-          ( "attempts",
-            Json.List
-              (List.map
-                 (fun (a : attempt) ->
-                   Json.Obj
-                     [
-                       ("rung", Json.String a.rung);
-                       ("class", Json.String a.error_class);
-                       ("message", Json.String a.error_message);
-                     ])
-                 o.attempts) );
-          ( "telemetry",
-            telemetry_json ?trace:o.trace ~seed:o.seed ~jobs:o.jobs
-              ~ticks:o.ticks ~elapsed_ms:o.elapsed_ms () );
-          ( "cache",
-            Json.Obj
-              [
-                ("plan", Json.String o.plan_cache);
-                ("result", Json.String o.result_cache);
-              ] );
-        ])
-  | Sampled s ->
-      Json.Obj
-        (base
-        @ [
-          ("verb", Json.String "sample");
-          ( "samples",
-            Json.List
-              (Array.to_list s.samples
-              |> List.map (function
-                   | None -> Json.Null
-                   | Some tau ->
-                       Json.List
-                         (Array.to_list (Array.map (fun v -> Json.Int v) tau)))) );
-          ( "telemetry",
-            telemetry_json ?trace:s.trace ~seed:s.seed ~jobs:s.jobs
-              ~ticks:s.ticks ~elapsed_ms:s.elapsed_ms () );
-        ])
-  | Used u ->
-      Json.Obj
-        (base
-        @ [
-            ("verb", Json.String "use");
-            ("name", Json.String u.name);
-            ("fingerprint", Json.String u.fingerprint);
-            ("universe", Json.Int u.universe);
-            ("size", Json.Int u.size);
-          ])
-  | Loaded l ->
-      Json.Obj
-        (base
-        @ [
-            ("verb", Json.String "load");
-            ("name", Json.String l.name);
-            ("fingerprint", Json.String l.fingerprint);
-            ("universe", Json.Int l.universe);
-            ("size", Json.Int l.size);
-          ])
-  | Mutated m ->
-      (* one response shape for all three mutation verbs; "version" is
-         taken by the protocol envelope, so the db counter travels as
-         "db_version" *)
-      Json.Obj
-        (base
-        @ [
-            ("verb", Json.String "mutate");
-            ("name", Json.String m.name);
-            ("db_version", Json.Int m.db_version);
-            ("fingerprint", Json.String m.fingerprint);
-            ("inserted", Json.Int m.inserted);
-            ("deleted", Json.Int m.deleted);
-            ("replayed", Json.Bool m.replayed);
-          ])
-  | Stats_reply blob ->
-      Json.Obj (base @ [ ("verb", Json.String "stats"); ("stats", blob) ])
-  | Metrics_reply { format; payload } ->
-      Json.Obj
-        (base
-        @ [
-            ("verb", Json.String "metrics");
-            ("format", Json.String (metrics_format_name format));
-            ("metrics", payload);
-          ])
-  | Pong -> Json.Obj (base @ [ ("verb", Json.String "ping") ])
-  | Health_reply h ->
-      Json.Obj
-        (base
-        @ [
-            ("verb", Json.String "health");
-            ("ready", Json.Bool h.ready);
-            ("live", Json.Bool h.live);
-            ("draining", Json.Bool h.draining);
-            ( "queue",
-              Json.Obj
-                [
-                  ("in_flight", Json.Int h.in_flight);
-                  ("capacity", Json.Int h.queue_capacity);
-                ] );
-            ("catalog_entries", Json.Int h.catalog_entries);
-            ("recovered", Json.Bool h.recovered);
-            ("uptime_ms", Json.Float h.uptime_ms);
-          ])
-  | Refused r ->
-      Json.Obj
-        (base
-        @ [
-            ( "error",
-              Json.Obj
-                [
-                  ("class", Json.String r.error_class);
-                  ("message", Json.String r.message);
-                ] );
-          ])
-
-(* ---------- decoding ---------- *)
-
-let ( let* ) = Result.bind
-
-let field_or name default j =
-  match Json.mem name j with None | Some Json.Null -> default | Some v -> v
-
-let req_str name j =
-  match Json.mem name j with
-  | Some (Json.String s) -> Ok s
-  | Some _ -> Error (Printf.sprintf "field %S must be a string" name)
-  | None -> Error (Printf.sprintf "missing field %S" name)
-
-let opt_int name j =
-  match Json.mem name j with
-  | None | Some Json.Null -> Ok None
-  | Some (Json.Int i) -> Ok (Some i)
-  | Some _ -> Error (Printf.sprintf "field %S must be an integer" name)
-
-let opt_float name ~default j =
-  match Json.mem name j with
-  | None | Some Json.Null -> Ok default
-  | Some v -> (
-      match Json.to_float v with
-      | Some f -> Ok f
-      | None -> Error (Printf.sprintf "field %S must be a number" name))
-
-let opt_bool name ~default j =
-  match Json.mem name j with
-  | None | Some Json.Null -> Ok default
-  | Some (Json.Bool b) -> Ok b
-  | Some _ -> Error (Printf.sprintf "field %S must be a boolean" name)
-
-let params_of_json j =
-  let* query = req_str "query" j in
-  let* db =
-    match (Json.mem "use" j, Json.mem "db_inline" j) with
-    | Some (Json.String n), None -> Ok (Named n)
-    | None, Some (Json.String text) -> Ok (Inline text)
-    | None, None -> Ok Session
-    | Some _, Some _ -> Error "give either \"use\" or \"db_inline\", not both"
-    | _ -> Error "fields \"use\"/\"db_inline\" must be strings"
-  in
-  let* eps = opt_float "eps" ~default:0.25 j in
-  let* delta = opt_float "delta" ~default:0.1 j in
-  let* method_ =
-    match field_or "method" (Json.String "auto") j with
-    | Json.String name -> (
-        match method_of_name name with
-        | Some m -> Ok m
-        | None -> Error (Printf.sprintf "unknown method %S" name))
-    | _ -> Error "field \"method\" must be a string"
-  in
-  let* seed = opt_int "seed" j in
-  let* jobs = opt_int "jobs" j in
-  let* timeout_ms = opt_int "timeout_ms" j in
-  let* deadline_ms = opt_int "deadline_ms" j in
-  let* max_heap_mb = opt_int "max_heap_mb" j in
-  let* strict = opt_bool "strict" ~default:false j in
-  let* trace = opt_bool "trace" ~default:false j in
-  let* tenant =
-    match Json.mem "tenant" j with
-    | None | Some Json.Null -> Ok None
-    | Some (Json.String s) -> Ok (Some s)
-    | Some _ -> Error "field \"tenant\" must be a string"
-  in
-  Ok
-    {
-      query;
-      db;
-      eps;
-      delta;
-      method_;
-      seed;
-      jobs;
-      timeout_ms;
-      deadline_ms;
-      max_heap_mb;
-      strict;
-      trace;
-      tenant;
-    }
-
-let db_ref_of_json j =
-  match (Json.mem "use" j, Json.mem "db_inline" j) with
-  | Some (Json.String n), None -> Ok (Named n)
-  | None, Some (Json.String text) -> Ok (Inline text)
-  | None, None -> Ok Session
-  | Some _, Some _ -> Error "give either \"use\" or \"db_inline\", not both"
-  | _ -> Error "fields \"use\"/\"db_inline\" must be strings"
-
-let opt_str name j =
-  match Json.mem name j with
-  | None | Some Json.Null -> Ok None
-  | Some (Json.String s) -> Ok (Some s)
-  | Some _ -> Error (Printf.sprintf "field %S must be a string" name)
-
-let tuple_of_json name = function
-  | Json.List vs ->
-      let* rev =
-        List.fold_left
-          (fun acc v ->
-            let* acc = acc in
-            match Json.to_int v with
-            | Some i -> Ok (i :: acc)
-            | None ->
-                Error
-                  (Printf.sprintf "field %S: tuple components must be integers"
-                     name))
-          (Ok []) vs
-      in
-      Ok (Array.of_list (List.rev rev))
-  | _ -> Error (Printf.sprintf "field %S must contain integer lists" name)
-
-let tuples_of_json j =
-  match Json.mem "tuples" j with
-  | Some (Json.List items) ->
-      let* rev =
-        List.fold_left
-          (fun acc item ->
-            let* acc = acc in
-            let* t = tuple_of_json "tuples" item in
-            Ok (t :: acc))
-          (Ok []) items
-      in
-      if rev = [] then Error "field \"tuples\" must be non-empty"
-      else Ok (List.rev rev)
-  | _ -> Error "missing field \"tuples\" (a list of tuples)"
-
-let mutation_op_of_json item =
-  let* op = req_str "op" item in
-  let* insert =
-    match op with
-    | "insert" -> Ok true
-    | "delete" -> Ok false
-    | other -> Error (Printf.sprintf "unknown op %S (insert|delete)" other)
-  in
-  let* rel = req_str "rel" item in
-  let* tuple =
-    match Json.mem "tuple" item with
-    | Some v -> tuple_of_json "tuple" v
-    | None -> Error "missing field \"tuple\""
-  in
-  Ok { insert; rel; tuple }
-
-let ops_of_json j =
-  match Json.mem "ops" j with
-  | Some (Json.List items) ->
-      let* rev =
-        List.fold_left
-          (fun acc item ->
-            let* acc = acc in
-            let* o = mutation_op_of_json item in
-            Ok (o :: acc))
-          (Ok []) items
-      in
-      if rev = [] then Error "field \"ops\" must be non-empty"
-      else Ok (List.rev rev)
-  | _ -> Error "missing field \"ops\" (a list of operations)"
-
-(* The negotiation rule: absent means version 1, anything we do not
-   speak is a hard (typed) refusal — never a silent misparse. *)
-let check_version j =
-  match Json.mem "version" j with
-  | None | Some Json.Null -> Ok ()
-  | Some (Json.Int v) when v = protocol_version -> Ok ()
-  | Some (Json.Int v) ->
-      Error
-        (Printf.sprintf "unsupported protocol version %d (this peer speaks %d)"
-           v protocol_version)
-  | Some _ -> Error "field \"version\" must be an integer"
-
-(* String dispatch happens exactly once — [Verb.of_string] — and the
-   per-verb decoders are selected by an exhaustive match over the
-   closed variant: adding a [Verb.t] constructor without a decoder is a
-   compile error. *)
-let request_of_json j =
-  let* () = check_version j in
-  let* verb = req_str "verb" j in
-  match Verb.of_string verb with
-  | None -> Error (Printf.sprintf "unknown verb %S" verb)
-  | Some v -> (
-      match v with
-      | Verb.Count ->
-          let* p = params_of_json j in
-          Ok (Count p)
-      | Verb.Sample ->
-          let* p = params_of_json j in
-          let* draws = opt_int "draws" j in
-          let draws = Option.value draws ~default:1 in
-          if draws < 1 then Error "field \"draws\" must be positive"
-          else Ok (Sample { params = p; draws })
-      | Verb.Use ->
-          let* name = req_str "name" j in
-          Ok (Use name)
-      | Verb.Load ->
-          let* name = req_str "name" j in
-          let* text = req_str "text" j in
-          Ok (Load { name; text })
-      | Verb.Insert ->
-          let* db = db_ref_of_json j in
-          let* rel = req_str "rel" j in
-          let* tuples = tuples_of_json j in
-          let* batch_id = opt_str "batch_id" j in
-          Ok (Insert { db; rel; tuples; batch_id })
-      | Verb.Delete ->
-          let* db = db_ref_of_json j in
-          let* rel = req_str "rel" j in
-          let* tuples = tuples_of_json j in
-          let* batch_id = opt_str "batch_id" j in
-          Ok (Delete { db; rel; tuples; batch_id })
-      | Verb.Load_batch ->
-          let* db = db_ref_of_json j in
-          let* ops = ops_of_json j in
-          let* batch_id = opt_str "batch_id" j in
-          Ok (Load_batch { db; ops; batch_id })
-      | Verb.Stats -> Ok Stats
-      | Verb.Metrics -> (
-          match field_or "format" (Json.String "json") j with
-          | Json.String f -> (
-              match metrics_format_of_name f with
-              | Some format -> Ok (Metrics_req { format })
-              | None -> Error (Printf.sprintf "unknown metrics format %S" f))
-          | _ -> Error "field \"format\" must be a string")
-      | Verb.Ping -> Ok Ping
-      | Verb.Health -> Ok Health)
-
-let trace_summary_of_json t =
-  let aggs =
-    match Json.mem "aggs" t with
-    | Some (Json.List items) ->
-        List.filter_map
-          (fun item ->
-            match
-              ( Option.bind (Json.mem "name" item) Json.to_str,
-                Option.bind (Json.mem "count" item) Json.to_int,
-                Option.bind (Json.mem "total_ms" item) Json.to_float,
-                Option.bind (Json.mem "ticks" item) Json.to_int )
-            with
-            | Some agg_name, Some count, Some total_ms, Some agg_ticks ->
-                Some { Trace.agg_name; count; total_ms; agg_ticks }
-            | _ -> None)
-          items
-    | _ -> []
-  in
-  {
-    Trace.spans =
-      Option.value (Option.bind (Json.mem "spans" t) Json.to_int) ~default:0;
-    summary_dropped =
-      Option.value (Option.bind (Json.mem "dropped" t) Json.to_int) ~default:0;
-    wall_ms =
-      Option.value
-        (Option.bind (Json.mem "wall_ms" t) Json.to_float)
-        ~default:0.0;
-    aggs;
-  }
-
-let telemetry_of_json j =
-  match Json.mem "telemetry" j with
-  | Some t -> (
-      match
-        ( Option.bind (Json.mem "seed" t) Json.to_int,
-          Option.bind (Json.mem "jobs" t) Json.to_int,
-          Option.bind (Json.mem "ticks" t) Json.to_int,
-          Option.bind (Json.mem "elapsed_ms" t) Json.to_float )
-      with
-      | Some seed, Some jobs, Some ticks, Some elapsed_ms ->
-          let trace =
-            match Json.mem "trace" t with
-            | Some (Json.Obj _ as tr) -> Some (trace_summary_of_json tr)
-            | _ -> None
-          in
-          Ok (seed, jobs, ticks, elapsed_ms, trace)
-      | _ -> Error "malformed \"telemetry\" object")
-  | None -> Error "missing \"telemetry\" object"
-
-let estimate_of_json j =
-  (* prefer the bit-exact hex rendering *)
-  match Json.mem "estimate_hex" j with
-  | Some (Json.String h) -> (
-      match float_of_string_opt h with
-      | Some f -> Ok f
-      | None -> Error "unreadable \"estimate_hex\"")
-  | _ -> (
-      match Option.bind (Json.mem "estimate" j) Json.to_float with
-      | Some f -> Ok f
-      | None -> Error "missing \"estimate\"")
-
-let counted_of_json j =
-  let* estimate = estimate_of_json j in
-  let exact = field_or "exact" (Json.Bool false) j = Json.Bool true in
-  let rung =
-    match Json.mem "rung" j with Some (Json.String r) -> Some r | _ -> None
-  in
-  let guarantee = field_or "guarantee" (Json.Bool true) j = Json.Bool true in
-  let degraded = field_or "degraded" (Json.Bool false) j = Json.Bool true in
-  let* attempts =
-    match field_or "attempts" (Json.List []) j with
-    | Json.List items ->
-        let decode item =
-          match
-            ( Option.bind (Json.mem "rung" item) Json.to_str,
-              Option.bind (Json.mem "class" item) Json.to_str,
-              Option.bind (Json.mem "message" item) Json.to_str )
-          with
-          | Some rung, Some error_class, Some error_message ->
-              Ok { rung; error_class; error_message }
-          | _ -> Error "malformed attempt entry"
-        in
-        List.fold_left
-          (fun acc item ->
-            let* acc = acc in
-            let* a = decode item in
-            Ok (a :: acc))
-          (Ok []) items
-        |> Result.map List.rev
-    | _ -> Error "field \"attempts\" must be a list"
-  in
-  let* seed, jobs, ticks, elapsed_ms, trace = telemetry_of_json j in
-  let cache_field name =
-    match Json.mem "cache" j with
-    | Some c -> (
-        match Option.bind (Json.mem name c) Json.to_str with
-        | Some s -> s
-        | None -> "bypass")
-    | None -> "bypass"
-  in
-  Ok
-    (Counted
-       {
-         estimate;
-         exact;
-         rung;
-         guarantee;
-         degraded;
-         attempts;
-         seed;
-         jobs;
-         ticks;
-         elapsed_ms;
-         trace;
-         plan_cache = cache_field "plan";
-         result_cache = cache_field "result";
-       })
-
-let sampled_of_json j =
-  let* samples =
-    match Json.mem "samples" j with
-    | Some (Json.List items) ->
-        let decode = function
-          | Json.Null -> Ok None
-          | Json.List vs ->
-              let* tau =
-                List.fold_left
-                  (fun acc v ->
-                    let* acc = acc in
-                    match Json.to_int v with
-                    | Some i -> Ok (i :: acc)
-                    | None -> Error "sample entries must be integers")
-                  (Ok []) vs
-              in
-              Ok (Some (Array.of_list (List.rev tau)))
-          | _ -> Error "malformed sample entry"
-        in
-        let* rev =
-          List.fold_left
-            (fun acc item ->
-              let* acc = acc in
-              let* s = decode item in
-              Ok (s :: acc))
-            (Ok []) items
-        in
-        Ok (Array.of_list (List.rev rev))
-    | _ -> Error "missing \"samples\" list"
-  in
-  let* seed, jobs, ticks, elapsed_ms, trace = telemetry_of_json j in
-  Ok (Sampled { samples; seed; jobs; ticks; elapsed_ms; trace })
-
-let response_of_json j =
-  let* () = check_version j in
-  match Json.mem "error" j with
-  | Some err ->
-      let code =
-        match Option.bind (Json.mem "status" j) Json.to_int with
-        | Some c -> c
-        | None -> 16
-      in
-      let error_class =
-        Option.value
-          (Option.bind (Json.mem "class" err) Json.to_str)
-          ~default:"internal"
-      in
-      let message =
-        Option.value
-          (Option.bind (Json.mem "message" err) Json.to_str)
-          ~default:"(no message)"
-      in
-      Ok (Refused { code; error_class; message })
-  | None -> (
-      let* verb = req_str "verb" j in
-      match verb with
-      | "count" -> counted_of_json j
-      | "sample" -> sampled_of_json j
-      | "use" ->
-          let* name = req_str "name" j in
-          let* fingerprint = req_str "fingerprint" j in
-          let universe =
-            Option.value
-              (Option.bind (Json.mem "universe" j) Json.to_int)
-              ~default:0
-          in
-          let size =
-            Option.value
-              (Option.bind (Json.mem "size" j) Json.to_int)
-              ~default:0
-          in
-          Ok (Used { name; fingerprint; universe; size })
-      | "load" ->
-          let* name = req_str "name" j in
-          let* fingerprint = req_str "fingerprint" j in
-          let universe =
-            Option.value
-              (Option.bind (Json.mem "universe" j) Json.to_int)
-              ~default:0
-          in
-          let size =
-            Option.value
-              (Option.bind (Json.mem "size" j) Json.to_int)
-              ~default:0
-          in
-          Ok (Loaded { name; fingerprint; universe; size })
-      | "mutate" ->
-          let* name = req_str "name" j in
-          let* fingerprint = req_str "fingerprint" j in
-          let int_field f =
-            Option.value (Option.bind (Json.mem f j) Json.to_int) ~default:0
-          in
-          let replayed = field_or "replayed" (Json.Bool false) j = Json.Bool true in
-          Ok
-            (Mutated
-               {
-                 name;
-                 db_version = int_field "db_version";
-                 fingerprint;
-                 inserted = int_field "inserted";
-                 deleted = int_field "deleted";
-                 replayed;
-               })
-      | "stats" -> (
-          match Json.mem "stats" j with
-          | Some blob -> Ok (Stats_reply blob)
-          | None -> Error "missing \"stats\" object")
-      | "metrics" -> (
-          let* format =
-            match field_or "format" (Json.String "json") j with
-            | Json.String f -> (
-                match metrics_format_of_name f with
-                | Some format -> Ok format
-                | None -> Error (Printf.sprintf "unknown metrics format %S" f))
-            | _ -> Error "field \"format\" must be a string"
-          in
-          match Json.mem "metrics" j with
-          | Some payload -> Ok (Metrics_reply { format; payload })
-          | None -> Error "missing \"metrics\" payload")
-      | "ping" -> Ok Pong
-      | "health" ->
-          let bool_field name ~default =
-            match Json.mem name j with
-            | Some (Json.Bool b) -> b
-            | _ -> default
-          in
-          let queue name ~default =
-            match Option.bind (Json.mem "queue" j) (Json.mem name) with
-            | Some (Json.Int v) -> v
-            | _ -> default
-          in
-          Ok
-            (Health_reply
-               {
-                 ready = bool_field "ready" ~default:false;
-                 live = bool_field "live" ~default:false;
-                 draining = bool_field "draining" ~default:false;
-                 in_flight = queue "in_flight" ~default:0;
-                 queue_capacity = queue "capacity" ~default:0;
-                 catalog_entries =
-                   Option.value
-                     (Option.bind (Json.mem "catalog_entries" j) Json.to_int)
-                     ~default:0;
-                 recovered = bool_field "recovered" ~default:false;
-                 uptime_ms =
-                   Option.value
-                     (Option.bind (Json.mem "uptime_ms" j) Json.to_float)
-                     ~default:0.0;
-               })
-      | v -> Error (Printf.sprintf "unknown response verb %S" v))
 
 (* ---------- framing ---------- *)
 

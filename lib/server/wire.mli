@@ -12,7 +12,14 @@
     ([estimate], [%.6g]) and bit-exact ([estimate_hex], OCaml [%h]).
     Decoders prefer the hex field, so a replayed estimate survives the
     wire bit-for-bit — the protocol preserves the
-    same-seed-same-answer guarantee of the engine.
+    same-seed-same-answer guarantee of the engine. The accuracy targets
+    [eps]/[delta] travel as the shortest decimal that reads back
+    bit-for-bit, and a request whose targets fall outside
+    [Approxcount.Api.check_accuracy] is refused as a [parse] error.
+
+    {b One declaration per record.} Every record below is declared once
+    as [Ac_analysis.Codec] field descriptors; the encoders, decoders and
+    the {!gen_request}/{!gen_response} generators all derive from it.
 
     {b Versioning.} Every message may carry a ["version"] field
     (absent = version 1 = {!protocol_version}). Unknown {e fields} are
@@ -104,11 +111,6 @@ val params :
   string ->
   params
 
-(** One element of a [LOAD_BATCH]: direction + fact. The [INSERT] and
-    [DELETE] verbs are sugar for a batch of same-direction ops over one
-    relation; all three apply atomically under one version bump. *)
-type mutation_op = { insert : bool; rel : string; tuple : int array }
-
 (** Exposition format of the [METRICS] verb. *)
 type metrics_format = Metrics_json | Metrics_prometheus
 
@@ -137,7 +139,11 @@ type request =
     }
   | Load_batch of {
       db : db_ref;
-      ops : mutation_op list;
+      ops : Ac_live.Live.Db.op list;
+          (** travel as [{"op","rel","tuple"}] objects, the journal's own
+              op shape ([Ac_live.Journal.op]); [INSERT] and [DELETE] are
+              sugar for a batch of same-direction ops over one relation,
+              and all three apply atomically under one version bump *)
       batch_id : string option;
     }
   | Stats
@@ -258,6 +264,12 @@ val response_of_json : Json.t -> (response, string) result
 
 (** The envelope id of a decoded message, if any. *)
 val json_id : Json.t -> string option
+
+(** Random values that survive encode, print, parse and decode — drawn
+    from the same declarations as the codecs, for round-trip
+    properties. *)
+val gen_request : Random.State.t -> request
+val gen_response : Random.State.t -> response
 
 (** A span summary as carried inside the ["telemetry"] object. *)
 val trace_summary_json : Ac_obs.Trace.summary -> Json.t

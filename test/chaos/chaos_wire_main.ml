@@ -30,7 +30,8 @@ let query = "ans(x) :- E(x,y), E(y,z)"
 
 let single_shot ~seed =
   let q = Result.get_ok (Ecq.parse_result query) in
-  match Api.run (Api.request ~seed ~jobs:1 q (db ())) with
+  match Api.run
+         Api.Request.(make q (db ()) |> with_seed (Some seed) |> with_jobs (Some 1)) with
   | Ok r -> r.Api.estimate
   | Error e -> Alcotest.failf "single-shot failed: %s" (Error.message e)
 
@@ -39,9 +40,9 @@ let tmp_sock () =
   Sys.remove f;
   f
 
-let durable_config =
+let durable_policy =
   {
-    Client.Durable.retries = 6;
+    Ac_server.Retry_policy.attempts = 7;
     backoff_base_ms = 1.0;
     backoff_cap_ms = 10.0;
     read_timeout_ms = None;
@@ -71,15 +72,15 @@ let soak_seeds = List.init 12 (fun i -> 100 + i)
 
 let test_soak_bit_identical () =
   with_soak ~chaos_seed:2022 (fun server proxy address ->
-      let client = Client.Durable.create ~config:durable_config address in
+      let client = Client.create ~policy:durable_policy address in
       Fun.protect
-        ~finally:(fun () -> Client.Durable.close client)
+        ~finally:(fun () -> Client.close client)
         (fun () ->
           List.iter
             (fun seed ->
               let expected = single_shot ~seed in
               match
-                Client.Durable.call client
+                Client.call client
                   (Wire.Count (Wire.params ~seed ~db:(Wire.Named "g") query))
               with
               | Ok (Wire.Counted o) ->
@@ -102,7 +103,7 @@ let test_soak_bit_identical () =
           let fired = List.length (Chaos.Wire_plan.history (Chaos_proxy.plan proxy)) in
           Alcotest.(check bool) "faults fired" true (fired > 0);
           Alcotest.(check bool) "retries happened" true
-            (Client.Durable.retries_total client > 0);
+            (Client.retries_total client > 0);
           (* zero double-spend: every distinct request computed once *)
           let s = Scheduler.stats (Server.scheduler server) in
           Alcotest.(check int) "each request computed exactly once"
@@ -113,14 +114,14 @@ let test_soak_replayable () =
      frame — a failing soak run is reproducible from its seed *)
   let history chaos_seed =
     with_soak ~chaos_seed (fun _server proxy address ->
-        let client = Client.Durable.create ~config:durable_config address in
+        let client = Client.create ~policy:durable_policy address in
         Fun.protect
-          ~finally:(fun () -> Client.Durable.close client)
+          ~finally:(fun () -> Client.close client)
           (fun () ->
             List.iter
               (fun seed ->
                 match
-                  Client.Durable.call client
+                  Client.call client
                     (Wire.Count (Wire.params ~seed ~db:(Wire.Named "g") query))
                 with
                 | Ok _ -> ()

@@ -101,7 +101,12 @@ let graph_db ~seed n p =
 let estimates ?eps ?delta ?(require_estimator = false) ~method_ q db =
   List.map
     (fun jobs ->
-      match Api.run (Api.request ?eps ?delta ~method_ ~seed:123 ~jobs q db) with
+      let req = Api.Request.(make q db |> with_method method_) in
+      let req = Option.fold ~none:req ~some:(fun e -> Api.Request.with_eps e req) eps in
+      let req = Option.fold ~none:req ~some:(fun d -> Api.Request.with_delta d req) delta in
+      match
+        Api.run Api.Request.(req |> with_seed (Some 123) |> with_jobs (Some jobs))
+      with
       | Error e -> Alcotest.failf "api error: %s" (Error.message e)
       | Ok r ->
           Alcotest.(check int) "telemetry jobs" jobs r.Api.telemetry.Api.jobs;
@@ -148,9 +153,10 @@ let test_api_sample_determinism () =
   let draw jobs =
     match
       Api.sample ~draws:6
-        (Api.request ~eps:0.5 ~delta:0.3
-           ~method_:(Api.Fptras Colour_oracle.Tree_dp)
-           ~seed:77 ~jobs diseq db)
+        Api.Request.(
+          make diseq db |> with_eps 0.5 |> with_delta 0.3
+          |> with_method (Api.Fptras Colour_oracle.Tree_dp)
+          |> with_seed (Some 77) |> with_jobs (Some jobs))
     with
     | Ok s -> s.Api.draws
     | Error e -> Alcotest.failf "sample error: %s" (Error.message e)
@@ -174,7 +180,10 @@ let test_api_budget_degrades_under_jobs () =
     Budget.create ~label:"squeeze" ~max_ticks:500 ~check_every:16 ()
   in
   match
-    Api.run (Api.request ~method_:Api.Auto ~seed:5 ~jobs:4 ~budget diseq db)
+    Api.run
+      Api.Request.(
+        make diseq db |> with_method Api.Auto |> with_seed (Some 5)
+        |> with_jobs (Some 4) |> with_budget (Some budget))
   with
   | Error e ->
       Alcotest.failf "expected degraded Ok, got error: %s" (Error.message e)

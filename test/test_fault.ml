@@ -37,7 +37,8 @@ let query = "ans(x) :- E(x,y), E(y,z)"
 
 let single_shot ~seed query_text =
   let q = Result.get_ok (Ecq.parse_result query_text) in
-  match Api.run (Api.request ~seed ~jobs:1 q (db ())) with
+  match Api.run
+         Api.Request.(make q (db ()) |> with_seed (Some seed) |> with_jobs (Some 1)) with
   | Ok r -> r
   | Error e -> Alcotest.failf "single-shot failed: %s" (Error.message e)
 
@@ -416,6 +417,78 @@ let recovery_scenario ~mutate () =
 let test_recovery_bit_identical () = recovery_scenario ~mutate:false ()
 let test_recovery_bit_identical_mutated () = recovery_scenario ~mutate:true ()
 
+(* A merge's compacted snapshot goes through the same temp + fsync +
+   rename + directory-fsync write as the manifest naming it: nothing is
+   left half-written ([.tmp]) and the named file recovers to the live
+   fingerprint. *)
+let test_persisted_merge_durable () =
+  let dir = Filename.temp_file "acq_merge" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let db_file = Filename.concat dir "g.db" in
+  let manifest = Filename.concat dir "cat.manifest" in
+  Structure_io.save db_file (db ());
+  let config =
+    { Server.default_config with manifest = Some manifest; merge_threshold = 1; merge_ratio = 0.0 }
+  in
+  let server = Server.create ~config () in
+  (match Server.load_db server ~name:"gg" ~path:db_file with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "load_db failed: %s" (Error.message e));
+  let client = connect_raw server in
+  Fun.protect ~finally:(fun () -> disconnect_raw client) (fun () ->
+      match
+        call_raw client
+          (Wire.Insert
+             { db = Wire.Named "gg"; rel = "E"; tuples = [ [| 23; 0 |] ]; batch_id = None })
+      with
+      | Wire.Mutated _ -> ()
+      | _ -> Alcotest.fail "expected a MUTATE response");
+  let live = Option.get (Catalog.find (Server.catalog server) "gg") in
+  let entry =
+    match Manifest.read ~path:manifest with
+    | Ok [ e ] -> e
+    | Ok _ -> Alcotest.fail "expected one manifest entry"
+    | Error e -> Alcotest.failf "manifest read: %s" (Error.message e)
+  in
+  Alcotest.(check bool) "manifest names the compacted snapshot" true
+    (entry.Manifest.path <> db_file && entry.Manifest.db_version = live.Catalog.version);
+  Alcotest.(check (list string)) "no temp files left" []
+    (List.filter (fun f -> Filename.check_suffix f ".tmp") (Array.to_list (Sys.readdir dir)));
+  Alcotest.(check string) "snapshot bytes match the recorded fingerprint"
+    entry.Manifest.fingerprint
+    (Structure.fingerprint (Structure_io.load entry.Manifest.path));
+  let recovered = Server.create ~config () in
+  (match Server.recover recovered with
+  | Ok [ "gg" ] -> ()
+  | Ok _ -> Alcotest.fail "recovered the wrong entries"
+  | Error e -> Alcotest.failf "recover failed: %s" (Error.message e));
+  Alcotest.(check string) "recovers to the live fingerprint" live.Catalog.fingerprint
+    (Option.get (Catalog.find (Server.catalog recovered) "gg")).Catalog.fingerprint;
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir
+
+(* Out-of-range accuracy targets are refused at the wire with the parse
+   class, before the scheduler sees any work. *)
+let test_accuracy_refused () =
+  with_server (fun server ->
+      let client = connect_raw server in
+      Fun.protect ~finally:(fun () -> disconnect_raw client) (fun () ->
+          output_string client.oc
+            {|{"verb":"count","query":"ans(x) :- E(x,y)","use":"g","eps":-1,"delta":7}|};
+          output_char client.oc '\n';
+          flush client.oc;
+          (match Wire.read_json client.ic with
+          | Wire.Msg j -> (
+              match Wire.response_of_json j with
+              | Ok (Wire.Refused { code; error_class; _ }) ->
+                  Alcotest.(check int) "status" 10 code;
+                  Alcotest.(check string) "class" "parse" error_class
+              | _ -> Alcotest.fail "expected a refusal")
+          | _ -> Alcotest.fail "no response");
+          Alcotest.(check int) "no work admitted" 0
+            (Scheduler.stats (Server.scheduler server)).Scheduler.completed))
+
 (* The crash window between a merge's manifest rewrite and its journal
    truncate: the journal still holds lines the fresh snapshot already
    contains. Recovery must not re-apply them, but it must keep their
@@ -581,9 +654,9 @@ let test_stale_socket () =
 
 (* ---------- the chaos proxy and the retrying client ---------- *)
 
-let durable_config ?read_timeout_ms ?deadline_ms () =
+let durable_policy ?read_timeout_ms ?deadline_ms () =
   {
-    Client.Durable.retries = 4;
+    Ac_server.Retry_policy.attempts = 5;
     backoff_base_ms = 1.0;
     backoff_cap_ms = 10.0;
     read_timeout_ms;
@@ -606,7 +679,7 @@ let with_proxy ?(faults = []) ?(p_fault = 0.0) ?(chaos_seed = 1) f =
 
 let count_durable client ~seed =
   match
-    Client.Durable.call client
+    Client.call client
       (Wire.Count (Wire.params ~seed ~db:(Wire.Named "g") query))
   with
   | Ok (Wire.Counted o) -> o
@@ -622,10 +695,10 @@ let count_durable client ~seed =
 let check_fault_scenario ~name ~faults ?read_timeout_ms ~expect_retries () =
   with_proxy ~faults (fun server _proxy address ->
       let client =
-        Client.Durable.create ~config:(durable_config ?read_timeout_ms ()) address
+        Client.create ~policy:(durable_policy ?read_timeout_ms ()) address
       in
       Fun.protect
-        ~finally:(fun () -> Client.Durable.close client)
+        ~finally:(fun () -> Client.close client)
         (fun () ->
           let seed = 4242 in
           let expected = (single_shot ~seed query).Api.estimate in
@@ -637,7 +710,7 @@ let check_fault_scenario ~name ~faults ?read_timeout_ms ~expect_retries () =
           Alcotest.(check int)
             (Printf.sprintf "%s: retries" name)
             expect_retries
-            (Client.Durable.retries_total client);
+            (Client.retries_total client);
           let s = Scheduler.stats (Server.scheduler server) in
           Alcotest.(check int)
             (Printf.sprintf "%s: computed exactly once" name)
@@ -666,27 +739,27 @@ let test_fault_delay () =
     (fun server _proxy address ->
       let seed = 4242 in
       let expected = (single_shot ~seed query).Api.estimate in
-      let patient = Client.Durable.create ~config:(durable_config ()) address in
+      let patient = Client.create ~policy:(durable_policy ()) address in
       let warm =
         Fun.protect
-          ~finally:(fun () -> Client.Durable.close patient)
+          ~finally:(fun () -> Client.close patient)
           (fun () -> count_durable patient ~seed)
       in
       Alcotest.(check bool) "delay: warm-up correct" true
         (Int64.bits_of_float warm.Wire.estimate = Int64.bits_of_float expected);
       let impatient =
-        Client.Durable.create
-          ~config:(durable_config ~read_timeout_ms:150 ())
+        Client.create
+          ~policy:(durable_policy ~read_timeout_ms:150 ())
           address
       in
       Fun.protect
-        ~finally:(fun () -> Client.Durable.close impatient)
+        ~finally:(fun () -> Client.close impatient)
         (fun () ->
           let o = count_durable impatient ~seed in
           Alcotest.(check bool) "delay: bit-identical estimate" true
             (Int64.bits_of_float o.Wire.estimate = Int64.bits_of_float expected);
           Alcotest.(check int) "delay: one retry" 1
-            (Client.Durable.retries_total impatient);
+            (Client.retries_total impatient);
           let s = Scheduler.stats (Server.scheduler server) in
           Alcotest.(check int) "delay: computed exactly once" 1
             s.Scheduler.completed))
@@ -697,9 +770,9 @@ let test_fault_garbage_resync () =
   with_proxy
     ~faults:[ (1, Chaos.Garbage_bytes 16) ]
     (fun server proxy address ->
-      let client = Client.Durable.create ~config:(durable_config ()) address in
+      let client = Client.create ~policy:(durable_policy ()) address in
       Fun.protect
-        ~finally:(fun () -> Client.Durable.close client)
+        ~finally:(fun () -> Client.close client)
         (fun () ->
           let seed = 4242 in
           let expected = (single_shot ~seed query).Api.estimate in
@@ -707,7 +780,7 @@ let test_fault_garbage_resync () =
           Alcotest.(check bool) "garbage: bit-identical" true
             (Int64.bits_of_float o.Wire.estimate = Int64.bits_of_float expected);
           Alcotest.(check int) "garbage: one retry" 1
-            (Client.Durable.retries_total client);
+            (Client.retries_total client);
           (* the fault really fired *)
           (match Chaos_proxy.plan proxy |> Chaos.Wire_plan.history with
           | (1, Chaos.Garbage_bytes 16) :: _ -> ()
@@ -730,9 +803,9 @@ let test_fault_duplicate_id_discard () =
   with_proxy
     ~faults:[ (1, Chaos.Duplicate_frame) ]
     (fun _server _proxy address ->
-      let client = Client.Durable.create ~config:(durable_config ()) address in
+      let client = Client.create ~policy:(durable_policy ()) address in
       Fun.protect
-        ~finally:(fun () -> Client.Durable.close client)
+        ~finally:(fun () -> Client.close client)
         (fun () ->
           (* first answer arrives twice; the surplus frame sits in the
              stream until the next call, whose id mismatch discards it *)
@@ -746,18 +819,18 @@ let test_fault_duplicate_id_discard () =
             "second answer right despite the duplicate frame" true
             (Int64.bits_of_float o2.Wire.estimate = Int64.bits_of_float e2);
           Alcotest.(check int) "no retries needed" 0
-            (Client.Durable.retries_total client)))
+            (Client.retries_total client)))
 
 let test_retry_unsafe_unseeded () =
   with_proxy
     ~faults:[ (1, Chaos.Drop_connection) ]
     (fun _server _proxy address ->
-      let client = Client.Durable.create ~config:(durable_config ()) address in
+      let client = Client.create ~policy:(durable_policy ()) address in
       Fun.protect
-        ~finally:(fun () -> Client.Durable.close client)
+        ~finally:(fun () -> Client.close client)
         (fun () ->
           match
-            Client.Durable.call client
+            Client.call client
               (Wire.Count (Wire.params ~db:(Wire.Named "g") query))
           with
           | Error (Error.Retry_unsafe { verb; _ } as e) ->
@@ -765,7 +838,7 @@ let test_retry_unsafe_unseeded () =
               Alcotest.(check string) "class" "retry" (Error.class_name e);
               Alcotest.(check int) "exit code" 19 (Error.exit_code e);
               Alcotest.(check int) "no retry happened" 0
-                (Client.Durable.retries_total client)
+                (Client.retries_total client)
           | Ok _ -> Alcotest.fail "an unseeded request was retried"
           | Error e -> Alcotest.failf "wrong error: %s" (Error.message e)))
 
@@ -812,6 +885,10 @@ let tests =
       test_recovery_bit_identical;
     Alcotest.test_case "recovery: journal replayed for a mutated catalog"
       `Slow test_recovery_bit_identical_mutated;
+    Alcotest.test_case "recovery: persisted merge is durable" `Quick
+      test_persisted_merge_durable;
+    Alcotest.test_case "wire: out-of-range eps/delta refused (exit 10)" `Quick
+      test_accuracy_refused;
     Alcotest.test_case "recovery: compaction crash window, journal gaps"
       `Slow test_recovery_compaction_window;
     Alcotest.test_case "socket: stale refused, --force, live protected" `Quick

@@ -165,7 +165,11 @@ let star_query rand =
   Ecq.make ~num_free ~num_vars:(k + 1) (atoms @ neg @ diseqs)
 
 let local_exact q db =
-  match Api.run (Api.request ~method_:Api.Exact ~seed:1 ~jobs:1 q db) with
+  match
+    Api.run
+      Api.Request.(
+        make q db |> with_method Api.Exact |> with_seed (Some 1) |> with_jobs (Some 1))
+  with
   | Ok r -> r.Api.estimate
   | Error e -> Alcotest.failf "local exact failed: %s" (Error.message e)
 
@@ -466,10 +470,7 @@ let test_retry_policy_surface () =
        { Retry_policy.none with deadline_ms = Some 100 });
   Alcotest.(check bool) "read timeout engages" true
     (Retry_policy.retrying
-       { Retry_policy.none with read_timeout_ms = Some 100 });
-  (* the deprecated Durable alias maps onto the policy surface *)
-  let c = Client.Durable.default_config in
-  Alcotest.(check int) "Durable default = 3 retries" 3 c.Client.Durable.retries
+       { Retry_policy.none with read_timeout_ms = Some 100 })
 
 let test_policy_none_matches_plain () =
   let path = tmp_path ".sock" in
@@ -509,8 +510,22 @@ let test_request_builder_equiv () =
   let rand = Random.State.make [| 616 |] in
   let q = Ecq.parse estimate_query in
   let db = random_db rand ~universe:16 ~edges:60 () in
+  (* the builder's defaults are the documented ones *)
   let via_constructor =
-    Api.request ~eps:0.5 ~delta:0.25 ~seed:9 ~jobs:1 q db
+    {
+      Api.query = q;
+      db;
+      eps = 0.5;
+      delta = 0.25;
+      method_ = Api.Auto;
+      seed = Some 9;
+      jobs = Some 1;
+      budget = None;
+      strict = false;
+      verbose = false;
+      chaos = None;
+      trace = None;
+    }
   in
   let via_builder =
     Api.Request.make q db

@@ -61,14 +61,26 @@ let decode_outcome kind frame =
 let test_wire () =
   let lines = wire_lines () in
   Alcotest.(check bool) "corpus is non-trivial" true (List.length lines > 150);
-  List.iter
-    (fun (kind, frame, outcome) ->
-      Alcotest.(check string) frame outcome (decode_outcome kind frame);
-      (* an accepted frame's canonical re-encoding is itself a fixed point *)
-      if String.starts_with ~prefix:"ok " outcome then
-        let canon = String.sub outcome 3 (String.length outcome - 3) in
-        Alcotest.(check string) canon "=" (decode_outcome kind canon))
-    lines
+  (* report every drifted frame at once *)
+  let drifted =
+    List.concat_map
+      (fun (kind, frame, outcome) ->
+        let check frame expected =
+          let got = decode_outcome kind frame in
+          if got = expected then []
+          else [ Printf.sprintf "%s\n  expected: %s\n  got:      %s" frame expected got ]
+        in
+        (* an accepted frame's canonical re-encoding is itself a fixed point *)
+        check frame outcome
+        @
+        if String.starts_with ~prefix:"ok " outcome then
+          check (String.sub outcome 3 (String.length outcome - 3)) "="
+        else [])
+      lines
+  in
+  if drifted <> [] then
+    Alcotest.failf "%d golden frame(s) drifted:\n%s" (List.length drifted)
+      (String.concat "\n" drifted)
 
 let test_journal () =
   let lines =

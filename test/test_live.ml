@@ -100,7 +100,9 @@ let apply_ok live ?id ops =
 
 let estimate_on db ~seed ~jobs query_text =
   let query = Result.get_ok (Ecq.parse_result query_text) in
-  match Api.run (Api.request ~seed ~jobs query db) with
+  match
+    Api.run Api.Request.(make query db |> with_seed (Some seed) |> with_jobs (Some jobs))
+  with
   | Ok r -> r.Api.estimate
   | Error e -> Alcotest.failf "estimate failed: %s" (Error.message e)
 
@@ -801,8 +803,8 @@ let test_mutation_refusals () =
                db = Wire.Session;
                ops =
                  [
-                   { Wire.insert = true; rel = "E"; tuple = [| 0; 1 |] };
-                   { Wire.insert = true; rel = "E"; tuple = [| 999; 1 |] };
+                   Live.Db.Insert { rel = "E"; tuple = [| 0; 1 |] };
+                   Live.Db.Insert { rel = "E"; tuple = [| 999; 1 |] };
                  ];
                batch_id = None;
              })
@@ -838,8 +840,8 @@ let test_wire_mutation_roundtrip () =
           db = Wire.Named "g";
           ops =
             [
-              { Wire.insert = true; rel = "E"; tuple = [| 1; 2 |] };
-              { Wire.insert = false; rel = "F"; tuple = [| 7 |] };
+              Live.Db.Insert { rel = "E"; tuple = [| 1; 2 |] };
+              Live.Db.Delete { rel = "F"; tuple = [| 7 |] };
             ];
           batch_id = Some "b2";
         };

@@ -38,7 +38,10 @@ let graph_db ~seed n p =
 
 let run_count ?trace ~method_ ~jobs q db =
   match
-    Api.run (Api.request ~eps:0.5 ~delta:0.25 ~method_ ~seed:2026 ~jobs ?trace q db)
+    Api.run
+      Api.Request.(
+        make q db |> with_eps 0.5 |> with_delta 0.25 |> with_method method_
+        |> with_seed (Some 2026) |> with_jobs (Some jobs) |> with_trace trace)
   with
   | Ok r -> r
   | Error e -> Alcotest.failf "count failed: %s" (Error.message e)
@@ -79,9 +82,10 @@ let test_sample_trace_bit_transparent () =
   let draw ?trace jobs =
     match
       Api.sample ~draws:4
-        (Api.request ~eps:0.5 ~delta:0.3
-           ~method_:(Api.Fptras Colour_oracle.Tree_dp)
-           ~seed:77 ~jobs ?trace diseq db)
+        Api.Request.(
+          make diseq db |> with_eps 0.5 |> with_delta 0.3
+          |> with_method (Api.Fptras Colour_oracle.Tree_dp)
+          |> with_seed (Some 77) |> with_jobs (Some jobs) |> with_trace trace)
     with
     | Ok s -> s
     | Error e -> Alcotest.failf "sample error: %s" (Error.message e)

@@ -163,7 +163,12 @@ let expect_counted = function
 
 let single_shot ?(method_ = Api.Auto) ~seed ~jobs query_text =
   let query = Result.get_ok (Ecq.parse_result query_text) in
-  match Api.run (Api.request ~method_ ~seed ~jobs query (db ())) with
+  match
+    Api.run
+      Api.Request.(
+        make query (db ()) |> with_method method_ |> with_seed (Some seed)
+        |> with_jobs (Some jobs))
+  with
   | Ok r -> r
   | Error e -> Alcotest.failf "single-shot failed: %s" (Error.message e)
 
