@@ -96,7 +96,6 @@ module Request = struct
   let with_trace trace r = { r with trace }
 end
 
-
 type telemetry = {
   seed : int;
   jobs : int;

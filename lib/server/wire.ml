@@ -472,6 +472,8 @@ let response_cases : response Codec.case list =
 
 (* ---------- envelopes ---------- *)
 
+let all_responses = response_cases @ [ refused ]
+
 let ( let* ) = Result.bind
 let version_field = ("version", Json.Int protocol_version)
 
@@ -510,7 +512,7 @@ let request_of_json j =
 
 let response_to_json ?id r =
   let members =
-    match Codec.emit_case (refused :: response_cases) r with
+    match Codec.emit_case all_responses r with
     | "error", members -> members
     | verb, members -> ("verb", Json.String verb) :: members
   in
@@ -528,7 +530,7 @@ let response_of_json j =
     | None -> Error (sprintf "unknown response verb %S" verb)
 
 let gen_request = Codec.gen_case request_cases
-let gen_response = Codec.gen_case (refused :: response_cases)
+let gen_response = Codec.gen_case all_responses
 
 (* ---------- metrics ---------- *)
 
