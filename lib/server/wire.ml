@@ -106,8 +106,8 @@ let idempotent = function
    with its rule for absent, null and ill-typed values (Codec). The
    encoder, the decoder and the round-trip generator all come from that
    declaration. Requests are strict — an ill-typed field is a typed
-   refusal — while responses are lenient, so a newer server's replies
-   still decode here. *)
+   refusal — while responses default most fields, so a newer server's
+   replies still decode here. *)
 
 let sprintf = Printf.sprintf
 
