@@ -20,7 +20,14 @@
         e8: one Karp-Luby union estimate
 
    Run with: dune exec bench/main.exe
-   (pass --tables-only / --micro-only to select a layer) *)
+   (pass --tables-only / --micro-only to select a layer)
+
+   Five gated modes each write one BENCH_<mode>.json instead:
+   --parallel, --obs, --chaos, --join, --cost. The acqd service paths
+   (cold and result-hot COUNTs, live mutation, the sharded fleet) are
+   measured end to end by perfbench/ (see perfbench/README.md). *)
+
+module Clock = Monotonic_clock (* before [Toolkit] shadows the name *)
 
 open Bechamel
 open Toolkit
@@ -146,202 +153,161 @@ let run_micro () =
         analysis)
     tests
 
+(* --- the gated modes ---
+
+   Each mode returns its report fields and its named gates; [emit]
+   writes both to BENCH_<mode>.json, prints one line per gate and exits
+   1 if any gate failed. Timed regimes run interleaved [rounds] and
+   report each regime's median and IQR over them. *)
+
+module Json = Ac_analysis.Json
+module Wire = Ac_server.Wire
+module Client = Ac_server.Client
+module Server = Ac_server.Server
+
+let emit mode (fields, gates) =
+  let report =
+    Json.Obj
+      (fields
+      @ [
+          ("host_cores", Json.Int (Domain.recommended_domain_count ()));
+          ("gates", Json.Obj (List.map (fun (n, ok) -> (n, Json.Bool ok)) gates));
+        ])
+  in
+  let path = Printf.sprintf "BENCH_%s.json" mode in
+  let oc = open_out path in
+  output_string oc (Json.to_string_pretty report);
+  output_char oc '\n';
+  close_out oc;
+  Format.printf "%s: wrote %s@." mode path;
+  List.iter
+    (fun (name, ok) ->
+      Format.printf "%s: %s: %s@." mode name (if ok then "pass" else "FAIL"))
+    gates;
+  if not (List.for_all snd gates) then exit 1
+
+(* [rounds r regimes] takes one sample of every regime per round,
+   rotating which regime goes first so that host drift hits all of them
+   alike; returns each regime's [r] samples. *)
+let rounds r regimes =
+  let regimes = Array.of_list regimes in
+  let n = Array.length regimes in
+  let samples = Array.map (fun _ -> Array.make r 0.0) regimes in
+  for round = 0 to r - 1 do
+    for k = 0 to n - 1 do
+      let i = (round + k) mod n in
+      samples.(i).(round) <- regimes.(i) ()
+    done
+  done;
+  Array.to_list samples
+
+let median = Pb.median
+
+let spread xs =
+  let s = Array.copy xs in
+  Array.sort Float.compare s;
+  let q = Pb.quantile s in
+  Json.Obj
+    [ ("median", Json.Float (q 0.5)); ("iqr", Json.Float (q 0.75 -. q 0.25)) ]
+
+let time_ms f =
+  let t0 = Clock.now () in
+  let r = f () in
+  (r, Int64.to_float (Int64.sub (Clock.now ()) t0) *. 1e-6)
+
+(* The p50 latency in ms of [requests] sequential calls of [call]. *)
+let p50_ms ~requests call () =
+  Pb.median (Array.init requests (fun _ -> snd (time_ms call)))
+
+(* An in-process acqd with [db] loaded as "g", serving a fresh Unix
+   socket for the duration of [f server path]: a real socket (connect,
+   kernel round trips) without the acqd process. *)
+let with_server db f =
+  let server = Server.create () in
+  ignore (Ac_server.Catalog.add (Server.catalog server) ~name:"g" db);
+  let path = Filename.temp_file "acq_bench" ".sock" in
+  Sys.remove path;
+  match Server.listen_unix ~path () with
+  | Error e -> failwith ("bench: " ^ Ac_runtime.Error.message e)
+  | Ok listener ->
+      let serving = Thread.create (Server.serve server) [ listener ] in
+      Fun.protect
+        ~finally:(fun () ->
+          Server.request_stop server;
+          Thread.join serving;
+          try Sys.remove path with Sys_error _ -> ())
+        (fun () -> f server path)
+
+(* Latency regimes against the first one, the baseline: each regime's
+   p50 spread and its median's overhead over the baseline's. *)
+let overheads names samples =
+  let base = median (List.hd samples) in
+  Json.List
+    (List.map2
+       (fun name s ->
+         Json.Obj
+           [
+             ("name", Json.String name);
+             ("p50_ms", spread s);
+             ("overhead", Json.Float ((median s /. base) -. 1.0));
+           ])
+       names samples)
+
+(* The second regime's median p50 is within 5% of the baseline's. *)
+let within_5pct samples =
+  median (List.nth samples 1) <= median (List.hd samples) *. 1.05
+
+let expect_counted client request () =
+  match Client.call client request with
+  | Ok (Wire.Counted _) -> ()
+  | Ok (Wire.Refused { message; _ }) -> failwith ("bench: " ^ message)
+  | Ok _ -> failwith "bench: unexpected response"
+  | Error e -> failwith ("bench: " ^ Ac_runtime.Error.message e)
+
 (* --- jobs sweep over the Theorem 16 FPRAS (BENCH_parallel.json) ---
 
-   Times the same seeded median-of-sketches FPRAS run at jobs = 1/2/4
-   and records wall time, the estimate (which must be bit-identical
-   across the sweep — that is the whole point of the engine) and the
-   speedup relative to jobs = 1. On a single-core host the sweep
-   degenerates to measuring the fan-out overhead; the JSON records the
-   core count so the numbers can be read honestly. *)
+   Times the same seeded median-of-sketches FPRAS run at jobs = 1/2/4.
+   The gate is that every run's estimate is bit-identical — that is the
+   whole point of the engine. On a single-core host the sweep measures
+   the fan-out overhead only. *)
 
 let run_parallel () =
-  let repetitions = 33 in
-  let time_one jobs =
-    let exec = Ac_exec.Engine.make ~jobs ~seed:2026 () in
-    let t0 = Unix.gettimeofday () in
-    let est =
-      Approxcount.Fpras.approx_count ~exec ~repetitions acyclic_q acyclic_db
+  let repetitions = 33 and seed = 2026 in
+  let estimates = ref [] in
+  let seconds jobs () =
+    let exec = Ac_exec.Engine.make ~jobs ~seed () in
+    let est, ms =
+      time_ms (fun () ->
+          Approxcount.Fpras.approx_count ~exec ~repetitions acyclic_q acyclic_db)
     in
-    (est, Unix.gettimeofday () -. t0)
+    estimates := Int64.bits_of_float est :: !estimates;
+    ms /. 1000.0
   in
-  ignore (time_one 1);
+  ignore (seconds 1 ());
   (* warm-up *)
-  let sweep =
-    List.map
-      (fun jobs ->
-        let est, dt = time_one jobs in
-        (jobs, est, dt))
-      [ 1; 2; 4 ]
-  in
-  let _, est1, t1 = List.hd sweep in
-  let identical = List.for_all (fun (_, e, _) -> e = est1) sweep in
-  let oc = open_out "BENCH_parallel.json" in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"benchmark\": \"fpras_acyclic_n30 (Theorem 16 sketch median)\",\n";
-  p "  \"repetitions\": %d,\n" repetitions;
-  p "  \"seed\": 2026,\n";
-  p "  \"host_cores\": %d,\n" (Domain.recommended_domain_count ());
-  p "  \"identical_estimates\": %b,\n" identical;
-  p "  \"sweep\": [\n";
-  List.iteri
-    (fun i (jobs, est, dt) ->
-      p "    {\"jobs\": %d, \"seconds\": %.4f, \"estimate\": %.6f, \
-         \"speedup_vs_jobs1\": %.2f}%s\n"
-        jobs dt est (t1 /. dt)
-        (if i = List.length sweep - 1 then "" else ","))
-    sweep;
-  p "  ],\n";
-  p "  \"note\": \"speedup is bounded by host_cores; on a 1-core host \
-     the sweep measures fan-out overhead only, while the estimates \
-     must still be identical\"\n";
-  p "}\n";
-  close_out oc;
-  List.iter
-    (fun (jobs, est, dt) ->
-      Format.printf "parallel: jobs=%d  %.3fs  estimate %.3f  (x%.2f)@." jobs
-        dt est (t1 /. dt))
-    sweep;
-  Format.printf "parallel: identical estimates across sweep: %b@." identical;
-  if not identical then exit 1
-
-(* --- acqd service benchmark (BENCH_server.json) ---
-
-   Drives an in-process Ac_server over a socketpair — the full wire
-   path (JSON envelopes, dispatch, scheduler, caches) without kernel
-   socket setup noise — through three regimes:
-
-     cold:       both caches disabled; every request pays static
-                 analysis and estimation
-     plan_hot:   caches enabled, fresh seed per request; the plan cache
-                 hits, estimation still runs
-     result_hot: caches enabled, one repeated seed; the result cache
-                 answers without any estimation work
-
-   and records req/sec with p50/p99 latency per regime. The contract
-   checked downstream (scripts/ci.sh): result_hot p50 < cold p50. *)
-
-let run_server_bench () =
-  let module Server = Ac_server.Server in
-  let module Catalog = Ac_server.Catalog in
-  let module Wire = Ac_server.Wire in
-  let db = G.to_structure (G.random_gnp ~rng:(rng_of 21) 24 0.25) in
-  let query = "ans(x,y) :- E(x,y), E(y,z), x != z" in
-  let make_server ~caches =
-    let config =
-      {
-        Server.default_config with
-        plan_cache_capacity = (if caches then 256 else 0);
-        result_cache_capacity = (if caches then 4096 else 0);
-      }
-    in
-    let server = Server.create ~config () in
-    ignore (Catalog.add (Server.catalog server) ~name:"g" db);
-    server
-  in
-  let with_conn server f =
-    let cfd, sfd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    let thread =
-      Thread.create (fun () -> Server.serve_connection server sfd) ()
-    in
-    let ic = Unix.in_channel_of_descr cfd
-    and oc = Unix.out_channel_of_descr cfd in
-    let r = f ic oc in
-    (try Unix.shutdown cfd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-    Thread.join thread;
-    (try Unix.close cfd with Unix.Unix_error _ -> ());
-    r
-  in
-  let call ic oc req =
-    Wire.write_json oc (Wire.request_to_json req);
-    match Wire.read_json ic with
-    | Wire.Msg j -> (
-        match Wire.response_of_json j with
-        | Ok r -> r
-        | Error msg -> failwith ("bench server: bad response: " ^ msg))
-    | _ -> failwith "bench server: transport failure"
-  in
-  let count ic oc seed =
-    match
-      call ic oc
-        (Wire.Count
-           (Wire.params ~eps:0.5 ~delta:0.25 ~seed ~db:Wire.Session query))
-    with
-    | Wire.Counted o -> o
-    | Wire.Refused { message; _ } -> failwith ("bench server: " ^ message)
-    | _ -> failwith "bench server: unexpected response"
-  in
-  let scenario ~caches ~requests ~warmup_seeds ~seed_of =
-    let server = make_server ~caches in
-    with_conn server (fun ic oc ->
-        (match call ic oc (Wire.Use "g") with
-        | Wire.Used _ -> ()
-        | _ -> failwith "bench server: USE failed");
-        List.iter (fun s -> ignore (count ic oc s)) warmup_seeds;
-        let lat = Array.make requests 0.0 in
-        let t0 = Unix.gettimeofday () in
-        for i = 0 to requests - 1 do
-          let t = Unix.gettimeofday () in
-          ignore (count ic oc (seed_of i));
-          lat.(i) <- (Unix.gettimeofday () -. t) *. 1000.0
-        done;
-        let total = Unix.gettimeofday () -. t0 in
-        Array.sort compare lat;
-        let pct p =
-          lat.(min (requests - 1) (int_of_float (p *. float_of_int requests)))
-        in
-        (requests, float_of_int requests /. total, pct 0.50, pct 0.99))
-  in
-  let cold =
-    scenario ~caches:false ~requests:40 ~warmup_seeds:[ 9999 ]
-      ~seed_of:(fun i -> 10_000 + i)
-  in
-  let plan_hot =
-    scenario ~caches:true ~requests:40 ~warmup_seeds:[ 9999 ]
-      ~seed_of:(fun i -> 20_000 + i)
-  in
-  let result_hot =
-    scenario ~caches:true ~requests:400 ~warmup_seeds:[ 7 ] ~seed_of:(fun _ ->
-        7)
-  in
-  let _, _, cold_p50, _ = cold and _, _, hot_p50, _ = result_hot in
-  let hot_faster = hot_p50 < cold_p50 in
-  let oc = open_out "BENCH_server.json" in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"benchmark\": \"acqd wire path over socketpair\",\n";
-  p "  \"query\": %S,\n" query;
-  p "  \"eps\": 0.5, \"delta\": 0.25,\n";
-  p "  \"host_cores\": %d,\n" (Domain.recommended_domain_count ());
-  p "  \"regimes\": [\n";
-  let emit name (requests, rps, p50, p99) last =
-    p
-      "    {\"name\": %S, \"requests\": %d, \"req_per_sec\": %.1f, \
-       \"p50_ms\": %.3f, \"p99_ms\": %.3f}%s\n"
-      name requests rps p50 p99
-      (if last then "" else ",")
-  in
-  emit "cold" cold false;
-  emit "plan_hot" plan_hot false;
-  emit "result_hot" result_hot true;
-  p "  ],\n";
-  p "  \"result_hot_p50_faster_than_cold_p50\": %b,\n" hot_faster;
-  p
-    "  \"note\": \"cold disables both caches; plan_hot replays the query \
-     under fresh seeds (plan cache hits, estimation runs); result_hot \
-     replays one seed (no estimation at all)\"\n";
-  p "}\n";
-  close_out oc;
-  let show name (requests, rps, p50, p99) =
-    Format.printf "server: %-10s %4d reqs  %8.1f req/s  p50 %7.3f ms  p99 %7.3f ms@."
-      name requests rps p50 p99
-  in
-  show "cold" cold;
-  show "plan_hot" plan_hot;
-  show "result_hot" result_hot;
-  Format.printf "server: result-hot p50 < cold p50: %b@." hot_faster;
-  if not hot_faster then exit 1
+  let jobs = [ 1; 2; 4 ] in
+  let samples = rounds 3 (List.map seconds jobs) in
+  let t1 = median (List.hd samples) in
+  let estimate = List.hd !estimates in
+  ( [
+      ("benchmark", Json.String "fpras_acyclic_n30 (Theorem 16 sketch median)");
+      ("repetitions", Json.Int repetitions);
+      ("seed", Json.Int seed);
+      ("estimate", Json.Exact (Int64.float_of_bits estimate));
+      ( "sweep",
+        Json.List
+          (List.map2
+             (fun jobs s ->
+               Json.Obj
+                 [
+                   ("jobs", Json.Int jobs);
+                   ("seconds", spread s);
+                   ("speedup_vs_jobs1", Json.Float (t1 /. median s));
+                 ])
+             jobs samples) );
+    ],
+    [ ("identical_estimates", List.for_all (Int64.equal estimate) !estimates) ]
+  )
 
 (* --- columnar join kernels vs the trie oracle (BENCH_join.json) ---
 
@@ -356,7 +322,7 @@ let run_server_bench () =
      run_only:   enumeration over an already-prepared join.
 
    Counts must agree between the two paths (they enumerate identical
-   sequences); the CI gate is that the kernels win end-to-end. *)
+   sequences), and the kernels must win end-to-end. *)
 
 let run_join () =
   let module GJ = Ac_join.Generic_join in
@@ -380,12 +346,10 @@ let run_join () =
     [ ("triangle", 3, triangle); ("four_cycle", 4, four_cycle) ]
   in
   let iters = 25 in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to iters do
-      f ()
-    done;
-    (Unix.gettimeofday () -. t0) *. 1000.0 /. float_of_int iters
+  (* ms per evaluation, averaged over [iters] *)
+  let per_iter f () =
+    snd (time_ms (fun () -> for _ = 1 to iters do f () done))
+    /. float_of_int iters
   in
   let run_count p =
     let n = ref 0 in
@@ -394,187 +358,104 @@ let run_join () =
         true);
     !n
   in
-  let measure impl num_vars atoms =
-    let count = ref 0 in
-    let end_to_end =
-      time (fun () ->
-          count :=
-            run_count (GJ.prepare ~num_vars ~universe_size:u ~impl atoms))
+  let row (name, num_vars, atoms) =
+    let prepare impl = GJ.prepare ~num_vars ~universe_size:u ~impl atoms in
+    let count impl = run_count (prepare impl) in
+    (* end-to-end, then run-only over one prepared join *)
+    let timings impl =
+      let p = prepare impl in
+      [
+        per_iter (fun () -> ignore (count impl));
+        per_iter (fun () -> ignore (run_count p));
+      ]
     in
-    let p = GJ.prepare ~num_vars ~universe_size:u ~impl atoms in
-    let run_only = time (fun () -> ignore (run_count p)) in
-    (!count, end_to_end, run_only)
+    match rounds 5 (timings GJ.Trie @ timings GJ.Columnar) with
+    | [ te; tr; ce; cr ] ->
+        let tc = count GJ.Trie and cc = count GJ.Columnar in
+        ( Json.Obj
+            [
+              ("name", Json.String name);
+              ("count_trie", Json.Int tc);
+              ("count_columnar", Json.Int cc);
+              ("trie_end_to_end_ms", spread te);
+              ("columnar_end_to_end_ms", spread ce);
+              ("trie_run_only_ms", spread tr);
+              ("columnar_run_only_ms", spread cr);
+              ("end_to_end_speedup", Json.Float (median te /. median ce));
+            ],
+          tc = cc,
+          median ce < median te )
+    | _ -> assert false
   in
-  let rows =
-    List.map
-      (fun (name, num_vars, atoms) ->
-        let tc, te, tr = measure GJ.Trie num_vars atoms in
-        let cc, ce, cr = measure GJ.Columnar num_vars atoms in
-        (name, tc, cc, te, ce, tr, cr))
-      workloads
-  in
-  let counts_equal = List.for_all (fun (_, tc, cc, _, _, _, _) -> tc = cc) rows in
-  let kernels_win =
-    List.for_all (fun (_, _, _, te, ce, _, _) -> ce < te) rows
-  in
-  let oc = open_out "BENCH_join.json" in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"benchmark\": \"generic join: columnar kernels vs trie oracle\",\n";
-  p "  \"graph\": \"gnp n=80 p=0.15 (seed 31), symmetric E\",\n";
-  p "  \"iterations\": %d,\n" iters;
-  p "  \"workloads\": [\n";
-  List.iteri
-    (fun i (name, tc, cc, te, ce, tr, cr) ->
-      p
-        "    {\"name\": %S, \"count_trie\": %d, \"count_columnar\": %d, \
-         \"trie_end_to_end_ms\": %.3f, \"columnar_end_to_end_ms\": %.3f, \
-         \"trie_run_only_ms\": %.3f, \"columnar_run_only_ms\": %.3f, \
-         \"end_to_end_speedup\": %.2f}%s\n"
-        name tc cc te ce tr cr (te /. ce)
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  p "  ],\n";
-  p "  \"counts_equal\": %b,\n" counts_equal;
-  p "  \"kernels_beat_trie_end_to_end\": %b,\n" kernels_win;
-  p
-    "  \"note\": \"end_to_end includes prepare: the columnar path reuses \
-     the sealed relations' memoized projections, the trie path rebuilds \
-     its index every evaluation; run_only times enumeration alone\"\n";
-  p "}\n";
-  close_out oc;
-  List.iter
-    (fun (name, tc, _, te, ce, tr, cr) ->
-      Format.printf
-        "join: %-10s count %6d  end-to-end trie %7.3f ms / columnar %7.3f \
-         ms (x%.2f)  run-only %7.3f / %7.3f ms@."
-        name tc te ce (te /. ce) tr cr)
-    rows;
-  Format.printf "join: counts equal: %b, kernels beat trie: %b@." counts_equal
-    kernels_win;
-  if not (counts_equal && kernels_win) then exit 1
+  let rows = List.map row workloads in
+  ( [
+      ("benchmark", Json.String "generic join: columnar kernels vs trie oracle");
+      ("graph", Json.String "gnp n=80 p=0.15 (seed 31), symmetric E");
+      ("iterations", Json.Int iters);
+      ("workloads", Json.List (List.map (fun (j, _, _) -> j) rows));
+    ],
+    [
+      ("counts_equal", List.for_all (fun (_, equal, _) -> equal) rows);
+      ("kernels_beat_trie_end_to_end", List.for_all (fun (_, _, win) -> win) rows);
+    ] )
 
 (* --- observability overhead (BENCH_obs.json) ---
 
    The contract of lib/obs is that instrumentation compiled in costs
    nothing measurable where it matters. This benchmark drives the
-   result-hot wire path (cached replay of one seed over a socketpair —
-   the regime where per-request metrics are the largest *fraction* of
-   the work) under three settings:
+   result-hot wire path (cached replay of one seed — the regime where
+   per-request metrics are the largest *fraction* of the work) under
+   three settings:
 
      off:     the metrics kill switch thrown (Metrics.set_enabled false)
      metrics: the default — registry enabled, no tracing
      trace:   metrics enabled and per-request span collection requested
 
-   and fails (exit 1) if the metrics-enabled p50 exceeds the disabled
-   p50 by more than 5%. Tracing is opt-in per request, so its overhead
-   is reported but not gated. Each regime is timed three times and the
-   fastest p50 kept — median-of-min is the noise-robust choice for
-   sub-millisecond latencies. *)
+   and gates the metrics-enabled p50 at 5% over the disabled p50, each
+   the median over many short rounds: at ~50 µs a round's p50 jumps
+   between host states, which moves a best-of-rounds minimum by ±25%
+   but the median of finely interleaved rounds by a few percent. Tracing
+   is opt-in per request, so its overhead is reported but not gated. *)
 
 let run_obs () =
-  let module Server = Ac_server.Server in
-  let module Catalog = Ac_server.Catalog in
-  let module Wire = Ac_server.Wire in
   let module Metrics = Ac_obs.Metrics in
   let db = G.to_structure (G.random_gnp ~rng:(rng_of 22) 24 0.25) in
   let query = "ans(x,y) :- E(x,y), E(y,z), x != z" in
-  let method_label = Approxcount.Api.method_to_string Approxcount.Api.Auto in
-  let with_conn server f =
-    let cfd, sfd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    let thread =
-      Thread.create (fun () -> Server.serve_connection server sfd) ()
-    in
-    let ic = Unix.in_channel_of_descr cfd
-    and oc = Unix.out_channel_of_descr cfd in
-    let r = f ic oc in
-    (try Unix.shutdown cfd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-    Thread.join thread;
-    (try Unix.close cfd with Unix.Unix_error _ -> ());
-    r
+  let count ~trace =
+    Wire.Count
+      (Wire.params ~eps:0.5 ~delta:0.25 ~seed:7 ~trace ~db:(Wire.Named "g")
+         query)
   in
-  let call ic oc req =
-    Wire.write_json oc (Wire.request_to_json req);
-    match Wire.read_json ic with
-    | Wire.Msg j -> (
-        match Wire.response_of_json j with
-        | Ok r -> r
-        | Error msg -> failwith ("bench obs: bad response: " ^ msg))
-    | _ -> failwith "bench obs: transport failure"
+  let samples =
+    with_server db (fun _ path ->
+        let c = Client.create (Client.Unix_socket path) in
+        Fun.protect
+          ~finally:(fun () -> Client.close c)
+          (fun () ->
+            let regime ~enabled ~trace () =
+              Metrics.set_enabled enabled;
+              Fun.protect
+                ~finally:(fun () -> Metrics.set_enabled true)
+                (p50_ms ~requests:200 (expect_counted c (count ~trace)))
+            in
+            (* warm-up: fills plan + result caches *)
+            expect_counted c (count ~trace:false) ();
+            expect_counted c (count ~trace:true) ();
+            rounds 15
+              [
+                regime ~enabled:false ~trace:false;
+                regime ~enabled:true ~trace:false;
+                regime ~enabled:true ~trace:true;
+              ]))
   in
-  let requests = 600 in
-  let scenario ~trace () =
-    let server = Server.create () in
-    ignore (Catalog.add (Server.catalog server) ~name:"g" db);
-    with_conn server (fun ic oc ->
-        (match call ic oc (Wire.Use "g") with
-        | Wire.Used _ -> ()
-        | _ -> failwith "bench obs: USE failed");
-        let count () =
-          match
-            call ic oc
-              (Wire.Count
-                 (Wire.params ~eps:0.5 ~delta:0.25 ~seed:7 ~trace
-                    ~db:Wire.Session query))
-          with
-          | Wire.Counted _ -> ()
-          | Wire.Refused { message; _ } -> failwith ("bench obs: " ^ message)
-          | _ -> failwith "bench obs: unexpected response"
-        in
-        count ();
-        (* warm-up: fills plan + result caches *)
-        let lat = Array.make requests 0.0 in
-        for i = 0 to requests - 1 do
-          let t = Unix.gettimeofday () in
-          count ();
-          lat.(i) <- (Unix.gettimeofday () -. t) *. 1000.0
-        done;
-        Array.sort compare lat;
-        lat.(requests / 2))
-  in
-  let best_p50 ~trace ~enabled =
-    Metrics.set_enabled enabled;
-    let p50 =
-      List.fold_left min infinity
-        (List.map (fun _ -> scenario ~trace ()) [ 1; 2; 3 ])
-    in
-    Metrics.set_enabled true;
-    p50
-  in
-  let off = best_p50 ~trace:false ~enabled:false in
-  let metrics_on = best_p50 ~trace:false ~enabled:true in
-  let traced = best_p50 ~trace:true ~enabled:true in
-  let overhead p50 = (p50 /. off) -. 1.0 in
-  let within_budget = metrics_on <= off *. 1.05 in
-  let oc = open_out "BENCH_obs.json" in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"benchmark\": \"observability overhead on the result-hot wire path\",\n";
-  p "  \"query\": %S,\n" query;
-  p "  \"method\": %S,\n" method_label;
-  p "  \"requests_per_run\": %d, \"runs_per_regime\": 3,\n" requests;
-  p "  \"host_cores\": %d,\n" (Domain.recommended_domain_count ());
-  p "  \"regimes\": [\n";
-  p "    {\"name\": \"off\", \"p50_ms\": %.4f},\n" off;
-  p "    {\"name\": \"metrics\", \"p50_ms\": %.4f, \"overhead\": %.4f},\n"
-    metrics_on (overhead metrics_on);
-  p "    {\"name\": \"trace\", \"p50_ms\": %.4f, \"overhead\": %.4f}\n" traced
-    (overhead traced);
-  p "  ],\n";
-  p "  \"metrics_overhead_within_5pct\": %b,\n" within_budget;
-  p
-    "  \"note\": \"off throws the Metrics kill switch; metrics is the \
-     default build; trace additionally requests per-request span \
-     collection (opt-in, not gated). p50 is the best of three runs.\"\n";
-  p "}\n";
-  close_out oc;
-  Format.printf "obs: off     p50 %.4f ms@." off;
-  Format.printf "obs: metrics p50 %.4f ms  (overhead %+.1f%%)@." metrics_on
-    (100.0 *. overhead metrics_on);
-  Format.printf "obs: trace   p50 %.4f ms  (overhead %+.1f%%)@." traced
-    (100.0 *. overhead traced);
-  Format.printf "obs: metrics overhead within 5%%: %b@." within_budget;
-  if not within_budget then exit 1
+  ( [
+      ( "benchmark",
+        Json.String "observability overhead on the result-hot wire path" );
+      ("query", Json.String query);
+      ("requests_per_round", Json.Int 200);
+      ("regimes", overheads [ "off"; "metrics"; "trace" ] samples);
+    ],
+    [ ("metrics_overhead_within_5pct", within_5pct samples) ] )
 
 (* --- retry-layer overhead (BENCH_chaos.json) ---
 
@@ -582,199 +463,69 @@ let run_obs () =
    deadlines and idempotent retries; its price on the happy path is an
    id digest, a deadline subtraction and an envelope-id comparison per
    request. This benchmark drives the result-hot regime (cached replay
-   of one seed) over a real Unix socket twice — once through the plain
-   client, once through the retry layer — and fails (exit 1) if the
-   durable p50 exceeds the plain p50 by more than 5%. A third regime
-   sends the same traffic through the chaos proxy under probabilistic
-   faults; it is reported (p50 and retries) but not gated — under
-   injected faults latency is the fault plan's, not the client's. *)
+   of one seed) against one daemon through the plain client and the
+   retry layer, and gates the durable p50 at 5% over the plain p50,
+   each the median over the rounds (the same policy as the obs bench). A
+   third regime sends the same traffic through the chaos proxy under
+   probabilistic faults; it is reported (p50 and retries) but not gated
+   — under injected faults latency is the fault plan's, not the
+   client's. *)
 
 let run_chaos () =
-  let module Server = Ac_server.Server in
-  let module Catalog = Ac_server.Catalog in
-  let module Wire = Ac_server.Wire in
-  let module Client = Ac_server.Client in
   let module Chaos = Ac_runtime.Chaos in
-  let module Chaos_proxy = Ac_server.Chaos_proxy in
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ -> ());
+  let module Retry_policy = Ac_server.Retry_policy in
   let db = G.to_structure (G.random_gnp ~rng:(rng_of 23) 24 0.25) in
   let query = "ans(x,y) :- E(x,y), E(y,z), x != z" in
-  let make_server () =
-    let server = Server.create () in
-    ignore (Catalog.add (Server.catalog server) ~name:"g" db);
-    server
-  in
-  let tmp_sock () =
-    let f = Filename.temp_file "acq_bench" ".sock" in
-    Sys.remove f;
-    f
-  in
-  (* a minimal accept loop: the bench needs a real socket (connect,
-     kernel round trips) without dragging in the acqd process *)
-  let with_daemon server f =
-    let path = tmp_sock () in
-    match Server.listen_unix ~path () with
-    | Error e -> failwith ("bench chaos: " ^ Ac_runtime.Error.message e)
-    | Ok listener ->
-        let stopping = Atomic.make false in
-        let accept_thread =
-          Thread.create
-            (fun () ->
-              let rec go () =
-                match Unix.accept listener with
-                | fd, _ when Atomic.get stopping -> (
-                    try Unix.close fd with Unix.Unix_error _ -> ())
-                | fd, _ ->
-                    ignore
-                      (Thread.create
-                         (fun () -> Server.serve_connection server fd)
-                         ());
-                    go ()
-                | exception Unix.Unix_error _ ->
-                    if not (Atomic.get stopping) then go ()
-              in
-              go ())
-            ()
-        in
-        let finish () =
-          Atomic.set stopping true;
-          (try Unix.shutdown listener Unix.SHUTDOWN_ALL
-           with Unix.Unix_error _ -> ());
-          (try
-             let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-             (try Unix.connect fd (Unix.ADDR_UNIX path)
-              with Unix.Unix_error _ -> ());
-             Unix.close fd
-           with Unix.Unix_error _ -> ());
-          Thread.join accept_thread;
-          (try Unix.close listener with Unix.Unix_error _ -> ());
-          try Sys.remove path with Sys_error _ -> ()
-        in
-        Fun.protect ~finally:finish (fun () -> f path)
-  in
   let request = Wire.Count (Wire.params ~seed:7 ~db:(Wire.Named "g") query) in
-  let expect_counted = function
-    | Ok (Wire.Counted _) -> ()
-    | Ok (Wire.Refused { message; _ }) -> failwith ("bench chaos: " ^ message)
-    | Ok _ -> failwith "bench chaos: unexpected response"
-    | Error e -> failwith ("bench chaos: " ^ Ac_runtime.Error.message e)
-  in
-  let requests = 200 in
-  let p50_of count =
-    let lat = Array.make requests 0.0 in
-    for i = 0 to requests - 1 do
-      let t = Unix.gettimeofday () in
-      count ();
-      lat.(i) <- (Unix.gettimeofday () -. t) *. 1000.0
-    done;
-    Array.sort compare lat;
-    lat.(requests / 2)
-  in
-  (* A paired design: both clients talk to the SAME daemon, and their
-     measurement rounds interleave with alternating order, so scheduler
-     drift hits both regimes equally. The per-regime summary is the min
-     p50 across rounds — the noise-robust choice at ~20 µs latencies
-     (same policy as the obs bench). *)
-  let rounds = 5 in
-  let plain_p50, durable_p50 =
-    with_daemon (make_server ()) (fun path ->
-        match Client.connect (Client.Unix_socket path) with
-        | Error e -> failwith ("bench chaos: " ^ Ac_runtime.Error.message e)
-        | Ok pc ->
-            let dc =
-              Client.create ~policy:Ac_server.Retry_policy.default
-                (Client.Unix_socket path)
-            in
-            Fun.protect
-              ~finally:(fun () ->
-                Client.close pc;
-                Client.close dc)
-              (fun () ->
-                let plain () = expect_counted (Client.call pc request) in
-                let durable () = expect_counted (Client.call dc request) in
-                plain ();
-                durable ();
-                (* warm-up: fills plan + result caches *)
-                let best_p = ref infinity and best_d = ref infinity in
-                for round = 1 to rounds do
-                  let first, second, fb, sb =
-                    if round mod 2 = 0 then (plain, durable, best_p, best_d)
-                    else (durable, plain, best_d, best_p)
-                  in
-                  fb := Float.min !fb (p50_of first);
-                  sb := Float.min !sb (p50_of second)
-                done;
-                (!best_p, !best_d)))
-  in
-  let chaos_p50, chaos_retries, chaos_faults =
-    let server = make_server () in
-    let path = tmp_sock () in
-    let plan = Chaos.Wire_plan.create ~p_fault:0.05 ~delay_ms:2 ~seed:2022 () in
-    let proxy =
-      Chaos_proxy.start ~path ~plan
-        ~serve:(fun fd -> Server.serve_connection server fd)
-        ()
-    in
-    Fun.protect
-      ~finally:(fun () -> Chaos_proxy.stop proxy)
-      (fun () ->
-        let policy =
-          {
-            Ac_server.Retry_policy.default with
-            backoff_base_ms = 1.0;
-            backoff_cap_ms = 10.0;
-            attempts = 7;
-          }
+  let plan = Chaos.Wire_plan.create ~p_fault:0.05 ~delay_ms:2 ~seed:2022 () in
+  let samples, retries =
+    with_server db (fun server path ->
+        let proxy_path = Filename.temp_file "acq_bench_proxy" ".sock" in
+        Sys.remove proxy_path;
+        let proxy =
+          Ac_server.Chaos_proxy.start ~path:proxy_path ~plan
+            ~serve:(Server.serve_connection server) ()
         in
-        let c = Client.create ~policy (Client.Unix_socket path) in
+        let plain = Client.create (Client.Unix_socket path)
+        and durable =
+          Client.create ~policy:Retry_policy.default (Client.Unix_socket path)
+        and faulted =
+          Client.create
+            ~policy:
+              {
+                Retry_policy.default with
+                backoff_base_ms = 1.0;
+                backoff_cap_ms = 10.0;
+                attempts = 7;
+              }
+            (Client.Unix_socket proxy_path)
+        in
+        let clients = [ plain; durable; faulted ] in
         Fun.protect
-          ~finally:(fun () -> Client.close c)
+          ~finally:(fun () ->
+            List.iter Client.close clients;
+            Ac_server.Chaos_proxy.stop proxy)
           (fun () ->
-            expect_counted (Client.call c request);
-            (* warm-up *)
-            let p50 =
-              p50_of (fun () -> expect_counted (Client.call c request))
+            (* warm-up: fills plan + result caches *)
+            List.iter (fun c -> expect_counted c request ()) clients;
+            let samples =
+              rounds 15
+                (List.map
+                   (fun c -> p50_ms ~requests:200 (expect_counted c request))
+                   clients)
             in
-            ( p50,
-              Client.retries_total c,
-              List.length (Chaos.Wire_plan.history plan) )))
+            (samples, Client.retries_total faulted)))
   in
-  let overhead = (durable_p50 /. plain_p50) -. 1.0 in
-  let within_budget = durable_p50 <= plain_p50 *. 1.05 in
-  let oc = open_out "BENCH_chaos.json" in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"benchmark\": \"retry-layer overhead on the result-hot wire path\",\n";
-  p "  \"query\": %S,\n" query;
-  p "  \"requests_per_round\": %d, \"rounds_per_regime\": %d,\n" requests
-    rounds;
-  p "  \"host_cores\": %d,\n" (Domain.recommended_domain_count ());
-  p "  \"regimes\": [\n";
-  p "    {\"name\": \"plain\", \"p50_ms\": %.4f},\n" plain_p50;
-  p "    {\"name\": \"durable\", \"p50_ms\": %.4f, \"overhead\": %.4f},\n"
-    durable_p50 overhead;
-  p
-    "    {\"name\": \"durable_chaos\", \"p50_ms\": %.4f, \"retries\": %d, \
-     \"faults_injected\": %d}\n"
-    chaos_p50 chaos_retries chaos_faults;
-  p "  ],\n";
-  p "  \"retry_layer_overhead_within_5pct\": %b,\n" within_budget;
-  p
-    "  \"note\": \"plain and durable talk to the same in-process daemon \
-     over a real Unix socket; durable adds idempotency ids, deadline \
-     bookkeeping and envelope matching. durable_chaos routes through \
-     the fault-injecting proxy (p_fault 0.05) and is reported, not \
-     gated. p50 is the best of the interleaved rounds.\"\n";
-  p "}\n";
-  close_out oc;
-  Format.printf "chaos: plain   p50 %.4f ms@." plain_p50;
-  Format.printf "chaos: durable p50 %.4f ms  (overhead %+.1f%%)@." durable_p50
-    (100.0 *. overhead);
-  Format.printf "chaos: faulted p50 %.4f ms  (%d retries, %d faults)@."
-    chaos_p50 chaos_retries chaos_faults;
-  Format.printf "chaos: retry-layer overhead within 5%%: %b@." within_budget;
-  if not within_budget then exit 1
+  ( [
+      ("benchmark", Json.String "retry-layer overhead on the result-hot wire path");
+      ("query", Json.String query);
+      ("requests_per_round", Json.Int 200);
+      ("regimes", overheads [ "plain"; "durable"; "durable_chaos" ] samples);
+      ("chaos_retries", Json.Int retries);
+      ( "chaos_faults_injected",
+        Json.Int (List.length (Chaos.Wire_plan.history plan)) );
+    ],
+    [ ("retry_layer_overhead_within_5pct", within_5pct samples) ] )
 
 (* --- static cost analyzer vs the static Figure-1 chain (BENCH_cost.json) ---
 
@@ -782,9 +533,9 @@ let run_chaos () =
    working directory, a built-in mirror of the corpus otherwise), against
    one seeded database: the planning overhead of the cost analysis, the
    chosen vs the static rung, the instantiated bound, and a governed-run
-   timing comparison — costed chain vs static chain, median of 3, same
-   engine seed. The gate: the costed chain is never slower than the
-   static one beyond slack (2x + 10 ms on the medians; cost-based rung
+   timing comparison — costed chain vs static chain, same engine seed.
+   The gate, per query: the costed chain is never slower than the static
+   one beyond slack (2x + 10 ms on the medians; cost-based rung
    selection may only skip work, so a real slowdown means the analyzer
    itself leaked into the hot path). *)
 
@@ -792,6 +543,7 @@ let run_cost () =
   let module Ecq = Ac_query.Ecq in
   let module Report = Ac_analysis.Report in
   let module Cost = Ac_analysis.Cost in
+  let module Planner = Approxcount.Planner in
   let builtin =
     [
       ("quickstart", "ans(x, y) :- E(x, z), E(z, y)");
@@ -825,16 +577,6 @@ let run_cost () =
       [ ("E", 2, 200); ("R", 2, 200); ("P", 1, 30) ]
   in
   let db = Ac_relational.Structure.seal db in
-  let median3 f =
-    let times = List.sort compare [ f (); f (); f () ] in
-    List.nth times 1
-  in
-  let time_ms f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, (Unix.gettimeofday () -. t0) *. 1000.0)
-  in
-  let gate_failures = ref [] in
   let rows =
     List.map
       (fun (name, text) ->
@@ -842,8 +584,7 @@ let run_cost () =
         let report, planning_ms = time_ms (fun () -> Report.analyze ~db q) in
         let cost = Option.get report.Report.cost in
         let decision =
-          Approxcount.Planner.decision_of_classification
-            (Report.classification_exn report)
+          Planner.decision_of_classification (Report.classification_exn report)
         in
         let governed ?cost () =
           let exec = Ac_exec.Engine.make ~jobs:1 ~seed:2026 () in
@@ -852,8 +593,8 @@ let run_cost () =
              runaway rung trips and degrades instead of running away *)
           let budget = Ac_runtime.Budget.create ~max_ticks:20_000_000 () in
           match
-            Approxcount.Planner.count_governed ~budget ~exec ~decision ?cost
-              ~eps:0.25 ~delta:0.1 q db
+            Planner.count_governed ~budget ~exec ~decision ?cost ~eps:0.25
+              ~delta:0.1 q db
           with
           | Ok g -> g
           | Error e ->
@@ -861,408 +602,42 @@ let run_cost () =
                 (Ac_runtime.Error.message e);
               exit 1
         in
-        ignore (governed ());
+        let g_static = governed () in
         (* warm-up *)
-        let static_ms =
-          median3 (fun () -> snd (time_ms (fun () -> governed ())))
+        let g_costed = governed ~cost () in
+        let samples =
+          rounds 3
+            [
+              (fun () -> snd (time_ms governed));
+              (fun () -> snd (time_ms (governed ~cost)));
+            ]
         in
-        let costed_ms =
-          median3 (fun () -> snd (time_ms (fun () -> governed ~cost ())))
-        in
-        let g_static = governed () and g_costed = governed ~cost () in
-        if costed_ms > (2.0 *. static_ms) +. 10.0 then
-          gate_failures :=
-            Printf.sprintf "%s: costed %.2fms vs static %.2fms" name costed_ms
-              static_ms
-            :: !gate_failures;
-        ( name,
-          planning_ms,
-          Cost.rung_name cost.Cost.static_choice,
-          Cost.rung_name (Cost.chosen cost),
-          cost.Cost.query_bound.Cost.log2,
-          Approxcount.Planner.rung_name g_static.Approxcount.Planner.rung,
-          Approxcount.Planner.rung_name g_costed.Approxcount.Planner.rung,
-          g_costed.Approxcount.Planner.estimate,
-          static_ms,
-          costed_ms ))
+        let static_ms = List.hd samples and costed_ms = List.nth samples 1 in
+        ( Json.Obj
+            [
+              ("query", Json.String name);
+              ("planning_ms", Json.Float planning_ms);
+              ("static_rung", Json.String (Cost.rung_name cost.Cost.static_choice));
+              ("chosen_rung", Json.String (Cost.rung_name (Cost.chosen cost)));
+              ("bound_log2", Json.Float cost.Cost.query_bound.Cost.log2);
+              ("static_run_rung", Json.String (Planner.rung_name g_static.Planner.rung));
+              ("costed_run_rung", Json.String (Planner.rung_name g_costed.Planner.rung));
+              ("estimate", Json.Float g_costed.Planner.estimate);
+              ("static_ms", spread static_ms);
+              ("costed_ms", spread costed_ms);
+            ],
+          ( name ^ ": costed <= 2x static + 10ms",
+            median costed_ms <= (2.0 *. median static_ms) +. 10.0 ) ))
       corpus
   in
-  let oc = open_out "BENCH_cost.json" in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"benchmark\": \"costed vs static governed chain (corpus queries)\",\n";
-  p "  \"seed\": 2026,\n";
-  p "  \"eps\": 0.25,\n";
-  p "  \"delta\": 0.1,\n";
-  p "  \"gate\": \"median costed time <= 2x median static time + 10ms\",\n";
-  p "  \"gate_passed\": %b,\n" (!gate_failures = []);
-  p "  \"queries\": [\n";
-  List.iteri
-    (fun i (name, plan_ms, static_rung, chosen, bound, srung, crung, est,
-            sms, cms) ->
-      p "    {\"query\": %S, \"planning_ms\": %.3f, \"static_rung\": %S, \
-         \"chosen_rung\": %S, \"bound_log2\": %s, \"static_run_rung\": %S, \
-         \"costed_run_rung\": %S, \"estimate\": %.6f, \"static_ms\": %.3f, \
-         \"costed_ms\": %.3f}%s\n"
-        name plan_ms static_rung chosen
-        (if Float.is_finite bound then Printf.sprintf "%.3f" bound
-         else "\"-inf\"")
-        srung crung est sms cms
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  p "  ]\n";
-  p "}\n";
-  close_out oc;
-  List.iter
-    (fun (name, plan_ms, _, chosen, _, _, _, _, sms, cms) ->
-      Format.printf
-        "cost: %-18s plan %.2fms  chosen %-12s  static %.2fms  costed %.2fms@."
-        name plan_ms chosen sms cms)
-    rows;
-  if !gate_failures <> [] then begin
-    List.iter (Format.eprintf "cost bench GATE FAILED: %s@.") !gate_failures;
-    exit 1
-  end;
-  Format.printf "cost: gate passed (costed never slower than static beyond slack)@."
-
-(* --- live mutable databases (BENCH_live.json) ---
-
-   The main+delta storage of Ac_live, measured where it can hurt:
-
-     insert:       streaming mutation throughput (batched Db.apply)
-     cold:         first estimate after a mutation — pays the view
-                   merge — as the resident delta fraction grows
-     merge:        compaction pause (the write path stalls behind it)
-     post_merge:   cold estimate after compaction vs a rebuilt-from-
-                   scratch sealed baseline
-
-   Gate (checked here, exit 1): post-merge cold p50 within 10% of the
-   rebuilt baseline's p50 — compaction must give the delta-free scan
-   speed back, or the whole main+delta design is a regression. *)
-
-let run_live () =
-  let module Live = Ac_live.Live in
-  let universe_size = 60 and base_rows = 4000 in
-  let query = "ans(x,y) :- E(x,y), E(y,z), x != z" in
-  let q = Result.get_ok (Ac_query.Ecq.parse_result query) in
-  let rng = rng_of 31 in
-  let random_edge () =
-    [| Random.State.int rng universe_size; Random.State.int rng universe_size |]
-  in
-  let base =
-    Ac_relational.Structure.of_facts ~universe_size
-      (List.init base_rows (fun _ -> ("E", random_edge ())))
-  in
-  let estimate db ~seed =
-    let module Req = Approxcount.Api.Request in
-    let r =
-      Req.make q db |> Req.with_eps 0.5 |> Req.with_delta 0.25
-      |> Req.with_seed (Some seed)
-      |> Req.with_jobs (Some 1)
-    in
-    match Approxcount.Api.run r with
-    | Ok r -> r.Approxcount.Api.estimate
-    | Error e -> failwith ("bench live: " ^ Ac_runtime.Error.message e)
-  in
-  let pct lat p =
-    let lat = Array.copy lat in
-    Array.sort compare lat;
-    lat.(min (Array.length lat - 1)
-           (int_of_float (p *. float_of_int (Array.length lat))))
-  in
-  (* streaming insert throughput *)
-  let batches = 50 and batch_size = 200 in
-  let live = Live.Db.of_structure base in
-  let t0 = Unix.gettimeofday () in
-  for b = 0 to batches - 1 do
-    let ops =
-      List.init batch_size (fun _ ->
-          Live.Db.Insert { rel = "E"; tuple = random_edge () })
-    in
-    match Live.Db.apply ~id:(Printf.sprintf "bench-%d" b) live ops with
-    | Ok _ -> ()
-    | Error e -> failwith ("bench live: " ^ Ac_runtime.Error.message e)
-  done;
-  let insert_s = Unix.gettimeofday () -. t0 in
-  let ops_total = batches * batch_size in
-  let ops_per_sec = float_of_int ops_total /. insert_s in
-  (* a delta batch of the given fraction, reused across trials *)
-  let delta_ops fraction =
-    List.init
-      (int_of_float (fraction *. float_of_int base_rows))
-      (fun _ -> Live.Db.Insert { rel = "E"; tuple = random_edge () })
-  in
-  let trials = 15 in
-  (* cold estimate: fresh live db per trial (nothing memoized), pay the
-     view merge + the estimation; same seeds across fractions *)
-  let cold_lat ?(merge_first = false) fraction =
-    let ops = delta_ops fraction in
-    Array.init trials (fun i ->
-        let db = Live.Db.of_structure base in
-        (match ops with
-        | [] -> ()
-        | _ -> (
-            match Live.Db.apply db ops with
-            | Ok _ -> ()
-            | Error e -> failwith ("bench live: " ^ Ac_runtime.Error.message e)));
-        if merge_first then ignore (Live.Db.merge db);
-        let t = Unix.gettimeofday () in
-        ignore (estimate (Live.Db.snapshot db) ~seed:(777 + i));
-        (Unix.gettimeofday () -. t) *. 1000.0)
-  in
-  let fractions = [ 0.0; 0.05; 0.25 ] in
-  let cold = List.map (fun f -> (f, cold_lat f)) fractions in
-  (* the rebuilt baseline: the same live set sealed from scratch *)
-  let rebuilt_of fraction =
-    let db = Live.Db.of_structure base in
-    (match delta_ops fraction with
-    | [] -> ()
-    | ops -> (
-        match Live.Db.apply db ops with
-        | Ok _ -> ()
-        | Error e -> failwith ("bench live: " ^ Ac_runtime.Error.message e)));
-    let snapshot = Live.Db.snapshot db in
-    Ac_relational.Structure.(seal (copy snapshot))
-  in
-  let rebuilt = rebuilt_of 0.25 in
-  let rebuilt_lat =
-    Array.init trials (fun i ->
-        let t = Unix.gettimeofday () in
-        ignore (estimate rebuilt ~seed:(777 + i));
-        (Unix.gettimeofday () -. t) *. 1000.0)
-  in
-  (* merge pause: fresh db with a 25% delta per trial *)
-  let merge_trials = 30 in
-  let merge_ops = delta_ops 0.25 in
-  let merge_lat =
-    Array.init merge_trials (fun _ ->
-        let db = Live.Db.of_structure base in
-        (match Live.Db.apply db merge_ops with
-        | Ok _ -> ()
-        | Error e -> failwith ("bench live: " ^ Ac_runtime.Error.message e));
-        let t = Unix.gettimeofday () in
-        ignore (Live.Db.merge db);
-        (Unix.gettimeofday () -. t) *. 1000.0)
-  in
-  (* the gate: after compaction, cold estimates at rebuilt speed *)
-  let post_merge_lat = cold_lat ~merge_first:true 0.25 in
-  let post_p50 = pct post_merge_lat 0.50
-  and rebuilt_p50 = pct rebuilt_lat 0.50 in
-  (* 10% relative plus a 0.25 ms absolute floor against timer noise on
-     sub-millisecond estimates *)
-  let gate_ok = post_p50 <= (rebuilt_p50 *. 1.10) +. 0.25 in
-  let oc = open_out "BENCH_live.json" in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"benchmark\": \"live main+delta storage (Ac_live)\",\n";
-  p "  \"universe\": %d, \"base_rows\": %d, \"query\": %S,\n" universe_size
-    base_rows query;
-  p "  \"insert\": {\"ops\": %d, \"batch_size\": %d, \"ops_per_sec\": %.0f},\n"
-    ops_total batch_size ops_per_sec;
-  p "  \"cold_estimate_ms\": [\n";
-  List.iteri
-    (fun i (f, lat) ->
-      p
-        "    {\"delta_fraction\": %.2f, \"p50_ms\": %.3f, \"p99_ms\": %.3f}%s\n"
-        f (pct lat 0.50) (pct lat 0.99)
-        (if i = List.length cold - 1 then "" else ","))
-    cold;
-  p "  ],\n";
-  p "  \"rebuilt_baseline\": {\"p50_ms\": %.3f, \"p99_ms\": %.3f},\n"
-    rebuilt_p50 (pct rebuilt_lat 0.99);
-  p "  \"merge_pause\": {\"trials\": %d, \"delta_rows\": %d, \"p50_ms\": %.3f, \"p99_ms\": %.3f},\n"
-    merge_trials (List.length merge_ops) (pct merge_lat 0.50)
-    (pct merge_lat 0.99);
-  p "  \"post_merge\": {\"p50_ms\": %.3f, \"within_10pct_of_rebuilt\": %b},\n"
-    post_p50 gate_ok;
-  p
-    "  \"note\": \"cold pays the main+delta view merge on a fresh db per \
-     trial; the gate requires post-merge cold p50 within 10%% (+0.25 ms \
-     timer floor) of the rebuilt-from-scratch baseline\"\n";
-  p "}\n";
-  close_out oc;
-  Format.printf "live: insert        %d ops in %.3f s  (%.0f ops/s)@."
-    ops_total insert_s ops_per_sec;
-  List.iter
-    (fun (f, lat) ->
-      Format.printf "live: cold %.2f     p50 %7.3f ms  p99 %7.3f ms@." f
-        (pct lat 0.50) (pct lat 0.99))
-    cold;
-  Format.printf "live: rebuilt       p50 %7.3f ms  p99 %7.3f ms@." rebuilt_p50
-    (pct rebuilt_lat 0.99);
-  Format.printf "live: merge pause   p50 %7.3f ms  p99 %7.3f ms@."
-    (pct merge_lat 0.50) (pct merge_lat 0.99);
-  Format.printf "live: post-merge    p50 %7.3f ms  within 10%% of rebuilt: %b@."
-    post_p50 gate_ok;
-  if not gate_ok then exit 1
-
-(* --- sharded fleet scatter-gather (BENCH_fleet.json) ---
-
-   Boots real acqd processes — W workers plus one router that cuts the
-   database into W hash shards and ships them over LOAD — and drives
-   concurrent cold COUNTs (distinct seeds, result caches off) at the
-   router, for W = 1 and W = 2. Each request scatters across the fleet,
-   every worker estimating over its ~1/W-size shard at delta/W, so with
-   real cores behind the workers the 2-shard fleet should beat the
-   1-shard fleet on throughput.
-
-   Gate (checked here and by scripts/ci.sh, exit 1): 2-worker cold
-   throughput >= 1.4x 1-worker, enforced only on a multi-core host —
-   on 1 core the sweep measures scatter overhead, which the JSON
-   records honestly. *)
-
-let run_fleet () =
-  let module Client = Ac_server.Client in
-  let module Wire = Ac_server.Wire in
-  let acqd =
-    Filename.concat
-      (Filename.dirname Sys.executable_name)
-      (Filename.concat ".." (Filename.concat "bin" "acqd.exe"))
-  in
-  if not (Sys.file_exists acqd) then begin
-    Format.printf "fleet: daemon binary missing at %s (build bin/acqd first)@."
-      acqd;
-    exit 1
-  end;
-  let db = G.to_structure (G.random_gnp ~rng:(rng_of 41) 160 0.08) in
-  let db_file = Filename.temp_file "acq_fleet_db" ".txt" in
-  Ac_relational.Structure_io.save db_file db;
-  (* shardable: the free x sits at column 0 of every E atom *)
-  let query = "ans(x,y,z) :- E(x,y), E(x,z), y != z" in
-  let tmp = Filename.get_temp_dir_name () in
-  let sock tag =
-    Filename.concat tmp (Printf.sprintf "acq-fleet-%d-%s.sock" (Unix.getpid ()) tag)
-  in
-  let devnull = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
-  let spawn args =
-    Unix.create_process acqd
-      (Array.of_list (acqd :: args))
-      devnull Unix.stdout Unix.stderr
-  in
-  let rec wait_ready ?(tries = 200) path =
-    if tries = 0 then failwith ("bench fleet: daemon never came up on " ^ path)
-    else
-      let up =
-        match Client.connect (Client.Unix_socket path) with
-        | Error _ -> false
-        | Ok c ->
-            let ok =
-              match Client.call c Wire.Ping with Ok Wire.Pong -> true | _ -> false
-            in
-            Client.close c;
-            ok
-      in
-      if not up then begin
-        Thread.delay 0.05;
-        wait_ready ~tries:(tries - 1) path
-      end
-  in
-  let kill pids =
-    List.iter (fun pid -> try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ()) pids;
-    List.iter (fun pid -> ignore (Unix.waitpid [] pid)) pids
-  in
-  let threads = 4 and requests_per_thread = 10 in
-  let measure ~workers =
-    let worker_socks =
-      List.init workers (fun i -> sock (Printf.sprintf "%dw%d" workers i))
-    in
-    let router_sock = sock (Printf.sprintf "%dr" workers) in
-    let worker_pids =
-      List.map
-        (fun s -> spawn [ "--socket"; s; "--result-cache"; "0" ])
-        worker_socks
-    in
-    List.iter wait_ready worker_socks;
-    let router_pid =
-      spawn
-        ([ "--socket"; router_sock; "--load"; "g=" ^ db_file;
-           "--result-cache"; "0"; "--partition"; "hash:0" ]
-        @ List.concat_map (fun s -> [ "--worker"; "unix:" ^ s ]) worker_socks)
-    in
-    let pids = router_pid :: worker_pids in
-    Fun.protect
-      ~finally:(fun () ->
-        kill pids;
-        List.iter
-          (fun s -> try Sys.remove s with Sys_error _ -> ())
-          (router_sock :: worker_socks))
-      (fun () ->
-        wait_ready router_sock;
-        let failures = Atomic.make 0 in
-        let count client seed =
-          let params =
-            Wire.params ~eps:0.4 ~delta:0.1 ~seed ~db:(Wire.Named "g") query
-          in
-          match Client.call client (Wire.Count params) with
-          | Ok (Wire.Counted o) when not o.Wire.degraded -> ()
-          | _ -> Atomic.incr failures
-        in
-        (* warm the plan path once so the timed region is pure scatter *)
-        (match Client.connect (Client.Unix_socket router_sock) with
-        | Ok c ->
-            count c 1;
-            Client.close c
-        | Error e -> failwith ("bench fleet: " ^ Ac_runtime.Error.message e));
-        let t0 = Unix.gettimeofday () in
-        let drivers =
-          List.init threads (fun t ->
-              Thread.create
-                (fun () ->
-                  match Client.connect (Client.Unix_socket router_sock) with
-                  | Error _ -> Atomic.incr failures
-                  | Ok c ->
-                      for i = 0 to requests_per_thread - 1 do
-                        count c (1000 + (t * requests_per_thread) + i)
-                      done;
-                      Client.close c)
-                ())
-        in
-        List.iter Thread.join drivers;
-        let dt = Unix.gettimeofday () -. t0 in
-        if Atomic.get failures > 0 then
-          failwith
-            (Printf.sprintf "bench fleet: %d requests failed or degraded"
-               (Atomic.get failures));
-        float_of_int (threads * requests_per_thread) /. dt)
-  in
-  let rps1 = measure ~workers:1 in
-  let rps2 = measure ~workers:2 in
-  Unix.close devnull;
-  (try Sys.remove db_file with Sys_error _ -> ());
-  let cores = Domain.recommended_domain_count () in
-  let speedup = rps2 /. rps1 in
-  let multi_core = cores >= 2 in
-  let gate_ok = (not multi_core) || speedup >= 1.4 in
-  let oc = open_out "BENCH_fleet.json" in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"benchmark\": \"sharded acqd fleet, cold scatter-gather COUNT\",\n";
-  p "  \"query\": %S,\n" query;
-  p "  \"eps\": 0.4, \"delta\": 0.1,\n";
-  p "  \"partition\": \"hash:0\",\n";
-  p "  \"host_cores\": %d,\n" cores;
-  p "  \"client_threads\": %d, \"requests_per_thread\": %d,\n" threads
-    requests_per_thread;
-  p "  \"sweep\": [\n";
-  p "    {\"workers\": 1, \"req_per_sec\": %.2f},\n" rps1;
-  p "    {\"workers\": 2, \"req_per_sec\": %.2f, \"speedup_vs_1\": %.2f}\n" rps2
-    speedup;
-  p "  ],\n";
-  p "  \"gate\": \"2-worker >= 1.4x 1-worker cold throughput (multi-core only)\",\n";
-  p "  \"gate_enforced\": %b,\n" multi_core;
-  p "  \"gate_ok\": %b,\n" gate_ok;
-  p
-    "  \"note\": \"workers are separate acqd processes fed their hash \
-     shard over LOAD; every request is seeded and cold (result caches \
-     off), so req/sec measures scatter + per-shard estimation\"\n";
-  p "}\n";
-  close_out oc;
-  Format.printf "fleet: 1 worker   %8.2f req/s@." rps1;
-  Format.printf "fleet: 2 workers  %8.2f req/s  (x%.2f)@." rps2 speedup;
-  Format.printf "fleet: gate (>=1.4x, %s): %b@."
-    (if multi_core then "enforced" else Printf.sprintf "waived on %d core" cores)
-    gate_ok;
-  if not gate_ok then exit 1
+  ( [
+      ("benchmark", Json.String "costed vs static governed chain (corpus queries)");
+      ("seed", Json.Int 2026);
+      ("eps", Json.Float 0.25);
+      ("delta", Json.Float 0.1);
+      ("queries", Json.List (List.map fst rows));
+    ],
+    List.map snd rows )
 
 let run_tables () =
   let fmt = Format.std_formatter in
@@ -1277,15 +652,17 @@ let () =
   let args = Array.to_list Sys.argv in
   let tables_only = List.mem "--tables-only" args in
   let micro_only = List.mem "--micro-only" args in
-  if List.mem "--server" args then run_server_bench ()
-  else if List.mem "--obs" args then run_obs ()
-  else if List.mem "--parallel" args then run_parallel ()
-  else if List.mem "--chaos" args then run_chaos ()
-  else if List.mem "--join" args then run_join ()
-  else if List.mem "--cost" args then run_cost ()
-  else if List.mem "--live" args then run_live ()
-  else if List.mem "--fleet" args then run_fleet ()
-  else begin
-    if not micro_only then run_tables ();
-    if not tables_only then run_micro ()
-  end
+  let modes =
+    [
+      ("parallel", run_parallel);
+      ("obs", run_obs);
+      ("chaos", run_chaos);
+      ("join", run_join);
+      ("cost", run_cost);
+    ]
+  in
+  match List.find_opt (fun (m, _) -> List.mem ("--" ^ m) args) modes with
+  | Some (mode, run) -> emit mode (run ())
+  | None ->
+      if not micro_only then run_tables ();
+      if not tables_only then run_micro ()

@@ -224,6 +224,58 @@ let draw_from_pool rng pool () =
   if Array.length pool = 0 then None
   else Some pool.(Random.State.int rng (Array.length pool))
 
+(* Leaves shared per symbol, so the run-state memo pays off on them. *)
+let leaf_cache () =
+  let cache = Hashtbl.create 16 in
+  fun symbol ->
+    match Hashtbl.find_opt cache symbol with
+    | Some l -> l
+    | None ->
+        let l = Ltree.leaf symbol in
+        Hashtbl.replace cache symbol l;
+        l
+
+(* The cell of one (node, state): per fired symbol a union over the
+   transitions (state, symbol) built by [branches_of], then a weighted
+   choice among the symbols, drawn through a bounded pool so repeated
+   child sampling is cheap. [None] when nothing fires. *)
+let cell_of_groups config shared_leaf groups branches_of =
+  let group_arr =
+    Array.of_list
+      (List.filter_map
+         (fun (symbol, rhss) ->
+           match union_estimate config (branches_of rhss) with
+           | 0.0, _ -> None
+           | est, draw -> Some (symbol, est, draw))
+         groups)
+  in
+  let weights = Array.map (fun (_, est, _) -> est) group_arr in
+  let total = Array.fold_left ( +. ) 0.0 weights in
+  if total <= 0.0 then None
+  else begin
+    let draw_once () =
+      let g = pick_weighted config.rng weights total in
+      let symbol, _, draw = group_arr.(g) in
+      match draw () with
+      | None -> None
+      | Some [] -> Some (shared_leaf symbol)
+      | Some children -> Some (Ltree.node symbol children)
+    in
+    let rec retry attempts =
+      if attempts > 16 then None
+      else
+        match draw_once () with
+        | Some x -> Some x
+        | None -> retry (attempts + 1)
+    in
+    let pool = pool_of config (fun () -> retry 0) in
+    let draw =
+      if Array.length pool = 0 then fun () -> None
+      else draw_from_pool config.rng pool
+    in
+    Some { est = total; draw }
+  end
+
 let process a config shape =
   let nodes, root = flatten shape in
   let index = state_index a in
@@ -232,110 +284,65 @@ let process a config shape =
   let n = Array.length nodes in
   let cells : (int, cell) Hashtbl.t array = Array.init n (fun _ -> Hashtbl.create 16) in
   let cell_of u s = Option.value ~default:empty_cell (Hashtbl.find_opt cells.(u) s) in
-  (* shared leaves per symbol so run-state memoisation pays off *)
-  let leaf_cache = Hashtbl.create 16 in
-  let shared_leaf symbol =
-    match Hashtbl.find_opt leaf_cache symbol with
-    | Some l -> l
-    | None ->
-        let l = Ltree.leaf symbol in
-        Hashtbl.replace leaf_cache symbol l;
-        l
-  in
+  let memo = Tree_automaton.memo a in
+  let shared_leaf = leaf_cache () in
   (* nodes are in postorder already *)
   for u = 0 to n - 1 do
     let kids = nodes.(u).children in
     Iset.iter
       (fun s ->
         Budget.tick config.budget;
-        (* per fired symbol: a union over the transitions (s, symbol) *)
-        let groups =
-          List.filter_map
-            (fun (symbol, rhss) ->
-              let branches =
-                List.filter_map
-                  (fun rhs ->
-                    match (rhs, kids) with
-                    | Tree_automaton.Stop, [] ->
-                        Some
-                          {
-                            weight = 1.0;
-                            draw_children = (fun () -> Some []);
-                            member = (fun _ -> true);
-                          }
-                    | Tree_automaton.One s1, [ c ] ->
-                        let cc = cell_of c s1 in
-                        if cc.est <= 0.0 then None
-                        else
-                          Some
-                            {
-                              weight = cc.est;
-                              draw_children =
-                                (fun () ->
-                                  match cc.draw () with
-                                  | Some x -> Some [ x ]
-                                  | None -> None);
-                              member =
-                                (function
-                                  | [ x ] -> Tree_automaton.accepts_from a s1 x
-                                  | _ -> false);
-                            }
-                    | Tree_automaton.Two (s1, s2), [ c1; c2 ] ->
-                        let cc1 = cell_of c1 s1 and cc2 = cell_of c2 s2 in
-                        if cc1.est <= 0.0 || cc2.est <= 0.0 then None
-                        else
-                          Some
-                            {
-                              weight = cc1.est *. cc2.est;
-                              draw_children =
-                                (fun () ->
-                                  match (cc1.draw (), cc2.draw ()) with
-                                  | Some x1, Some x2 -> Some [ x1; x2 ]
-                                  | _ -> None);
-                              member =
-                                (function
-                                  | [ x1; x2 ] ->
-                                      Tree_automaton.accepts_from a s1 x1
-                                      && Tree_automaton.accepts_from a s2 x2
-                                  | _ -> false);
-                            }
-                    | _ -> None)
-                  rhss
-              in
-              match union_estimate config branches with
-              | 0.0, _ -> None
-              | est, draw -> Some (symbol, est, draw))
-            index.(s)
+        let branches_of =
+          List.filter_map (fun rhs ->
+              match (rhs, kids) with
+              | Tree_automaton.Stop, [] ->
+                  Some
+                    {
+                      weight = 1.0;
+                      draw_children = (fun () -> Some []);
+                      member = (fun _ -> true);
+                    }
+              | Tree_automaton.One s1, [ c ] ->
+                  let cc = cell_of c s1 in
+                  if cc.est <= 0.0 then None
+                  else
+                    Some
+                      {
+                        weight = cc.est;
+                        draw_children =
+                          (fun () ->
+                            match cc.draw () with
+                            | Some x -> Some [ x ]
+                            | None -> None);
+                        member =
+                          (function
+                            | [ x ] -> Tree_automaton.accepts_from memo s1 x
+                            | _ -> false);
+                      }
+              | Tree_automaton.Two (s1, s2), [ c1; c2 ] ->
+                  let cc1 = cell_of c1 s1 and cc2 = cell_of c2 s2 in
+                  if cc1.est <= 0.0 || cc2.est <= 0.0 then None
+                  else
+                    Some
+                      {
+                        weight = cc1.est *. cc2.est;
+                        draw_children =
+                          (fun () ->
+                            match (cc1.draw (), cc2.draw ()) with
+                            | Some x1, Some x2 -> Some [ x1; x2 ]
+                            | _ -> None);
+                        member =
+                          (function
+                            | [ x1; x2 ] ->
+                                Tree_automaton.accepts_from memo s1 x1
+                                && Tree_automaton.accepts_from memo s2 x2
+                            | _ -> false);
+                      }
+              | _ -> None)
         in
-        if groups <> [] then begin
-          let group_arr = Array.of_list groups in
-          let weights = Array.map (fun (_, est, _) -> est) group_arr in
-          let total = Array.fold_left ( +. ) 0.0 weights in
-          if total > 0.0 then begin
-            let draw_once () =
-              let g = pick_weighted config.rng weights total in
-              let symbol, _, draw = group_arr.(g) in
-              match draw () with
-              | None -> None
-              | Some [] -> Some (shared_leaf symbol)
-              | Some children -> Some (Ltree.node symbol children)
-            in
-            let rec retry attempts =
-              if attempts > 16 then None
-              else
-                match draw_once () with
-                | Some x -> Some x
-                | None -> retry (attempts + 1)
-            in
-            (* a bounded pool makes repeated child sampling cheap *)
-            let pool = pool_of config (fun () -> retry 0) in
-            let draw =
-              if Array.length pool = 0 then fun () -> None
-              else draw_from_pool config.rng pool
-            in
-            Hashtbl.replace cells.(u) s { est = total; draw }
-          end
-        end)
+        Option.iter
+          (Hashtbl.replace cells.(u) s)
+          (cell_of_groups config shared_leaf index.(s) branches_of))
       needed.(u)
   done;
   (cells, root)
@@ -355,8 +362,8 @@ let estimate_fixed_shape ?config a shape = fst (estimator ?config a shape)
    whole sketch propagation, combined by median. Each trial re-seeds the
    config from its own stream and ticks its chunk's budget slice, so the
    batch parallelises over domains without sharing any mutable sketch
-   state (the automaton itself is read-only here; its run-state memo is
-   domain-local). *)
+   state (the automaton itself is read-only here; each trial's process
+   call allocates its own run-state memo). *)
 let estimate_median ?budget ?config ~exec ~repetitions a shape =
   let base = match config with Some c -> c | None -> default_config () in
   if repetitions <= 1 then
@@ -400,118 +407,76 @@ let slice_estimator ?config a n =
       if size < 1 || size > n then empty_cell
       else Option.value ~default:empty_cell (Hashtbl.find_opt cells.(size - 1) s)
     in
-    let leaf_cache = Hashtbl.create 16 in
-    let shared_leaf symbol =
-      match Hashtbl.find_opt leaf_cache symbol with
-      | Some l -> l
-      | None ->
-          let l = Ltree.leaf symbol in
-          Hashtbl.replace leaf_cache symbol l;
-          l
-    in
+    let memo = Tree_automaton.memo a in
+    let shared_leaf = leaf_cache () in
     for size = 1 to n do
       for s = 0 to states - 1 do
         Budget.tick config.budget;
-        let groups =
-          List.filter_map
-            (fun (symbol, rhss) ->
-              let branches =
-                List.concat_map
-                  (fun rhs ->
-                    match rhs with
-                    | Tree_automaton.Stop ->
-                        if size = 1 then
-                          [
-                            {
-                              weight = 1.0;
-                              draw_children = (fun () -> Some []);
-                              member = (function [] -> true | _ -> false);
-                            };
-                          ]
-                        else []
-                    | Tree_automaton.One s1 ->
-                        let cc = cell_of (size - 1) s1 in
-                        if cc.est <= 0.0 then []
+        let branches_of =
+          List.concat_map (fun rhs ->
+              match rhs with
+              | Tree_automaton.Stop ->
+                  if size = 1 then
+                    [
+                      {
+                        weight = 1.0;
+                        draw_children = (fun () -> Some []);
+                        member = (function [] -> true | _ -> false);
+                      };
+                    ]
+                  else []
+              | Tree_automaton.One s1 ->
+                  let cc = cell_of (size - 1) s1 in
+                  if cc.est <= 0.0 then []
+                  else
+                    [
+                      {
+                        weight = cc.est;
+                        draw_children =
+                          (fun () ->
+                            match cc.draw () with
+                            | Some x -> Some [ x ]
+                            | None -> None);
+                        member =
+                          (function
+                            | [ x ] ->
+                                Ltree.size x = size - 1
+                                && Tree_automaton.accepts_from memo s1 x
+                            | _ -> false);
+                      };
+                    ]
+              | Tree_automaton.Two (s1, s2) ->
+                  List.filter_map
+                    (fun n1 ->
+                      let n2 = size - 1 - n1 in
+                      if n2 < 1 then None
+                      else begin
+                        let cc1 = cell_of n1 s1 and cc2 = cell_of n2 s2 in
+                        if cc1.est <= 0.0 || cc2.est <= 0.0 then None
                         else
-                          [
+                          Some
                             {
-                              weight = cc.est;
+                              weight = cc1.est *. cc2.est;
                               draw_children =
                                 (fun () ->
-                                  match cc.draw () with
-                                  | Some x -> Some [ x ]
-                                  | None -> None);
+                                  match (cc1.draw (), cc2.draw ()) with
+                                  | Some x1, Some x2 -> Some [ x1; x2 ]
+                                  | _ -> None);
                               member =
                                 (function
-                                  | [ x ] ->
-                                      Ltree.size x = size - 1
-                                      && Tree_automaton.accepts_from a s1 x
+                                  | [ x1; x2 ] ->
+                                      Ltree.size x1 = n1
+                                      && Ltree.size x2 = n2
+                                      && Tree_automaton.accepts_from memo s1 x1
+                                      && Tree_automaton.accepts_from memo s2 x2
                                   | _ -> false);
-                            };
-                          ]
-                    | Tree_automaton.Two (s1, s2) ->
-                        List.filter_map
-                          (fun n1 ->
-                            let n2 = size - 1 - n1 in
-                            if n2 < 1 then None
-                            else begin
-                              let cc1 = cell_of n1 s1 and cc2 = cell_of n2 s2 in
-                              if cc1.est <= 0.0 || cc2.est <= 0.0 then None
-                              else
-                                Some
-                                  {
-                                    weight = cc1.est *. cc2.est;
-                                    draw_children =
-                                      (fun () ->
-                                        match (cc1.draw (), cc2.draw ()) with
-                                        | Some x1, Some x2 -> Some [ x1; x2 ]
-                                        | _ -> None);
-                                    member =
-                                      (function
-                                        | [ x1; x2 ] ->
-                                            Ltree.size x1 = n1
-                                            && Ltree.size x2 = n2
-                                            && Tree_automaton.accepts_from a s1 x1
-                                            && Tree_automaton.accepts_from a s2 x2
-                                        | _ -> false);
-                                  }
-                            end)
-                          (List.init (max 0 (size - 2)) (fun i -> i + 1)))
-                  rhss
-              in
-              match union_estimate config branches with
-              | 0.0, _ -> None
-              | est, draw -> Some (symbol, est, draw))
-            index.(s)
+                            }
+                      end)
+                    (List.init (max 0 (size - 2)) (fun i -> i + 1)))
         in
-        if groups <> [] then begin
-          let group_arr = Array.of_list groups in
-          let weights = Array.map (fun (_, est, _) -> est) group_arr in
-          let total = Array.fold_left ( +. ) 0.0 weights in
-          if total > 0.0 then begin
-            let draw_once () =
-              let g = pick_weighted config.rng weights total in
-              let symbol, _, draw = group_arr.(g) in
-              match draw () with
-              | None -> None
-              | Some [] -> Some (shared_leaf symbol)
-              | Some children -> Some (Ltree.node symbol children)
-            in
-            let rec retry attempts =
-              if attempts > 16 then None
-              else
-                match draw_once () with
-                | Some x -> Some x
-                | None -> retry (attempts + 1)
-            in
-            let pool = pool_of config (fun () -> retry 0) in
-            let draw =
-              if Array.length pool = 0 then fun () -> None
-              else draw_from_pool config.rng pool
-            in
-            Hashtbl.replace cells.(size - 1) s { est = total; draw }
-          end
-        end
+        Option.iter
+          (Hashtbl.replace cells.(size - 1) s)
+          (cell_of_groups config shared_leaf index.(s) branches_of)
       done
     done;
     let root = cell_of n (Tree_automaton.initial a) in

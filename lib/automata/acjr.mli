@@ -34,7 +34,7 @@ val estimate_fixed_shape : ?config:config -> Tree_automaton.t -> Ltree.shape -> 
 (** Median over [repetitions] independent sketch propagations, each on
     its own deterministic RNG stream, fanned out over [exec]'s domains
     ({!Ac_exec.Engine}). The automaton is shared read-only across the
-    trials (its run-state memo is domain-local); trial [i] draws all
+    trials (each trial allocates its own run-state memo); trial [i] draws all
     randomness from stream [i] of [exec]'s seed, so the median is
     bit-identical for any jobs count. [budget] governs the whole batch
     through per-chunk sub-slices; [config]'s own [rng]/[budget] fields

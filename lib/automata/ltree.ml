@@ -4,9 +4,9 @@ type t = {
   children : t list;
 }
 
-(* Ids must stay unique when trees are built from several domains at
-   once (parallel sketch trials) — the automaton's run-state memo keys
-   on them, and a duplicated id would silently corrupt it. *)
+(* Ids key the automaton's run-state memo (Tree_automaton.memo), where a
+   duplicated id would silently corrupt it. The counter is atomic because
+   parallel sketch trials build trees on several domains at once. *)
 let counter = Atomic.make 0
 
 let node label children =

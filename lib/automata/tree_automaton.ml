@@ -12,14 +12,12 @@ type t = {
   by_symbol : (int, (int * rhs) list ref) Hashtbl.t; (* symbol → (state, rhs) *)
   seen : (int * int * rhs, unit) Hashtbl.t;
   mutable count : int;
-  reach_memo : (int, Iset.t) Hashtbl.t Domain.DLS.key;
-      (* Ltree id → run states. Domain-local: the parallel sketch trials
-         share one (read-only) automaton across domains, and a plain
-         shared hashtable would race on memoisation writes. Each domain
-         memoises independently — the memo is semantics-free cache, so
-         results stay bit-identical regardless of which domain ran a
-         trial. *)
 }
+
+(* Ltree id → run states of one automaton. *)
+type memo = { automaton : t; table : (int, Iset.t) Hashtbl.t }
+
+let memo automaton = { automaton; table = Hashtbl.create 1024 }
 
 let create ~num_states ~num_symbols ~initial =
   if num_states <= 0 || num_symbols <= 0 then invalid_arg "Tree_automaton.create";
@@ -32,7 +30,6 @@ let create ~num_states ~num_symbols ~initial =
     by_symbol = Hashtbl.create 64;
     seen = Hashtbl.create 256;
     count = 0;
-    reach_memo = Domain.DLS.new_key (fun () -> Hashtbl.create 1024);
   }
 
 let num_states a = a.num_states
@@ -79,9 +76,9 @@ let iter_transitions a f =
       List.iter (fun (state, rhs) -> f ~state ~symbol rhs) !bucket)
     a.by_symbol
 
-let rec reach a (tree : Ltree.t) =
-  let memo = Domain.DLS.get a.reach_memo in
-  match Hashtbl.find_opt memo tree.Ltree.id with
+let rec reach memo (tree : Ltree.t) =
+  let a = memo.automaton in
+  match Hashtbl.find_opt memo.table tree.Ltree.id with
   | Some r -> r
   | None ->
       let result =
@@ -96,7 +93,7 @@ let rec reach a (tree : Ltree.t) =
               (fun acc (s, r) -> match r with Stop -> Iset.add s acc | _ -> acc)
               Iset.empty candidates
         | [ c ] ->
-            let rc = reach a c in
+            let rc = reach memo c in
             List.fold_left
               (fun acc (s, r) ->
                 match r with
@@ -104,7 +101,7 @@ let rec reach a (tree : Ltree.t) =
                 | _ -> acc)
               Iset.empty candidates
         | [ c1; c2 ] ->
-            let r1 = reach a c1 and r2 = reach a c2 in
+            let r1 = reach memo c1 and r2 = reach memo c2 in
             List.fold_left
               (fun acc (s, r) ->
                 match r with
@@ -114,10 +111,10 @@ let rec reach a (tree : Ltree.t) =
               Iset.empty candidates
         | _ -> invalid_arg "Tree_automaton: tree node with more than 2 children"
       in
-      Hashtbl.replace memo tree.Ltree.id result;
+      Hashtbl.replace memo.table tree.Ltree.id result;
       result
 
-let run_states a tree = Iset.elements (reach a tree)
+let run_states a tree = Iset.elements (reach (memo a) tree)
 
-let accepts_from a s tree = Iset.mem s (reach a tree)
-let accepts a tree = accepts_from a a.initial tree
+let accepts_from memo s tree = Iset.mem s (reach memo tree)
+let accepts a tree = accepts_from (memo a) a.initial tree

@@ -37,12 +37,19 @@ val num_transitions : t -> int
 val iter_transitions : t -> (state:int -> symbol:int -> rhs -> unit) -> unit
 
 (** [run_states a tree] — the set (sorted list) of states [s] such that
-    the subtree admits a run starting from [s]. Memoised on [Ltree] node
-    ids, so repeated queries over shared subtrees are cheap. The memo
-    table lives inside [t]; it is sound because [Ltree] ids are unique. *)
+    the subtree admits a run starting from [s]. Uses a fresh {!memo}. *)
 val run_states : t -> Ltree.t -> int list
 
 val accepts : t -> Ltree.t -> bool
 
-(** [accepts_from a s tree] — run from a given state. *)
-val accepts_from : t -> int -> Ltree.t -> bool
+(** Run-state memo of one automaton, keyed on [Ltree] node ids (sound
+    because ids are unique), so repeated membership tests over shared
+    subtrees are cheap. Not synchronised: a memo belongs to one caller
+    on one domain, and its memory goes when the caller drops it. *)
+type memo
+
+val memo : t -> memo
+
+(** [accepts_from memo s tree] — a run of [memo]'s automaton from state
+    [s], memoised in [memo]. *)
+val accepts_from : memo -> int -> Ltree.t -> bool

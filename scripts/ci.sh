@@ -3,8 +3,9 @@
 # parallel determinism sweep (jobs 1/2/4 must agree bit-for-bit).
 #
 # Usage: scripts/ci.sh [--with-bench]
-#   --with-bench  also run the jobs sweep and leave BENCH_parallel.json
-#                 in the repository root (slow: ~2 min on one core).
+#   --with-bench  also run the gated bench modes (parallel, obs, chaos,
+#                 join, cost), leaving their BENCH_<mode>.json files in
+#                 the repository root (slow: several minutes).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -34,22 +35,11 @@ echo "== fleet smoke (2 workers + router, worker loss degrades, restart heals)"
 scripts/smoke_server.sh --fleet
 
 if [ "${1:-}" = "--with-bench" ]; then
-  echo "== parallel jobs sweep (BENCH_parallel.json)"
-  dune exec bench/main.exe -- --parallel
-  echo "== server bench (BENCH_server.json)"
-  dune exec bench/main.exe -- --server
-  echo "== observability overhead (BENCH_obs.json, metrics p50 within 5%)"
-  dune exec bench/main.exe -- --obs
-  echo "== retry-layer overhead (BENCH_chaos.json, durable p50 within 5%)"
-  dune exec bench/main.exe -- --chaos
-  echo "== join kernels vs trie oracle (BENCH_join.json, kernels must win end-to-end)"
-  dune exec bench/main.exe -- --join
-  echo "== costed vs static chain (BENCH_cost.json, costed never slower beyond slack)"
-  dune exec bench/main.exe -- --cost
-  echo "== live main+delta storage (BENCH_live.json, post-merge cold p50 within 10% of rebuilt)"
-  dune exec bench/main.exe -- --live
-  echo "== sharded fleet scaling (BENCH_fleet.json, 2 workers >= 1.4x on multi-core)"
-  dune exec bench/main.exe -- --fleet
+  # each mode writes BENCH_<mode>.json and exits 1 if one of its gates fails
+  for mode in parallel obs chaos join cost; do
+    echo "== bench --$mode (BENCH_$mode.json)"
+    dune exec bench/main.exe -- --$mode
+  done
 fi
 
 echo "== CI green"

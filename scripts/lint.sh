@@ -91,7 +91,6 @@ fi
 # that introduces the primitive, with the reasoning in the commit.
 domain_allowlist="
 lib/automata/ltree.ml
-lib/automata/tree_automaton.ml
 lib/core/colour_oracle.ml
 lib/exec/engine.ml
 lib/exec/pool.ml

@@ -164,9 +164,45 @@ let test_rejects_non_cq () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "DCQ must be rejected by the FPRAS"
 
+(* A run's run-state memo dies with the run: live heap after a full
+   major GC stays flat across seeded fpras runs. *)
+let test_runs_leave_heap_flat () =
+  let module Api = Approxcount.Api in
+  let db =
+    Ac_workload.Graph.(
+      to_structure (random_gnp ~rng:(Random.State.make [| 7 |]) 24 0.25))
+  in
+  let q = Ecq.parse "ans(x) :- E(x,y), E(y,z)" in
+  let run seed =
+    match
+      Api.run
+        Api.Request.(
+          make q db |> with_method Api.Fpras
+          |> with_seed (Some seed)
+          |> with_jobs (Some 1))
+    with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "fpras failed: %s" (Ac_runtime.Error.message e)
+  in
+  let live_mb () =
+    Gc.full_major ();
+    float_of_int ((Gc.stat ()).Gc.live_words * (Sys.word_size / 8)) /. 1e6
+  in
+  run 1;
+  let base = live_mb () in
+  List.iter
+    (fun seed ->
+      run seed;
+      let live = live_mb () in
+      if live > base +. 1.0 then
+        Alcotest.failf "run %d: live heap %.1f MB, %.1f MB after run 1" seed
+          live base)
+    [ 2; 3 ]
+
 let tests =
   [
     Alcotest.test_case "acyclic join concrete" `Quick test_acyclic_join_concrete;
+    Alcotest.test_case "runs leave the heap flat" `Quick test_runs_leave_heap_flat;
     Alcotest.test_case "fractional triangle concrete" `Quick test_fractional_triangle_concrete;
     Alcotest.test_case "empty relation zero" `Quick test_empty_relation_zero;
     Alcotest.test_case "build stats" `Quick test_build_stats;

@@ -98,13 +98,16 @@ let apply_ok live ?id ops =
   | Ok applied -> applied
   | Error e -> Alcotest.failf "apply refused: %s" (Error.message e)
 
-let estimate_on db ~seed ~jobs query_text =
+let run_on db ~seed ~jobs query_text =
   let query = Result.get_ok (Ecq.parse_result query_text) in
   match
     Api.run Api.Request.(make query db |> with_seed (Some seed) |> with_jobs (Some jobs))
   with
-  | Ok r -> r.Api.estimate
+  | Ok r -> r
   | Error e -> Alcotest.failf "estimate failed: %s" (Error.message e)
+
+let estimate_on db ~seed ~jobs query_text =
+  (run_on db ~seed ~jobs query_text).Api.estimate
 
 (* ---------- main+delta relation semantics ---------- *)
 
@@ -275,18 +278,24 @@ let test_live_vs_rebuild_bit_identical () =
         queries
     end
   done;
-  (* …and the same holds after compacting everything *)
+  (* …and the same holds after compacting everything, down to the work
+     done: a merged db must run exactly like one sealed from scratch *)
   ignore (Live.Db.merge live);
+  Alcotest.(check int) "merge leaves no delta rows" 0 (Live.Db.delta_rows live);
   let rebuilt = rebuild ~universe_size model in
   let seed = 99 in
   List.iter
     (fun query ->
+      let on_live = run_on (Live.Db.snapshot live) ~seed ~jobs:2 query
+      and on_rebuilt = run_on rebuilt ~seed ~jobs:2 query in
       Alcotest.(check bool)
         (Printf.sprintf "post-merge estimate bits = rebuild (%s)" query)
         true
-        (Int64.bits_of_float
-           (estimate_on (Live.Db.snapshot live) ~seed ~jobs:2 query)
-        = Int64.bits_of_float (estimate_on rebuilt ~seed ~jobs:2 query)))
+        (Int64.bits_of_float on_live.Api.estimate
+        = Int64.bits_of_float on_rebuilt.Api.estimate);
+      Alcotest.(check int)
+        (Printf.sprintf "post-merge ticks = rebuild (%s)" query)
+        on_rebuilt.Api.telemetry.Api.ticks on_live.Api.telemetry.Api.ticks)
     queries
 
 (* ---------- the delta journal ---------- *)
