@@ -202,7 +202,6 @@ let test_runs_leave_heap_flat () =
 let tests =
   [
     Alcotest.test_case "acyclic join concrete" `Quick test_acyclic_join_concrete;
-    Alcotest.test_case "runs leave the heap flat" `Quick test_runs_leave_heap_flat;
     Alcotest.test_case "fractional triangle concrete" `Quick test_fractional_triangle_concrete;
     Alcotest.test_case "empty relation zero" `Quick test_empty_relation_zero;
     Alcotest.test_case "build stats" `Quick test_build_stats;
@@ -211,4 +210,5 @@ let tests =
     QCheck_alcotest.to_alcotest prop_lemma52_bijection;
     QCheck_alcotest.to_alcotest prop_acjr_close;
     QCheck_alcotest.to_alcotest prop_sample_answers_valid;
+    Alcotest.test_case "runs leave the heap flat" `Quick test_runs_leave_heap_flat;
   ]
