@@ -6,7 +6,13 @@
    FRAME) or [error MESSAGE] (the exact decode error). The journal and
    manifest under [golden/] were written by a running daemon (a merge
    at version 7, four batches after it); they must replay, recover and
-   re-encode unchanged. *)
+   re-encode unchanged.
+
+   [golden/estimates.tsv] pins seeded estimates: one row per
+   [Api.run] (every method on a CQ, a DCQ and an ECQ with negation, at
+   seeds 1 and 7 and jobs 1 and 3), per [Api.sample] draw batch and per
+   strict governed planner run, with the estimate as the hex of
+   [Int64.bits_of_float]. *)
 
 module Json = Ac_analysis.Json
 module Wire = Ac_server.Wire
@@ -14,6 +20,12 @@ module Catalog = Ac_server.Catalog
 module Manifest = Ac_server.Manifest
 module Journal = Ac_live.Journal
 module Error = Ac_runtime.Error
+module Api = Approxcount.Api
+module Planner = Approxcount.Planner
+module Colour_oracle = Approxcount.Colour_oracle
+module Ecq = Ac_query.Ecq
+module Structure = Ac_relational.Structure
+module Engine = Ac_exec.Engine
 
 (* [dune runtest] runs from the test directory, [dune exec] from the root *)
 let golden name =
@@ -146,6 +158,156 @@ let test_recover () =
           Alcotest.(check string) "rolling fingerprint"
             "46c5918ea5dc9747b479d35b3b908bf5" e.Catalog.fingerprint)
 
+(* ---------- seeded estimates ---------- *)
+
+let estimate_db () =
+  Ac_workload.Graph.to_structure
+    (Ac_workload.Graph.random_gnp ~rng:(Random.State.make [| 2022 |]) 20 0.3)
+
+let estimate_queries =
+  [
+    ("cq", "ans(x, y) :- E(x, z), E(z, y)");
+    ("dcq", "ans(x, y) :- E(x, z), E(y, z), x != y");
+    ("ecq", "ans(x, y) :- E(x, z), E(z, y), !E(x, y), x != y");
+  ]
+
+let estimate_methods =
+  Api.
+    [
+      Auto; Fpras; Fptras Colour_oracle.Tree_dp; Fptras Colour_oracle.Generic;
+      Fptras Colour_oracle.Direct; Exact; Brute;
+    ]
+
+let bits v = Printf.sprintf "%016Lx" (Int64.bits_of_float v)
+
+let estimate_row ~estimate ~exact ~rung ~degraded =
+  String.concat "\t"
+    [ bits estimate; string_of_bool exact; rung; string_of_bool degraded ]
+
+let error_row e = "error\t" ^ Error.class_name e
+
+(* The strict governed runs the planner tests make: (name, query, db,
+   engine seed). *)
+let governed_cases () =
+  let small =
+    Structure.of_facts ~universe_size:6
+      [ ("E", [| 0; 1 |]); ("E", [| 1; 2 |]); ("E", [| 0; 2 |]); ("E", [| 3; 4 |]) ]
+  in
+  let little =
+    Structure.of_facts ~universe_size:8
+      [
+        ("E", [| 0; 1 |]); ("E", [| 0; 2 |]); ("E", [| 1; 2 |]);
+        ("E", [| 2; 3 |]); ("E", [| 3; 4 |]); ("E", [| 3; 5 |]);
+        ("E", [| 5; 6 |]); ("E", [| 6; 7 |]); ("E", [| 6; 0 |]);
+      ]
+  in
+  [
+    ("planner-cq", "ans(x) :- E(x, y), E(y, z)", small, 3);
+    ("planner-dcq", "ans(x) :- E(x, y), E(x, z), y != z", small, 3);
+    ("runtime-dcq", "ans(x) :- E(x, y), E(x, z), y != z", little, 1);
+    ("gnp-cq", "ans(x, y) :- E(x, z), E(z, y)", estimate_db (), 1);
+  ]
+
+let estimate_lines () =
+  let db = estimate_db () in
+  let runs =
+    List.concat_map
+      (fun (qname, text) ->
+        let q = Ecq.parse text in
+        List.concat_map
+          (fun m ->
+            List.concat_map
+              (fun seed ->
+                List.map
+                  (fun jobs ->
+                    let r =
+                      Api.Request.(
+                        make q db |> with_eps 0.5 |> with_method m
+                        |> with_seed (Some seed)
+                        |> with_jobs (Some jobs))
+                    in
+                    let row =
+                      match Api.run r with
+                      | Ok resp ->
+                          estimate_row ~estimate:resp.Api.estimate
+                            ~exact:resp.Api.exact
+                            ~rung:
+                              (match resp.Api.rung with
+                              | Some r -> Planner.rung_name r
+                              | None -> "-")
+                            ~degraded:resp.Api.degraded
+                      | Error e -> error_row e
+                    in
+                    Printf.sprintf "run\t%s\t%s\t%d\t%d\t%s"
+                      (Api.method_name m) qname seed jobs row)
+                  [ 1; 3 ])
+              [ 1; 7 ])
+          estimate_methods)
+      estimate_queries
+  in
+  let samples =
+    List.map
+      (fun (qname, text) ->
+        let r =
+          Api.Request.(make (Ecq.parse text) db |> with_seed (Some 5))
+        in
+        let row =
+          match Api.sample ~draws:4 r with
+          | Ok s ->
+              s.Api.draws
+              |> Array.to_list
+              |> List.map (function
+                   | None -> "-"
+                   | Some a ->
+                       String.concat ","
+                         (Array.to_list (Array.map string_of_int a)))
+              |> String.concat " "
+          | Error e -> error_row e
+        in
+        Printf.sprintf "sample\t%s\t5\t%s" qname row)
+      estimate_queries
+  in
+  let governed =
+    List.map
+      (fun (name, text, db, seed) ->
+        let exec = Engine.make ~jobs:1 ~seed () in
+        let row =
+          match
+            Planner.count_governed ~exec ~strict:true ~eps:0.3 ~delta:0.2
+              (Ecq.parse text) db
+          with
+          | Ok g ->
+              estimate_row ~estimate:g.Planner.estimate
+                ~exact:(g.Planner.rung = Planner.Exact_rung)
+                ~rung:(Planner.rung_name g.Planner.rung)
+                ~degraded:g.Planner.degraded
+          | Error e -> error_row e
+        in
+        Printf.sprintf "governed\t%s\t%d\t1\t%s" name seed row)
+      (governed_cases ())
+  in
+  runs @ samples @ governed
+
+let test_estimates () =
+  let expected =
+    read_file (golden "estimates.tsv")
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  let got = estimate_lines () in
+  Alcotest.(check int) "row count" (List.length expected) (List.length got);
+  let drifted =
+    List.concat
+      (List.map2
+         (fun e g ->
+           if e = g then []
+           else [ Printf.sprintf "  expected: %s\n  got:      %s" e g ])
+         expected got)
+  in
+  if drifted <> [] then
+    Alcotest.failf "%d estimate row(s) drifted:\n%s" (List.length drifted)
+      (String.concat "\n" drifted)
+
 let tests =
   [
     Alcotest.test_case "wire frames decode and re-encode byte-for-byte" `Quick
@@ -155,4 +317,6 @@ let tests =
     Alcotest.test_case "manifest reads and re-writes byte-for-byte" `Quick
       test_manifest;
     Alcotest.test_case "golden manifest + journal recover" `Quick test_recover;
+    Alcotest.test_case "seeded estimates are bit-identical" `Quick
+      test_estimates;
   ]

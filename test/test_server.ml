@@ -508,6 +508,52 @@ let test_inline_db () =
           Alcotest.(check string) "inline parse refusal" "parse" error_class
       | _ -> Alcotest.fail "garbled inline db accepted")
 
+(* ---------- STATS request counters ---------- *)
+
+(* STATS reports one count per verb plus the frames that did not decode,
+   keyed in the protocol's verb order. The STATS request itself is
+   counted before the reply is built. *)
+let test_stats_request_counters () =
+  with_client (fun _server client ->
+      ignore
+        (expect_counted
+           (call client
+              (Wire.Count
+                 (Wire.params ~seed:3 ~db:(Wire.Named "g")
+                    "ans(x,y) :- E(x,y), x != y"))));
+      for _ = 1 to 2 do
+        match call client Wire.Ping with
+        | Wire.Pong -> ()
+        | _ -> Alcotest.fail "ping"
+      done;
+      output_string client.oc "{\"verb\": \"no-such-verb\"}\n";
+      flush client.oc;
+      (match Wire.read_json client.ic with
+      | Wire.Msg _ -> ()
+      | _ -> Alcotest.fail "no response to the malformed frame");
+      let requests =
+        match call client Wire.Stats with
+        | Wire.Stats_reply j -> (
+            match Json.mem "requests" j with
+            | Some (Json.Obj kvs) -> kvs
+            | _ -> Alcotest.fail "STATS has no requests object")
+        | _ -> Alcotest.fail "expected a STATS reply"
+      in
+      Alcotest.(check (list string)) "keys in verb order, then malformed"
+        (List.map Wire.Verb.to_string Wire.Verb.all @ [ "malformed" ])
+        (List.map fst requests);
+      let count key =
+        match List.assoc key requests with
+        | Json.Int n -> n
+        | _ -> Alcotest.failf "%s is not an integer" key
+      in
+      List.iter
+        (fun (key, expected) -> Alcotest.(check int) key expected (count key))
+        [
+          ("count", 1); ("sample", 0); ("use", 0); ("ping", 2); ("stats", 1);
+          ("health", 0); ("malformed", 1);
+        ])
+
 (* ---------- the LRU itself ---------- *)
 
 let test_lru_eviction () =
@@ -553,4 +599,6 @@ let tests =
     Alcotest.test_case "verbs, refusals and protocol resync" `Quick
       test_verbs_and_resync;
     Alcotest.test_case "inline databases" `Quick test_inline_db;
+    Alcotest.test_case "STATS counts requests per verb" `Quick
+      test_stats_request_counters;
   ]
