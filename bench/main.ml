@@ -123,8 +123,9 @@ let tests =
              a 6)));
     Test.make ~name:"planner_auto_dispatch" (Staged.stage (fun () ->
         ignore
-          (Approxcount.Planner.count ~rng:(rng_of 18) ~eps:0.5 ~delta:0.25
-             friends_q friends_db)));
+          (Approxcount.Planner.count_governed
+             ~exec:(Ac_exec.Engine.make ~jobs:1 ~seed:18 ())
+             ~strict:true ~eps:0.5 ~delta:0.25 friends_q friends_db)));
   ]
 
 let run_micro () =

@@ -319,41 +319,48 @@ let print_remote_telemetry ~verbose (o : Wire.outcome) =
       o.Wire.seed o.Wire.jobs o.Wire.ticks o.Wire.elapsed_ms o.Wire.plan_cache
       o.Wire.result_cache o.Wire.seed
 
+(* A finished COUNT, local or remote: the estimate on stdout, then
+   [details] (what only one side knows), then — for a degraded answer —
+   the rung trail on stderr. Returns the exit code. *)
+let print_count ~hex ~details (o : Wire.outcome) =
+  if hex then Printf.printf "%h\n" o.Wire.estimate
+  else if o.Wire.exact then Printf.printf "%.0f\n" o.Wire.estimate
+  else Printf.printf "%.1f\n" o.Wire.estimate;
+  details ();
+  if o.Wire.degraded then begin
+    let failed =
+      o.Wire.attempts
+      |> List.map (fun (a : Wire.attempt) ->
+             Printf.sprintf "%s (%s)" a.Wire.rung a.Wire.error_message)
+      |> String.concat "; "
+    in
+    Printf.eprintf
+      "acq: degraded answer from rung %s — %s; failed rungs: %s\n%!"
+      (Option.value o.Wire.rung ~default:"?")
+      (if o.Wire.guarantee then "(eps,delta) guarantee holds"
+       else "lower bound only, no guarantee")
+      failed;
+    exit_degraded
+  end
+  else 0
+
 let remote_count client ~verbose ~hex ?trace_file params =
   match Client.call client (Wire.Count params) with
   | Error e -> report e
   | Ok (Wire.Refused { code; error_class; message }) ->
       report_refused ~error_class ~message code
   | Ok (Wire.Counted o) ->
-      if hex then Printf.printf "%h\n" o.Wire.estimate
-      else if o.Wire.exact then Printf.printf "%.0f\n" o.Wire.estimate
-      else Printf.printf "%.1f\n" o.Wire.estimate;
-      (match (trace_file, o.Wire.trace) with
-      | Some path, Some s ->
-          write_out ~path
-            (Ac_analysis.Json.to_string_pretty (Wire.trace_summary_json s)
-            ^ "\n")
-      | Some _, None ->
-          (* e.g. a result-cache replay: no work, no spans *)
-          Printf.eprintf "acq: no trace in the response\n%!"
-      | None, _ -> ());
-      print_remote_telemetry ~verbose o;
-      if o.Wire.degraded then begin
-        let failed =
-          o.Wire.attempts
-          |> List.map (fun (a : Wire.attempt) ->
-                 Printf.sprintf "%s (%s)" a.Wire.rung a.Wire.error_message)
-          |> String.concat "; "
-        in
-        Printf.eprintf
-          "acq: degraded answer from rung %s — %s; failed rungs: %s\n%!"
-          (Option.value o.Wire.rung ~default:"?")
-          (if o.Wire.guarantee then "(eps,delta) guarantee holds"
-           else "lower bound only, no guarantee")
-          failed;
-        exit_degraded
-      end
-      else 0
+      print_count ~hex o ~details:(fun () ->
+          (match (trace_file, o.Wire.trace) with
+          | Some path, Some s ->
+              write_out ~path
+                (Ac_analysis.Json.to_string_pretty (Wire.trace_summary_json s)
+                ^ "\n")
+          | Some _, None ->
+              (* e.g. a result-cache replay: no work, no spans *)
+              Printf.eprintf "acq: no trace in the response\n%!"
+          | None, _ -> ());
+          print_remote_telemetry ~verbose o)
   | Ok _ -> report (Error.Internal "unexpected response to COUNT")
 
 let remote_sample client ~verbose params ~draws =
@@ -420,49 +427,27 @@ let count_cmd =
         match outcome with
         | Error e -> report e
         | Ok resp ->
-            if hex then Printf.printf "%h\n" resp.Api.estimate
-            else if resp.Api.exact then Printf.printf "%.0f\n" resp.Api.estimate
-            else Printf.printf "%.1f\n" resp.Api.estimate;
-            (match resp.Api.decision with
-            | Some d -> Printf.eprintf "plan: %s\n%!" d.Planner.reason
-            | None -> ());
-            if verbose then begin
-              let t = resp.Api.telemetry in
-              Printf.eprintf
-                "acq: seed %d, jobs %d, %d ticks, %.1f ms (replay with --seed %d --jobs %d)\n%!"
-                t.Api.seed t.Api.jobs t.Api.ticks t.Api.elapsed_ms t.Api.seed
-                t.Api.jobs
-            end;
-            if resp.Api.degraded then begin
-              let failed =
-                resp.Api.attempts
-                |> List.map (fun (a : Planner.attempt) ->
-                       Printf.sprintf "%s (%s)"
-                         (Planner.rung_name a.Planner.rung)
-                         (Error.message a.Planner.error))
-                |> String.concat "; "
-              in
-              let rung =
-                match resp.Api.rung with
-                | Some r -> Planner.rung_name r
-                | None -> "?"
-              in
-              Printf.eprintf
-                "acq: degraded answer from rung %s — %s; failed rungs: %s\n%!"
-                rung
-                (if resp.Api.guarantee then "(eps,delta) guarantee holds"
-                 else "lower bound only, no guarantee")
-                failed;
-              exit_degraded
-            end
-            else begin
-              (match (verbose, resp.Api.rung) with
-              | true, Some rung ->
-                  Printf.eprintf "acq: rung %s, guarantee %b\n%!"
-                    (Planner.rung_name rung) resp.Api.guarantee
-              | _ -> ());
-              0
-            end)
+            let o =
+              Wire.outcome_of_response ~plan_cache:"bypass"
+                ~result_cache:"bypass" resp
+            in
+            let code =
+              print_count ~hex o ~details:(fun () ->
+                  (match resp.Api.decision with
+                  | Some d -> Printf.eprintf "plan: %s\n%!" d.Planner.reason
+                  | None -> ());
+                  if verbose then
+                    Printf.eprintf
+                      "acq: seed %d, jobs %d, %d ticks, %.1f ms (replay with --seed %d --jobs %d)\n%!"
+                      o.Wire.seed o.Wire.jobs o.Wire.ticks o.Wire.elapsed_ms
+                      o.Wire.seed o.Wire.jobs)
+            in
+            (match (code, verbose, o.Wire.rung) with
+            | 0, true, Some rung ->
+                Printf.eprintf "acq: rung %s, guarantee %b\n%!" rung
+                  o.Wire.guarantee
+            | _ -> ());
+            code)
   in
   let run query_text db_path connect use_name method_ engine eps delta seed
       jobs timeout_ms deadline_ms retries tenant max_heap_mb max_db_mb strict

@@ -50,10 +50,13 @@ let () =
       let q = Ecq.parse text in
       let exact = Approxcount.Exact.by_join_projection q db in
       Format.printf "@.%s@." text;
-      match Planner.count_result ~rng ~eps:0.2 ~delta:0.1 q db with
+      let exec = Ac_exec.Engine.make ~jobs:1 ~seed:2022 () in
+      match
+        Planner.count_governed ~exec ~strict:true ~eps:0.2 ~delta:0.1 q db
+      with
       | Error e ->
           Format.printf "  failed:   %s@." (Ac_runtime.Error.message e)
-      | Ok (estimate, decision) ->
+      | Ok { Planner.estimate; decision; _ } ->
           Format.printf "  plan:     %s@." decision.Planner.reason;
           Format.printf "  widths:   tw %d, fhw %.2f%s@." decision.treewidth
             decision.fhw

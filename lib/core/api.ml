@@ -130,9 +130,6 @@ let resolve_seed (r : request) =
           (method_name r.method_) s;
       s
 
-let resolve_jobs (r : request) =
-  match r.jobs with Some j -> max 1 j | None -> Engine.default_jobs ()
-
 let fpras_requires_cq =
   "the FPRAS (Theorem 16) requires a CQ: remove disequalities and negations, \
    or use the fptras method"
@@ -178,91 +175,94 @@ let make_telemetry (r : request) ~seed ~jobs ~budget ~root () =
     trace = Option.map Trace.summary r.trace;
   }
 
-let run ?report r =
+(* The prelude [run] and [sample] share: seed, jobs, root span, engine,
+   budget and telemetry, then the signature check. [k] runs only when
+   the query's signature fits the database. *)
+let with_request (r : request) span k =
   let seed = resolve_seed r in
-  let jobs = resolve_jobs r in
+  let jobs = Engine.resolve_jobs r.jobs in
   if r.verbose && r.seed <> None then
     Printf.eprintf "api: method %s, seed = %d, jobs = %d\n%!"
       (method_name r.method_) seed jobs;
-  let root = open_root r ~seed ~jobs "api:count" in
+  let root = open_root r ~seed ~jobs span in
   let exec = Engine.with_span (Engine.make ~jobs ~seed ()) root in
   (* telemetry needs a tick counter even when the caller set no limit *)
   let budget =
     match r.budget with Some b -> b | None -> Budget.create ~label:"api" ()
   in
   let telemetry = make_telemetry r ~seed ~jobs ~budget ~root in
-  (* The static analysis runs once, up front; the Auto path hands its
-     classification to the planner (no re-derivation) and every response
-     carries the full report. A caller that has already analysed this
-     (query, db) pair — e.g. the server's plan cache — passes it in. *)
-  let report =
-    match report with Some rep -> rep | None -> analyze_traced root r
-  in
-  let finish ?decision ?rung ?(guarantee = true) ?(degraded = false)
-      ?(eps_used = r.eps) ?(attempts = []) ~exact estimate =
-    if not (Float.is_finite estimate) then
-      Error
-        (Error.Numeric_overflow
-           (Printf.sprintf "estimate is %h (method %s)" estimate
-              (method_name r.method_)))
-    else
-      Ok
-        {
-          estimate;
-          exact;
-          decision;
-          rung;
-          guarantee;
-          degraded;
-          eps_used;
-          attempts;
-          report;
-          telemetry = telemetry ();
-        }
-  in
   if not (Ecq.compatible_with r.query r.db) then Error mismatch
-  else
-    match r.method_ with
-    | Auto -> (
-        let decision =
-          Planner.decision_of_classification (Report.classification_exn report)
-        in
-        match
-          Planner.count_governed ~budget ~exec ~verbose:r.verbose
-            ~strict:r.strict ?chaos:r.chaos ~decision
-            ?cost:report.Report.cost ~eps:r.eps ~delta:r.delta r.query r.db
-        with
-        | Error e -> Error e
-        | Ok g ->
-            finish ~decision:g.Planner.decision ~rung:g.Planner.rung
-              ~guarantee:g.Planner.guarantee ~degraded:g.Planner.degraded
-              ~eps_used:g.Planner.eps_used ~attempts:g.Planner.attempts
-              ~exact:(g.Planner.rung = Planner.Exact_rung)
-              g.Planner.estimate)
-    | Fpras ->
-        if not (Ecq.is_cq r.query) then
-          Error (Error.Signature_mismatch fpras_requires_cq)
+  else k ~root ~exec ~budget ~telemetry
+
+let run ?report r =
+  with_request r "api:count" (fun ~root ~exec ~budget ~telemetry ->
+      (* The static analysis runs once, up front; the Auto path hands
+         its classification to the planner (no re-derivation) and every
+         response carries the full report. A caller that has already
+         analysed this (query, db) pair — e.g. the server's plan cache —
+         passes it in. *)
+      let report =
+        match report with Some rep -> rep | None -> analyze_traced root r
+      in
+      let finish ?decision ?rung ?(guarantee = true) ?(degraded = false)
+          ?(eps_used = r.eps) ?(attempts = []) ~exact estimate =
+        if not (Float.is_finite estimate) then
+          Error
+            (Error.Numeric_overflow
+               (Printf.sprintf "estimate is %h (method %s)" estimate
+                  (method_name r.method_)))
         else
+          Ok
+            {
+              estimate;
+              exact;
+              decision;
+              rung;
+              guarantee;
+              degraded;
+              eps_used;
+              attempts;
+              report;
+              telemetry = telemetry ();
+            }
+      in
+      match r.method_ with
+      | Auto -> (
+          let decision =
+            Planner.decision_of_classification
+              (Report.classification_exn report)
+          in
+          match
+            Planner.count_governed ~budget ~exec ~verbose:r.verbose
+              ~strict:r.strict ?chaos:r.chaos ~decision
+              ?cost:report.Report.cost ~eps:r.eps ~delta:r.delta r.query r.db
+          with
+          | Error e -> Error e
+          | Ok g ->
+              finish ~decision:g.Planner.decision ~rung:g.Planner.rung
+                ~guarantee:g.Planner.guarantee ~degraded:g.Planner.degraded
+                ~eps_used:g.Planner.eps_used ~attempts:g.Planner.attempts
+                ~exact:(g.Planner.rung = Planner.Exact_rung)
+                g.Planner.estimate)
+      | Fpras when not (Ecq.is_cq r.query) ->
+          Error (Error.Signature_mismatch fpras_requires_cq)
+      | Fpras | Fptras _ | Exact ->
+          let algorithm =
+            match r.method_ with
+            | Fpras -> Planner.Use_fpras
+            | Fptras engine -> Planner.Use_fptras engine
+            | Auto | Exact | Brute -> Planner.Use_exact
+          in
+          (* the request's own engine, not a rung's split of it *)
           Result.bind
             (Error.guard (fun () ->
-                 Fpras.approx_count ~budget ~exec
-                   ~repetitions:(Fpras.repetitions_for ~delta:r.delta)
-                   r.query r.db))
-            (fun estimate -> finish ~exact:false estimate)
-    | Fptras engine ->
-        Result.bind
-          (Error.guard (fun () ->
-               Fptras.approx_count ~budget ~exec ~engine ~eps:r.eps
-                 ~delta:r.delta r.query r.db))
-          (fun fr -> finish ~exact:fr.Fptras.exact fr.Fptras.estimate)
-    | Exact ->
-        Result.bind
-          (Error.guard (fun () -> Exact.by_join_projection ~budget r.query r.db))
-          (fun n -> finish ~exact:true (float_of_int n))
-    | Brute ->
-        Result.bind
-          (Error.guard (fun () -> Exact.brute_force ~budget r.query r.db))
-          (fun n -> finish ~exact:true (float_of_int n))
+                 Planner.run_algorithm ~budget ~exec ~eps:r.eps ~delta:r.delta
+                   algorithm r.query r.db))
+            (fun (estimate, exact) -> finish ~exact estimate)
+      | Brute ->
+          Result.bind
+            (Error.guard (fun () -> Exact.brute_force ~budget r.query r.db))
+            (fun n -> finish ~exact:true (float_of_int n)))
 
 type sample_response = {
   draws : int array option array;
@@ -272,30 +272,21 @@ type sample_response = {
 }
 
 let sample ?report ?(draws = 1) r =
-  let seed = resolve_seed r in
-  let jobs = resolve_jobs r in
-  let root = open_root r ~seed ~jobs "api:sample" in
-  let exec = Engine.with_span (Engine.make ~jobs ~seed ()) root in
-  let budget =
-    match r.budget with Some b -> b | None -> Budget.create ~label:"api" ()
-  in
-  let telemetry = make_telemetry r ~seed ~jobs ~budget ~root in
-  let engine =
-    match r.method_ with Fptras engine -> engine | _ -> Colour_oracle.Tree_dp
-  in
-  if not (Ecq.compatible_with r.query r.db) then Error mismatch
-  else
-    let report =
-      match report with Some rep -> rep | None -> analyze_traced root r
-    in
-    Result.map
-      (fun samples ->
-        {
-          draws = samples;
-          degraded = Array.exists Option.is_none samples;
-          report;
-          telemetry = telemetry ();
-        })
-      (Error.guard (fun () ->
-           Sampling.sample_many ~budget ~engine ~exec ~draws ~eps:r.eps
-             ~delta:r.delta r.query r.db))
+  with_request r "api:sample" (fun ~root ~exec ~budget ~telemetry ->
+      let engine =
+        match r.method_ with Fptras engine -> engine | _ -> Colour_oracle.Tree_dp
+      in
+      let report =
+        match report with Some rep -> rep | None -> analyze_traced root r
+      in
+      Result.map
+        (fun samples ->
+          {
+            draws = samples;
+            degraded = Array.exists Option.is_none samples;
+            report;
+            telemetry = telemetry ();
+          })
+        (Error.guard (fun () ->
+             Sampling.sample_many ~budget ~engine ~exec ~draws ~eps:r.eps
+               ~delta:r.delta r.query r.db)))

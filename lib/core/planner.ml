@@ -3,7 +3,6 @@ module Structure = Ac_relational.Structure
 module Budget = Ac_runtime.Budget
 module Error = Ac_runtime.Error
 module Chaos = Ac_runtime.Chaos
-module Entropy = Ac_runtime.Entropy
 module Classification = Ac_analysis.Classification
 module Classify = Ac_analysis.Classify
 module Cost = Ac_analysis.Cost
@@ -61,17 +60,6 @@ let plan q = decision_of_classification (Classify.classify q)
 
 let plan_result q = Error.guard (fun () -> plan q)
 
-(* Self-init draws a seed explicitly so [verbose] can log it: a governed
-   run that degrades on one machine must be replayable elsewhere. *)
-let make_rng ?rng ~verbose () =
-  match rng with
-  | Some r -> r
-  | None ->
-      let seed = Entropy.fresh_seed () in
-      if verbose then
-        Printf.eprintf "planner: self-init rng seed = %d (pass it back to replay)\n%!" seed;
-      Random.State.make [| seed |]
-
 let mismatch_message q db =
   let bad =
     List.filter_map
@@ -90,46 +78,21 @@ let mismatch_message q db =
   "query signature not contained in the database signature: "
   ^ String.concat "; " bad
 
-(* With [exec], all randomness comes from the engine's seed: the Fpras
-   rung runs a median batch of sketch repetitions, the Fptras rungs hand
-   per-trial streams to the edge-count layer, and [rng] is bypassed.
-   [delta] sizes the Fpras median batch. *)
-let run_decision ~rng ?budget ?exec ~eps ~delta d q db =
-  match d.algorithm with
-  | Use_fpras -> (
-      match exec with
-      | None ->
-          let config =
-            { (Ac_automata.Acjr.default_config ()) with Ac_automata.Acjr.rng }
-          in
-          Fpras.approx_count ?budget ~config q db
-      | Some exec ->
-          Fpras.approx_count ?budget ~exec
-            ~repetitions:(Fpras.repetitions_for ~delta) q db)
+(* The one estimator dispatch on the request path: the governed rungs
+   and [Api.run]'s forced methods both count through here. All
+   randomness comes from [exec]'s seed: the Fpras pipeline runs a median
+   batch of sketch repetitions sized by [delta], the Fptras pipelines
+   hand per-trial streams to the edge-count layer. *)
+let run_algorithm ~budget ~exec ~eps ~delta algorithm q db =
+  match algorithm with
+  | Use_fpras ->
+      ( Fpras.approx_count ~budget ~exec
+          ~repetitions:(Fpras.repetitions_for ~delta) q db,
+        false )
   | Use_fptras engine ->
-      (Fptras.approx_count ?budget ~rng ?exec ~engine ~eps ~delta q db)
-        .Fptras.estimate
-  | Use_exact -> float_of_int (Exact.by_join_projection ?budget q db)
-
-let count ?budget ?rng ?exec ?(verbose = false) ~eps ~delta q db =
-  let rng = make_rng ?rng ~verbose:(verbose && exec = None) () in
-  let d = plan q in
-  if verbose then Printf.eprintf "planner: %s\n%!" d.reason;
-  let value = run_decision ~rng ?budget ?exec ~eps ~delta d q db in
-  (value, d)
-
-let count_result ?budget ?rng ?exec ?verbose ~eps ~delta q db =
-  if not (Ecq.compatible_with q db) then
-    Error (Error.Signature_mismatch (mismatch_message q db))
-  else
-    match
-      Error.guard (fun () -> count ?budget ?rng ?exec ?verbose ~eps ~delta q db)
-    with
-    | Ok (v, d) when not (Float.is_finite v) ->
-        Error
-          (Error.Numeric_overflow
-             (Printf.sprintf "estimate is %h (plan: %s)" v d.reason))
-    | other -> other
+      let r = Fptras.approx_count ~budget ~exec ~engine ~eps ~delta q db in
+      (r.Fptras.estimate, r.Fptras.exact)
+  | Use_exact -> (float_of_int (Exact.by_join_projection ~budget q db), true)
 
 (* Governed execution *)
 
@@ -181,31 +144,16 @@ let rung_ordinal = function
 (* Returns (estimate, guarantee-held). Only [Partial_rung] can complete
    without the guarantee; every other rung either meets (ε, δ) — or
    better, exactness — or raises. *)
-let run_rung ~rng ~budget ?exec ~eps ~delta rung q db =
-  let exec = Option.map (fun e -> Engine.split e (rung_ordinal rung)) exec in
+let run_rung ~budget ~exec ~eps ~delta rung q db =
+  let exec = Engine.split exec (rung_ordinal rung) in
+  let counted algorithm =
+    (fst (run_algorithm ~budget ~exec ~eps ~delta algorithm q db), true)
+  in
   match rung with
-  | Fpras_rung -> (
-      match exec with
-      | None ->
-          let config =
-            { (Ac_automata.Acjr.default_config ()) with Ac_automata.Acjr.rng }
-          in
-          (Fpras.approx_count ~budget ~config q db, true)
-      | Some exec ->
-          ( Fpras.approx_count ~budget ~exec
-              ~repetitions:(Fpras.repetitions_for ~delta) q db,
-            true ))
-  | Exact_rung -> (float_of_int (Exact.by_join_projection ~budget q db), true)
-  | Tree_dp_rung ->
-      ( (Fptras.approx_count ~budget ~rng ?exec ~engine:Colour_oracle.Tree_dp
-           ~eps ~delta q db)
-          .Fptras.estimate,
-        true )
-  | Generic_rung ->
-      ( (Fptras.approx_count ~budget ~rng ?exec ~engine:Colour_oracle.Generic
-           ~eps ~delta q db)
-          .Fptras.estimate,
-        true )
+  | Fpras_rung -> counted Use_fpras
+  | Exact_rung -> counted Use_exact
+  | Tree_dp_rung -> counted (Use_fptras Colour_oracle.Tree_dp)
+  | Generic_rung -> counted (Use_fptras Colour_oracle.Generic)
   | Partial_rung ->
       let n, completed = Exact.partial_count ~budget q db in
       (float_of_int n, completed)
@@ -231,8 +179,8 @@ let observe_degradation () =
     (Metrics.counter Metrics.global "acq_degradations_total"
        ~help:"Governed runs that completed on a fallback rung")
 
-let count_governed ?budget ?rng ?exec ?(verbose = false) ?(strict = false)
-    ?chaos ?decision ?cost ~eps ~delta q db =
+let count_governed ?budget ~exec ?(verbose = false) ?(strict = false) ?chaos
+    ?decision ?cost ~eps ~delta q db =
   let budget = match budget with Some b -> b | None -> Budget.none in
   if not (Ecq.compatible_with q db) then
     Error (Error.Signature_mismatch (mismatch_message q db))
@@ -242,7 +190,6 @@ let count_governed ?budget ?rng ?exec ?(verbose = false) ?(strict = false)
     with
     | Error err -> Error err
     | Ok d ->
-        let rng = make_rng ?rng ~verbose:(verbose && exec = None) () in
         if verbose then Printf.eprintf "planner: %s\n%!" d.reason;
         let guard_rung r =
           match chaos with
@@ -254,19 +201,19 @@ let count_governed ?budget ?rng ?exec ?(verbose = false) ?(strict = false)
            the budget") surfaced in [telemetry.trace]. The engine is
            re-spanned so trials nest under the rung. One branch when the
            run is untraced. *)
-        let parent = match exec with Some e -> Engine.span e | None -> None in
+        let parent = Engine.span exec in
         let run_traced ~sub ~eps rung () =
           guard_rung rung;
           match parent with
-          | None -> run_rung ~rng ~budget:sub ?exec ~eps ~delta rung q db
+          | None -> run_rung ~budget:sub ~exec ~eps ~delta rung q db
           | Some _ ->
               let sp = Trace.child parent ("rung:" ^ rung_name rung) in
               let ticks0 = Budget.ticks sub in
-              let exec = Option.map (fun e -> Engine.with_span e sp) exec in
+              let exec = Engine.with_span exec sp in
               Fun.protect
                 ~finally:(fun () ->
                   Trace.stop ~ticks:(Budget.ticks sub - ticks0) sp)
-                (fun () -> run_rung ~rng ~budget:sub ?exec ~eps ~delta rung q db)
+                (fun () -> run_rung ~budget:sub ~exec ~eps ~delta rung q db)
         in
         let finish ~rung ~guarantee ~eps_used ~attempts estimate =
           if not (Float.is_finite estimate) then

@@ -6,7 +6,8 @@
     them unless NP = RP, Observation 10), with the engine chosen by the
     regime: tree-decomposition DP in the bounded-arity/treewidth regime of
     Theorem 5, generic join in the unbounded-arity regime of Theorem 13.
-    {!count} plans and runs.
+    {!count_governed} plans and runs; {!run_algorithm} is the one place
+    on the request path that calls an estimator.
 
     The widths that make these running times polynomial are only bounded
     for well-behaved queries; on an adversarial instance any pipeline can
@@ -52,44 +53,24 @@ val plan : Ac_query.Ecq.t -> decision
 (** {!plan} with [Invalid_argument]/[Failure] mapped to typed errors. *)
 val plan_result : Ac_query.Ecq.t -> (decision, Ac_runtime.Error.t) result
 
-(** Plan, run the chosen scheme, return the estimate and the decision.
-    [budget] is threaded into every inner loop (a trip raises
-    [Ac_runtime.Budget.Budget_exceeded] — use {!count_governed} to
-    degrade instead). When [rng] is omitted a seed is drawn from
-    {!Ac_runtime.Entropy.fresh_seed}; [verbose] logs it on stderr so the
-    run can be replayed exactly.
-
-    With [exec], the chosen scheme's independent trials fan out over the
-    engine's domains and {e all} randomness derives from the engine's
-    seed ([rng] is bypassed): the Fpras pipeline runs a median batch of
-    sketch repetitions sized by [delta], the Fptras pipelines hand
-    per-trial streams to the edge-count layer. Results are bit-identical
-    for any jobs count. *)
-val count :
-  ?budget:Ac_runtime.Budget.t ->
-  ?rng:Random.State.t ->
-  ?exec:Ac_exec.Engine.t ->
-  ?verbose:bool ->
+(** Run one algorithm and return [(estimate, exact)] — the only call
+    into [Fpras], [Fptras] and [Exact.by_join_projection] on the request
+    path. All randomness derives from [exec]'s seed, so the estimate is
+    bit-identical for any jobs count: the Fpras pipeline runs a median
+    batch of sketch repetitions sized by [delta], the Fptras pipelines
+    hand per-trial streams to the edge-count layer. [budget] is threaded
+    into every inner loop; a trip raises
+    [Ac_runtime.Budget.Budget_exceeded] (use {!count_governed} to
+    degrade instead). [exact] is [true] when the value is an exact count. *)
+val run_algorithm :
+  budget:Ac_runtime.Budget.t ->
+  exec:Ac_exec.Engine.t ->
   eps:float ->
   delta:float ->
+  algorithm ->
   Ac_query.Ecq.t ->
   Ac_relational.Structure.t ->
-  float * decision
-
-(** {!count} with all failures (including budget trips) as typed errors.
-    Also validates [Ecq.compatible_with] up front
-    ([Error (Signature_mismatch _)]) and that the estimate is finite
-    ([Error (Numeric_overflow _)]). *)
-val count_result :
-  ?budget:Ac_runtime.Budget.t ->
-  ?rng:Random.State.t ->
-  ?exec:Ac_exec.Engine.t ->
-  ?verbose:bool ->
-  eps:float ->
-  delta:float ->
-  Ac_query.Ecq.t ->
-  Ac_relational.Structure.t ->
-  (float * decision, Ac_runtime.Error.t) result
+  float * bool
 
 (** {2 Governed execution} *)
 
@@ -131,7 +112,7 @@ val rung_of_cost : Ac_analysis.Cost.rung -> rung
     when given, is consulted once per rung ([Chaos.guard] with site
     ["rung:<name>"]) so fault-injection tests can force any rung to
     fire deterministically. [exec] parallelises each rung's independent
-    trials as in {!count}; every rung derives its own engine seed
+    trials as in {!run_algorithm}; every rung derives its own engine seed
     (ordinal split), so a degraded retry does not replay the failed
     rung's random choices — and an estimate depends only on
     [(rung, seed, ε, δ)], never on the rung's position in the chain, so
@@ -145,11 +126,14 @@ val rung_of_cost : Ac_analysis.Cost.rung -> rung
     guarantee holds, cheapest predicted cost first, then the cheapest
     sampling rung again at relaxed ε (reported via [eps_used]), then
     the partial sweep. Ignored under [strict] (strict means: exactly
-    the Figure-1 plan). *)
+    the Figure-1 plan).
+
+    [verbose] logs the plan and every failed rung on stderr. The
+    signature is checked up front ([Error (Signature_mismatch _)]) and
+    a non-finite estimate is [Error (Numeric_overflow _)]. *)
 val count_governed :
   ?budget:Ac_runtime.Budget.t ->
-  ?rng:Random.State.t ->
-  ?exec:Ac_exec.Engine.t ->
+  exec:Ac_exec.Engine.t ->
   ?verbose:bool ->
   ?strict:bool ->
   ?chaos:Ac_runtime.Chaos.t ->

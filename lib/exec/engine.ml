@@ -6,9 +6,9 @@ type t = { seed : int; jobs : int; span : Trace.span option }
 
 let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)
 
-let make ?jobs ~seed () =
-  let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
-  { seed; jobs; span = None }
+let resolve_jobs = function Some j -> max 1 j | None -> default_jobs ()
+
+let make ?jobs ~seed () = { seed; jobs = resolve_jobs jobs; span = None }
 
 let sequential ~seed = { seed; jobs = 1; span = None }
 let jobs t = t.jobs

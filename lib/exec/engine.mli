@@ -32,7 +32,11 @@ type t
     left to the caller/GC. *)
 val default_jobs : unit -> int
 
-(** [make ~seed ?jobs ()]. [jobs] defaults to {!default_jobs};
+(** The jobs rule: a requested count is clamped to at least 1, [None]
+    is {!default_jobs}. *)
+val resolve_jobs : int option -> int
+
+(** [make ~seed ?jobs ()]. [jobs] resolves by {!resolve_jobs};
     [jobs <= 1] means fully sequential. *)
 val make : ?jobs:int -> seed:int -> unit -> t
 

@@ -3,7 +3,7 @@
     Every failure class the pipelines can hit maps to one constructor,
     one stable message shape and one CLI exit code (see
     [docs/robustness.md]); [Result]-returning entry points
-    ([Planner.count_result], [Structure_io.load_result], …) return these
+    ([Planner.count_governed], [Structure_io.load_result], …) return these
     instead of raising bare [Failure] strings. *)
 
 type t =

@@ -1,5 +1,4 @@
 module Api = Approxcount.Api
-module Planner = Approxcount.Planner
 module Ecq = Ac_query.Ecq
 module Structure_io = Ac_relational.Structure_io
 module Budget = Ac_runtime.Budget
@@ -38,21 +37,6 @@ let default_config =
     verbose = false;
   }
 
-type counters = {
-  mutable count : int;
-  mutable sample : int;
-  mutable use : int;
-  mutable load : int;
-  mutable insert : int;
-  mutable delete : int;
-  mutable load_batch : int;
-  mutable stats : int;
-  mutable metrics : int;
-  mutable ping : int;
-  mutable health : int;
-  mutable bad : int;
-}
-
 type t = {
   config : config;
   router : Router.t option;
@@ -63,8 +47,9 @@ type t = {
   inflight : Wire.response Inflight.t;
   recovered : bool Atomic.t;
   started_ms : float;
-  counters : counters;
-  counters_mutex : Mutex.t;
+  requests : (Wire.Verb.t * int Atomic.t) list;
+      (* requests handled, one count per verb in wire order *)
+  malformed : int Atomic.t;  (* frames that did not decode *)
   stopping : bool Atomic.t;
   (* self-pipe: request_stop writes one byte, the accept loop selects
      on the read end — signal-handler-safe wakeup *)
@@ -93,22 +78,8 @@ let create ?router ?(config = default_config) () =
     inflight = Inflight.create ();
     recovered = Atomic.make false;
     started_ms = Unix.gettimeofday () *. 1000.0;
-    counters =
-      {
-        count = 0;
-        sample = 0;
-        use = 0;
-        load = 0;
-        insert = 0;
-        delete = 0;
-        load_batch = 0;
-        stats = 0;
-        metrics = 0;
-        ping = 0;
-        health = 0;
-        bad = 0;
-      };
-    counters_mutex = Mutex.create ();
+    requests = List.map (fun v -> (v, Atomic.make 0)) Wire.Verb.all;
+    malformed = Atomic.make 0;
     stopping = Atomic.make false;
     stop_r;
     stop_w;
@@ -196,21 +167,23 @@ type session = { mutable current : Catalog.entry option }
 
 let new_session _t = { current = None }
 
-let bump t f =
-  Mutex.lock t.counters_mutex;
-  f t.counters;
-  Mutex.unlock t.counters_mutex
-
 (* ---------- db resolution ---------- *)
 
+let unknown_db name =
+  Error.Io { file = name; msg = "unknown database (not in the catalog)" }
+
+let session_entry session =
+  Option.to_result session.current
+    ~none:
+      (Error.Io
+         {
+           file = "<session>";
+           msg = "no database selected — send USE <name> first";
+         })
+
 let resolve_db t session = function
-  | Wire.Named name -> (
-      match Catalog.find t.catalog name with
-      | Some entry -> Ok entry
-      | None ->
-          Error
-            (Error.Io
-               { file = name; msg = "unknown database (not in the catalog)" }))
+  | Wire.Named name ->
+      Option.to_result (Catalog.find t.catalog name) ~none:(unknown_db name)
   | Wire.Inline text -> (
       match Structure_io.of_string ~name:"<inline>" text with
       | db ->
@@ -232,22 +205,20 @@ let resolve_db t session = function
                })
       | exception Failure msg ->
           Error (Error.Parse { source = "<inline>"; msg }))
-  | Wire.Session -> (
-      match session.current with
-      | Some entry -> (
-          (* re-resolve by name: the session pins a {e database}, not a
-             version — a USE taken before a mutation must not serve the
-             stale snapshot (or stale cache keys) afterwards *)
-          match Catalog.find t.catalog entry.Catalog.name with
-          | Some fresh -> Ok fresh
-          | None -> Ok entry)
-      | None ->
-          Error
-            (Error.Io
-               {
-                 file = "<session>";
-                 msg = "no database selected — send USE <name> first";
-               }))
+  | Wire.Session ->
+      (* re-resolve by name: the session pins a {e database}, not a
+         version — a USE taken before a mutation must not serve the
+         stale snapshot (or stale cache keys) afterwards *)
+      Result.map
+        (fun entry ->
+          Option.value (Catalog.find t.catalog entry.Catalog.name)
+            ~default:entry)
+        (session_entry session)
+
+(* The entry and the parsed query a COUNT or SAMPLE names. *)
+let resolve_query t session (p : Wire.params) =
+  Result.bind (resolve_db t session p.Wire.db) (fun entry ->
+      Result.map (fun query -> (entry, query)) (Ecq.parse_result p.Wire.query))
 
 (* Per-request budget: the scheduler's sub-slice when the request sets
    no limits (unarmed — bit-parity with a single-shot run), a fresh
@@ -274,79 +245,46 @@ let request_budget (p : Wire.params) ~default_timeout_ms slice =
       in
       (b, fun () -> Budget.absorb slice b)
 
-let resolved_jobs (p : Wire.params) =
-  match p.Wire.jobs with Some j -> max 1 j | None -> Engine.default_jobs ()
-
-let outcome_of_response ~plan_cache ~result_cache (r : Api.response) =
-  {
-    Wire.estimate = r.Api.estimate;
-    exact = r.Api.exact;
-    rung = Option.map Planner.rung_name r.Api.rung;
-    guarantee = r.Api.guarantee;
-    degraded = r.Api.degraded;
-    attempts =
-      List.map
-        (fun (a : Planner.attempt) ->
-          {
-            Wire.rung = Planner.rung_name a.Planner.rung;
-            error_class = Error.class_name a.Planner.error;
-            error_message = Error.message a.Planner.error;
-          })
-        r.Api.attempts;
-    seed = r.Api.telemetry.Api.seed;
-    jobs = r.Api.telemetry.Api.jobs;
-    ticks = r.Api.telemetry.Api.ticks;
-    elapsed_ms = r.Api.telemetry.Api.elapsed_ms;
-    trace = r.Api.telemetry.Api.trace;
-    plan_cache;
-    result_cache;
-  }
+(* The one translation of wire params into an [Api] request: under the
+   request budget carved from the scheduler slice, traced when the
+   request asks for it. [f] is [Api.run] or [Api.sample]. *)
+let run_api t (p : Wire.params) (entry : Catalog.entry) query slice f =
+  let budget, absorb =
+    request_budget p ~default_timeout_ms:t.config.default_timeout_ms slice
+  in
+  let tracer = if p.Wire.trace then Some (Trace.create ()) else None in
+  let result =
+    f
+      (Api.Request.make query entry.Catalog.db
+      |> Api.Request.with_eps p.Wire.eps
+      |> Api.Request.with_delta p.Wire.delta
+      |> Api.Request.with_method p.Wire.method_
+      |> Api.Request.with_seed p.Wire.seed
+      |> Api.Request.with_jobs p.Wire.jobs
+      |> Api.Request.with_budget (Some budget)
+      |> Api.Request.with_strict p.Wire.strict
+      |> Api.Request.with_verbose t.config.verbose
+      |> Api.Request.with_trace tracer)
+  in
+  absorb ();
+  result
 
 (* ---------- COUNT ---------- *)
 
-(* One local COUNT under admission control: plan-cache lookup, request
-   budget, estimation on the calling thread, result-cache fill. *)
-let run_local t entry ~db_fingerprint ~result_key (p : Wire.params) query =
+(* One COUNT under admission control: [work] runs in the scheduler slot
+   with the result-cache provenance to report, and a deterministic,
+   guaranteed outcome fills the result cache. A local COUNT estimates on
+   the calling thread; a scattered one fans out on the fleet, so its
+   slot only accounts for admission (and tenant quota) while the router
+   threads wait on worker replies — the #fleetN-tagged key keeps the
+   two result spaces apart. *)
+let admit_count t ~result_key (p : Wire.params) work =
+  let result_cache = if result_key = None then "bypass" else "miss" in
   match
     Scheduler.submit t.scheduler ~label:"count" ?tenant:p.Wire.tenant
-      ?deadline_ms:p.Wire.deadline_ms (fun slice ->
-        let plan_key = Cache.plan_key ~db_fingerprint query in
-        let report, plan_state =
-          match Cache.Lru.find t.plan_cache plan_key with
-          | Some rep -> (rep, "hit")
-          | None ->
-              let rep = Report.analyze ~db:entry.Catalog.db query in
-              Cache.Lru.add t.plan_cache plan_key rep;
-              (rep, "miss")
-        in
-        let budget, absorb =
-          request_budget p ~default_timeout_ms:t.config.default_timeout_ms
-            slice
-        in
-        let tracer = if p.Wire.trace then Some (Trace.create ()) else None in
-        let request =
-          Api.Request.make query entry.Catalog.db
-          |> Api.Request.with_eps p.Wire.eps
-          |> Api.Request.with_delta p.Wire.delta
-          |> Api.Request.with_method p.Wire.method_
-          |> Api.Request.with_seed p.Wire.seed
-          |> Api.Request.with_jobs p.Wire.jobs
-          |> Api.Request.with_budget (Some budget)
-          |> Api.Request.with_strict p.Wire.strict
-          |> Api.Request.with_verbose t.config.verbose
-          |> Api.Request.with_trace tracer
-        in
-        let result = Api.run ~report request in
-        absorb ();
-        Result.map
-          (fun r ->
-            outcome_of_response ~plan_cache:plan_state
-              ~result_cache:(if result_key = None then "bypass" else "miss")
-              r)
-          result)
+      ?deadline_ms:p.Wire.deadline_ms (work ~result_cache)
   with
-  | Error e -> Wire.response_of_error e
-  | Ok (Error e) -> Wire.response_of_error e
+  | Error e | Ok (Error e) -> Wire.response_of_error e
   | Ok (Ok outcome) ->
       (match result_key with
       | Some key when not outcome.Wire.degraded ->
@@ -356,180 +294,145 @@ let run_local t entry ~db_fingerprint ~result_key (p : Wire.params) query =
       | _ -> ());
       Wire.Counted outcome
 
-(* One scattered COUNT: the fan-out runs on the fleet, so the local
-   scheduler slot only accounts for admission (and tenant quota) while
-   the router threads wait on worker replies. Same result-cache policy
-   as local runs — the #fleetN-tagged key keeps the two result spaces
-   apart. *)
-let run_scatter t router ~name ~result_key (p : Wire.params) =
-  match
-    Scheduler.submit t.scheduler ~label:"count" ?tenant:p.Wire.tenant
-      ?deadline_ms:p.Wire.deadline_ms (fun _slice ->
-        Router.scatter_count router ~name p)
-  with
-  | Error e -> Wire.response_of_error e
-  | Ok (Error e) -> Wire.response_of_error e
-  | Ok (Ok outcome) ->
-      let outcome =
-        {
-          outcome with
-          Wire.result_cache = (if result_key = None then "bypass" else "miss");
-        }
-      in
-      (match result_key with
-      | Some key when not outcome.Wire.degraded ->
-          Cache.Lru.add t.result_cache key outcome
-      | _ -> ());
-      Wire.Counted outcome
+(* The local COUNT's work: plan-cache lookup, then [Api.run]. *)
+let run_local t entry ~db_fingerprint (p : Wire.params) query ~result_cache
+    slice =
+  let plan_key = Cache.plan_key ~db_fingerprint query in
+  let report, plan_cache =
+    match Cache.Lru.find t.plan_cache plan_key with
+    | Some rep -> (rep, "hit")
+    | None ->
+        let rep = Report.analyze ~db:entry.Catalog.db query in
+        Cache.Lru.add t.plan_cache plan_key rep;
+        (rep, "miss")
+  in
+  Result.map
+    (Wire.outcome_of_response ~plan_cache ~result_cache)
+    (run_api t p entry query slice (Api.run ~report))
 
 let run_count t session (p : Wire.params) =
-  match resolve_db t session p.Wire.db with
+  match resolve_query t session p with
   | Error e -> Wire.response_of_error e
-  | Ok entry -> (
-      match Ecq.parse_result p.Wire.query with
-      | Error e -> Wire.response_of_error e
-      | Ok query -> (
-          (* fleet routing: when this daemon fronts a sharded fleet
-             holding [entry]'s shards and the query's join structure
-             decomposes over the partition, the COUNT scatters instead
-             of running locally. Non-decomposing queries fall back to
-             the local full copy — counted, so a fleet that never
-             scatters is visible. *)
-          let fleet =
-            match t.router with
-            | Some router when Router.manages router entry.Catalog.name -> (
-                match Router.plan router query with
-                | Ok _var -> Some (router, entry.Catalog.name)
-                | Error _reason ->
-                    Router.note_fallback router ~reason:"cross_shard";
-                    None)
-            | _ -> None
+  | Ok (entry, query) -> (
+      (* fleet routing: when this daemon fronts a sharded fleet
+         holding [entry]'s shards and the query's join structure
+         decomposes over the partition, the COUNT scatters instead
+         of running locally. Non-decomposing queries fall back to
+         the local full copy — counted, so a fleet that never
+         scatters is visible. *)
+      let fleet =
+        match t.router with
+        | Some router when Router.manages router entry.Catalog.name -> (
+            match Router.plan router query with
+            | Ok _var -> Some (router, entry.Catalog.name)
+            | Error _reason ->
+                Router.note_fallback router ~reason:"cross_shard";
+                None)
+        | _ -> None
+      in
+      (* (rolling fingerprint @ version): cache entries stop being
+         referenced the moment a mutation moves the db, and hit
+         again whenever the same version is re-queried. A scattered
+         result is the sum of per-shard runs — a different
+         experiment than a local run under the same seed — so the
+         fleet shard count is part of the key *)
+      let db_fingerprint =
+        let base =
+          Cache.db_key ~fingerprint:entry.Catalog.fingerprint
+            ~version:entry.Catalog.version
+        in
+        match fleet with
+        | Some (router, _) ->
+            Printf.sprintf "%s#fleet%d" base (Router.shards router)
+        | None -> base
+      in
+      let result_key =
+        Option.map
+          (fun seed ->
+            Cache.result_key ~db_fingerprint ~eps:p.Wire.eps
+              ~delta:p.Wire.delta
+              ~method_name:(Api.method_name p.Wire.method_)
+              ~seed query)
+          p.Wire.seed
+      in
+      (* result-cache-hot requests skip admission too: they do no
+         estimation work, so they must not occupy a queue slot *)
+      match Option.map (Cache.Lru.find t.result_cache) result_key with
+      | Some (Some cached) ->
+          (* a replay does no work, so it carries no trace even when
+             the request asked for one *)
+          Wire.Counted
+            {
+              cached with
+              Wire.jobs = Engine.resolve_jobs p.Wire.jobs;
+              ticks = 0;
+              elapsed_ms = 0.0;
+              trace = None;
+              plan_cache = "bypass";
+              result_cache = "hit";
+            }
+      | Some None | None ->
+          let compute () =
+            admit_count t ~result_key p
+              (match fleet with
+              | Some (router, name) ->
+                  fun ~result_cache _slice ->
+                    Result.map
+                      (fun o -> { o with Wire.result_cache })
+                      (Router.scatter_count router ~name p)
+              | None -> run_local t entry ~db_fingerprint p query)
           in
-          (* (rolling fingerprint @ version): cache entries stop being
-             referenced the moment a mutation moves the db, and hit
-             again whenever the same version is re-queried. A scattered
-             result is the sum of per-shard runs — a different
-             experiment than a local run under the same seed — so the
-             fleet shard count is part of the key *)
-          let db_fingerprint =
-            let base =
-              Cache.db_key ~fingerprint:entry.Catalog.fingerprint
-                ~version:entry.Catalog.version
-            in
-            match fleet with
-            | Some (router, _) ->
-                Printf.sprintf "%s#fleet%d" base (Router.shards router)
-            | None -> base
-          in
-          let result_key =
-            Option.map
-              (fun seed ->
-                Cache.result_key ~db_fingerprint ~eps:p.Wire.eps
-                  ~delta:p.Wire.delta
-                  ~method_name:(Api.method_name p.Wire.method_)
-                  ~seed query)
-              p.Wire.seed
-          in
-          (* result-cache-hot requests skip admission too: they do no
-             estimation work, so they must not occupy a queue slot *)
-          match Option.map (Cache.Lru.find t.result_cache) result_key with
-          | Some (Some cached) ->
-              (* a replay does no work, so it carries no trace even when
-                 the request asked for one *)
-              Wire.Counted
-                {
-                  cached with
-                  Wire.jobs = resolved_jobs p;
-                  ticks = 0;
-                  elapsed_ms = 0.0;
-                  trace = None;
-                  plan_cache = "bypass";
-                  result_cache = "hit";
-                }
-          | Some None | None ->
-              let compute () =
-                match fleet with
-                | Some (router, name) ->
-                    run_scatter t router ~name ~result_key p
-                | None -> run_local t entry ~db_fingerprint ~result_key p query
-              in
-              (* a seeded request is deduplicated against identical
-                 in-flight work: a retry that races its original joins
-                 the leader instead of spending budget twice *)
-              (match result_key with
-              | None -> compute ()
-              | Some key -> (
-                  match Inflight.run t.inflight ~key compute with
-                  | Inflight.Leader, response -> response
-                  | Inflight.Follower, response -> (
-                      Metrics.incr
-                        (Metrics.counter Metrics.global
-                           "acq_inflight_deduped_total"
-                           ~help:
-                             "Requests answered by joining identical \
-                              in-flight work instead of recomputing");
-                      match response with
-                      | Wire.Counted o ->
-                          (* like a cache replay: the follower did no
-                             work of its own *)
-                          Wire.Counted
-                            {
-                              o with
-                              Wire.ticks = 0;
-                              elapsed_ms = 0.0;
-                              trace = None;
-                              result_cache = "inflight";
-                            }
-                      | other -> other)))))
+          (* a seeded request is deduplicated against identical
+             in-flight work: a retry that races its original joins
+             the leader instead of spending budget twice *)
+          (match result_key with
+          | None -> compute ()
+          | Some key -> (
+              match Inflight.run t.inflight ~key compute with
+              | Inflight.Leader, response -> response
+              | Inflight.Follower, response -> (
+                  Metrics.incr
+                    (Metrics.counter Metrics.global
+                       "acq_inflight_deduped_total"
+                       ~help:
+                         "Requests answered by joining identical \
+                          in-flight work instead of recomputing");
+                  match response with
+                  | Wire.Counted o ->
+                      (* like a cache replay: the follower did no
+                         work of its own *)
+                      Wire.Counted
+                        {
+                          o with
+                          Wire.ticks = 0;
+                          elapsed_ms = 0.0;
+                          trace = None;
+                          result_cache = "inflight";
+                        }
+                  | other -> other))))
 
 (* ---------- SAMPLE ---------- *)
 
 let run_sample t session (p : Wire.params) ~draws =
-  match resolve_db t session p.Wire.db with
+  match resolve_query t session p with
   | Error e -> Wire.response_of_error e
-  | Ok entry -> (
-      match Ecq.parse_result p.Wire.query with
-      | Error e -> Wire.response_of_error e
-      | Ok query -> (
-          let result =
-            Scheduler.submit t.scheduler ~label:"sample"
-              ?tenant:p.Wire.tenant ?deadline_ms:p.Wire.deadline_ms
-              (fun slice ->
-                let budget, absorb =
-                  request_budget p
-                    ~default_timeout_ms:t.config.default_timeout_ms slice
-                in
-                let tracer =
-                  if p.Wire.trace then Some (Trace.create ()) else None
-                in
-                let request =
-                  Api.Request.make query entry.Catalog.db
-                  |> Api.Request.with_eps p.Wire.eps
-                  |> Api.Request.with_delta p.Wire.delta
-                  |> Api.Request.with_method p.Wire.method_
-                  |> Api.Request.with_seed p.Wire.seed
-                  |> Api.Request.with_jobs p.Wire.jobs
-                  |> Api.Request.with_budget (Some budget)
-                  |> Api.Request.with_verbose t.config.verbose
-                  |> Api.Request.with_trace tracer
-                in
-                let result = Api.sample ~draws request in
-                absorb ();
-                result)
-          in
-          match result with
-          | Error e -> Wire.response_of_error e
-          | Ok (Error e) -> Wire.response_of_error e
-          | Ok (Ok s) ->
-              Wire.Sampled
-                {
-                  samples = s.Api.draws;
-                  seed = s.Api.telemetry.Api.seed;
-                  jobs = s.Api.telemetry.Api.jobs;
-                  ticks = s.Api.telemetry.Api.ticks;
-                  elapsed_ms = s.Api.telemetry.Api.elapsed_ms;
-                  trace = s.Api.telemetry.Api.trace;
-                }))
+  | Ok (entry, query) -> (
+      match
+        Scheduler.submit t.scheduler ~label:"sample" ?tenant:p.Wire.tenant
+          ?deadline_ms:p.Wire.deadline_ms (fun slice ->
+            run_api t p entry query slice (Api.sample ~draws))
+      with
+      | Error e | Ok (Error e) -> Wire.response_of_error e
+      | Ok (Ok s) ->
+          Wire.Sampled
+            {
+              samples = s.Api.draws;
+              seed = s.Api.telemetry.Api.seed;
+              jobs = s.Api.telemetry.Api.jobs;
+              ticks = s.Api.telemetry.Api.ticks;
+              elapsed_ms = s.Api.telemetry.Api.elapsed_ms;
+              trace = s.Api.telemetry.Api.trace;
+            })
 
 (* ---------- INSERT / DELETE / LOAD_BATCH ---------- *)
 
@@ -671,25 +574,14 @@ let run_mutation t session req =
                  "mutations need a named catalog database (\"use\"), not \
                   \"db_inline\" — inline databases are per-request";
              })
-    | Wire.Session -> (
-        match session.current with
-        | Some e -> Ok e.Catalog.name
-        | None ->
-            Error
-              (Error.Io
-                 {
-                   file = "<session>";
-                   msg = "no database selected — send USE <name> first";
-                 }))
+    | Wire.Session ->
+        Result.map (fun e -> e.Catalog.name) (session_entry session)
   in
   match name_result with
   | Error e -> Wire.response_of_error e
   | Ok name -> (
       match Catalog.live_find t.catalog name with
-      | None ->
-          Wire.response_of_error
-            (Error.Io
-               { file = name; msg = "unknown database (not in the catalog)" })
+      | None -> Wire.response_of_error (unknown_db name)
       | Some live -> (
           let ops = live_ops_of_request req in
           (* resolved before apply: the journal hook below runs under
@@ -766,28 +658,12 @@ let run_mutation t session req =
 (* ---------- STATS ---------- *)
 
 let stats_json t =
-  let c = t.counters in
   let requests =
-    Mutex.lock t.counters_mutex;
-    let j =
-      Json.Obj
-        [
-          ("count", Json.Int c.count);
-          ("sample", Json.Int c.sample);
-          ("use", Json.Int c.use);
-          ("load", Json.Int c.load);
-          ("insert", Json.Int c.insert);
-          ("delete", Json.Int c.delete);
-          ("load_batch", Json.Int c.load_batch);
-          ("stats", Json.Int c.stats);
-          ("metrics", Json.Int c.metrics);
-          ("ping", Json.Int c.ping);
-          ("health", Json.Int c.health);
-          ("malformed", Json.Int c.bad);
-        ]
-    in
-    Mutex.unlock t.counters_mutex;
-    j
+    Json.Obj
+      (List.map
+         (fun (verb, n) -> (Wire.Verb.to_string verb, Json.Int (Atomic.get n)))
+         t.requests
+      @ [ ("malformed", Json.Int (Atomic.get t.malformed)) ])
   in
   let led, followed, waiting = Inflight.stats t.inflight in
   Json.Obj
@@ -830,11 +706,8 @@ let observe_request ~verb ~status ~elapsed_ms =
 
 let handle_request t session req =
   match req with
-  | Wire.Ping ->
-      bump t (fun c -> c.ping <- c.ping + 1);
-      Wire.Pong
+  | Wire.Ping -> Wire.Pong
   | Wire.Health ->
-      bump t (fun c -> c.health <- c.health + 1);
       let s = Scheduler.stats t.scheduler in
       let draining = Atomic.get t.stopping in
       Wire.Health_reply
@@ -848,17 +721,13 @@ let handle_request t session req =
           recovered = Atomic.get t.recovered;
           uptime_ms = (Unix.gettimeofday () *. 1000.0) -. t.started_ms;
         }
-  | Wire.Stats ->
-      bump t (fun c -> c.stats <- c.stats + 1);
-      Wire.Stats_reply (stats_json t)
+  | Wire.Stats -> Wire.Stats_reply (stats_json t)
   | Wire.Metrics_req { format } ->
-      bump t (fun c -> c.metrics <- c.metrics + 1);
       Wire.Metrics_reply
         { format; payload = Wire.metrics_payload ~format Metrics.global }
   | Wire.Use name -> (
-      bump t (fun c -> c.use <- c.use + 1);
-      match Catalog.find t.catalog name with
-      | Some entry ->
+      match resolve_db t session (Wire.Named name) with
+      | Ok entry ->
           session.current <- Some entry;
           Wire.Used
             {
@@ -867,12 +736,8 @@ let handle_request t session req =
               universe = entry.Catalog.universe;
               size = entry.Catalog.size;
             }
-      | None ->
-          Wire.response_of_error
-            (Error.Io
-               { file = name; msg = "unknown database (not in the catalog)" }))
+      | Error e -> Wire.response_of_error e)
   | Wire.Load { name; text } -> (
-      bump t (fun c -> c.load <- c.load + 1);
       (* the fleet seeding verb: parse the shipped text and register it
          as an in-memory catalog entry (replacing any existing slot).
          Not file-backed, so it does not enter the recovery manifest —
@@ -890,24 +755,14 @@ let handle_request t session req =
             }
       | exception Failure msg ->
           Wire.response_of_error (Error.Parse { source = name; msg }))
-  | Wire.Count p ->
-      bump t (fun c -> c.count <- c.count + 1);
-      run_count t session p
-  | Wire.Sample { params = p; draws } ->
-      bump t (fun c -> c.sample <- c.sample + 1);
-      run_sample t session p ~draws
-  | Wire.Insert _ as req ->
-      bump t (fun c -> c.insert <- c.insert + 1);
-      run_mutation t session req
-  | Wire.Delete _ as req ->
-      bump t (fun c -> c.delete <- c.delete + 1);
-      run_mutation t session req
-  | Wire.Load_batch _ as req ->
-      bump t (fun c -> c.load_batch <- c.load_batch + 1);
+  | Wire.Count p -> run_count t session p
+  | Wire.Sample { params = p; draws } -> run_sample t session p ~draws
+  | (Wire.Insert _ | Wire.Delete _ | Wire.Load_batch _) as req ->
       run_mutation t session req
 
 let handle t session req =
   let t0 = Unix.gettimeofday () in
+  Atomic.incr (List.assoc (Wire.verb_of_request req) t.requests);
   let response = handle_request t session req in
   observe_request ~verb:(Wire.verb_name req)
     ~status:(Wire.status_of_response response)
@@ -921,7 +776,7 @@ let serve_connection t fd =
   let oc = Unix.out_channel_of_descr fd in
   let session = new_session t in
   let refuse msg =
-    bump t (fun c -> c.bad <- c.bad + 1);
+    Atomic.incr t.malformed;
     Wire.response_of_error (Error.Parse { source = "wire"; msg })
   in
   let rec loop () =

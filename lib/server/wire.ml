@@ -1,6 +1,7 @@
 module Json = Ac_analysis.Json
 module Codec = Ac_analysis.Codec
 module Api = Approxcount.Api
+module Planner = Approxcount.Planner
 module Error = Ac_runtime.Error
 module Trace = Ac_obs.Trace
 module Metrics = Ac_obs.Metrics
@@ -253,6 +254,31 @@ type outcome = {
   elapsed_ms : float; trace : Trace.summary option; plan_cache : string;
   result_cache : string;
 }
+
+let outcome_of_response ~plan_cache ~result_cache (r : Api.response) =
+  {
+    estimate = r.Api.estimate;
+    exact = r.Api.exact;
+    rung = Option.map Planner.rung_name r.Api.rung;
+    guarantee = r.Api.guarantee;
+    degraded = r.Api.degraded;
+    attempts =
+      List.map
+        (fun (a : Planner.attempt) ->
+          {
+            rung = Planner.rung_name a.Planner.rung;
+            error_class = Error.class_name a.Planner.error;
+            error_message = Error.message a.Planner.error;
+          })
+        r.Api.attempts;
+    seed = r.Api.telemetry.Api.seed;
+    jobs = r.Api.telemetry.Api.jobs;
+    ticks = r.Api.telemetry.Api.ticks;
+    elapsed_ms = r.Api.telemetry.Api.elapsed_ms;
+    trace = r.Api.telemetry.Api.trace;
+    plan_cache;
+    result_cache;
+  }
 
 type health = {
   ready : bool; live : bool; draining : bool; in_flight : int; queue_capacity : int;

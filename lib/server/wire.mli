@@ -156,6 +156,8 @@ type request =
     exactly the same spellings. *)
 val method_of_name : string -> Approxcount.Api.method_ option
 
+val verb_of_request : request -> Verb.t
+
 (** Stable lowercase verb slug, used in error messages and the
     per-verb request metrics. *)
 val verb_name : request -> string
@@ -189,6 +191,11 @@ type outcome = {
   plan_cache : string;  (** ["hit"] | ["miss"] | ["bypass"] *)
   result_cache : string;
 }
+
+(** The outcome of a finished [Approxcount.Api.run], with the given
+    cache provenance. *)
+val outcome_of_response :
+  plan_cache:string -> result_cache:string -> Approxcount.Api.response -> outcome
 
 (** The [HEALTH] verb's payload: liveness (the dispatch loop answers),
     readiness (not draining), queue depth and the crash-recovery flag. *)

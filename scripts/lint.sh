@@ -27,6 +27,10 @@
 #      into shared memory — pure layers must stay pure so the engine's
 #      determinism argument (per-trial streams, index-order reduce)
 #      keeps holding.
+#   7. One count path — a COUNT reaches the estimators only through
+#      Planner.run_algorithm: Fpras.approx_count, Fptras.approx_count
+#      and Exact.by_join_projection never appear in lib/core/api.ml,
+#      lib/server/ or bin/.
 set -u
 
 cd "$(dirname "$0")/.."
@@ -116,6 +120,15 @@ for f in $domain_users; do
     complain "$f uses Atomic/Mutex/Domain/Condition but is not on the domain-safety allowlist (scripts/lint.sh)"
   fi
 done
+
+# --- 7. one count path --------------------------------------------------------
+direct_estimators=$(grep -rn \
+  "Fpras\.approx_count\|Fptras\.approx_count\|Exact\.by_join_projection" \
+  --include="*.ml" lib/core/api.ml lib/server bin 2>/dev/null || true)
+if [ -n "$direct_estimators" ]; then
+  echo "$direct_estimators" >&2
+  complain "estimator called outside Planner.run_algorithm on the request path (dispatch through the planner)"
+fi
 
 if [ "$fail" -ne 0 ]; then
   echo "lint: FAILED" >&2

@@ -26,9 +26,9 @@ type outcome = Value of float * string * bool | Failed of string
 let run_once ~seed =
   let budget = Budget.create ~max_ticks:1_000_000 ~check_every:16 () in
   let chaos = Chaos.create ~p_fail:0.35 ~p_delay:0.0 ~budget ~seed () in
-  let rng = Random.State.make [| seed |] in
+  let exec = Ac_exec.Engine.make ~jobs:1 ~seed () in
   match
-    Planner.count_governed ~rng ~chaos ~budget ~eps:0.3 ~delta:0.2
+    Planner.count_governed ~exec ~chaos ~budget ~eps:0.3 ~delta:0.2
       (query ()) (db ())
   with
   | Ok g ->
@@ -74,9 +74,9 @@ let test_soak_leaves_clean_state () =
 let test_delays_only_slow_down () =
   (* pure delays: no faults, so the planned rung must answer un-degraded *)
   let chaos = Chaos.create ~p_fail:0.0 ~p_delay:0.5 ~delay_ms:1 ~seed:7 () in
-  let rng = Random.State.make [| 7 |] in
+  let exec = Ac_exec.Engine.make ~jobs:1 ~seed:7 () in
   match
-    Planner.count_governed ~rng ~chaos ~eps:0.3 ~delta:0.2 (query ())
+    Planner.count_governed ~exec ~chaos ~eps:0.3 ~delta:0.2 (query ())
       (db ())
   with
   | Ok g -> Alcotest.(check bool) "not degraded" false g.Planner.degraded

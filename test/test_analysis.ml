@@ -311,9 +311,9 @@ let prop_clean_never_raises =
           QCheck2.Test.fail_reportf "plan raised %s" (Printexc.to_string e));
       if not (Analysis.has_errors report) then (
         let budget = Budget.create ~label:"prop" ~max_ticks:200_000 () in
-        let rng = Random.State.make [| 11 |] in
+        let exec = Ac_exec.Engine.make ~jobs:1 ~seed:11 () in
         match
-          Planner.count_governed ~budget ~rng ~eps:0.9 ~delta:0.4 q db
+          Planner.count_governed ~budget ~exec ~eps:0.9 ~delta:0.4 q db
         with
         | Ok _ | Error _ -> true
         | exception e ->

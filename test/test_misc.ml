@@ -80,10 +80,16 @@ let prop_planner_correct =
     QCheck2.Gen.(pair (Gen.ecq_with_db ~allow_neg:true ~allow_diseq:true) (int_range 0 10000))
     (fun ((q, db), seed) ->
       let exact = float_of_int (Exact.by_join_projection q db) in
-      let v, _ =
-        Approxcount.Planner.count
-          ~rng:(Random.State.make [| seed |])
-          ~eps:0.3 ~delta:0.2 q db
+      let v =
+        match
+          Approxcount.Planner.count_governed
+            ~exec:(Ac_exec.Engine.make ~jobs:1 ~seed ())
+            ~strict:true ~eps:0.3 ~delta:0.2 q db
+        with
+        | Ok g -> g.Approxcount.Planner.estimate
+        | Error e ->
+            QCheck2.Test.fail_reportf "count failed: %s"
+              (Ac_runtime.Error.message e)
       in
       if exact = 0.0 then v < 1.0
       else Float.abs (v -. exact) /. exact <= 0.6)

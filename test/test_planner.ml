@@ -35,19 +35,29 @@ let test_planner_count_dispatch () =
     Structure.of_facts ~universe_size:6
       [ ("E", [| 0; 1 |]); ("E", [| 1; 2 |]); ("E", [| 0; 2 |]); ("E", [| 3; 4 |]) ]
   in
-  let rng = Random.State.make [| 3 |] in
+  let count q =
+    match
+      Planner.count_governed
+        ~exec:(Ac_exec.Engine.make ~jobs:1 ~seed:3 ())
+        ~strict:true ~eps:0.3 ~delta:0.2 q db
+    with
+    | Ok g -> g
+    | Error e -> Alcotest.failf "count failed: %s" (Ac_runtime.Error.message e)
+  in
   (* CQ through the FPRAS *)
   let cq = Ecq.parse "ans(x) :- E(x, y), E(y, z)" in
-  let v, d = Planner.count ~rng ~eps:0.3 ~delta:0.2 cq db in
-  Alcotest.(check bool) "fpras path" true (d.Planner.algorithm = Planner.Use_fpras);
+  let g = count cq in
+  Alcotest.(check bool) "fpras path" true
+    (g.Planner.decision.Planner.algorithm = Planner.Use_fpras);
+  Alcotest.(check string) "fpras rung" "fpras" (Planner.rung_name g.Planner.rung);
   let exact = float_of_int (Exact.by_join_projection cq db) in
-  Alcotest.(check bool) "fpras close" true (Float.abs (v -. exact) /. exact < 0.4);
+  Alcotest.(check bool) "fpras close" true
+    (Float.abs (g.Planner.estimate -. exact) /. exact < 0.4);
   (* DCQ through the FPTRAS: small instance, exact path *)
   let dcq = Ecq.parse "ans(x) :- E(x, y), E(x, z), y != z" in
-  let v2, _ = Planner.count ~rng ~eps:0.3 ~delta:0.2 dcq db in
   Alcotest.(check (float 1e-9)) "fptras exact-path value"
     (float_of_int (Exact.by_join_projection dcq db))
-    v2
+    (count dcq).Planner.estimate
 
 (* ---------- UCQ ---------- *)
 

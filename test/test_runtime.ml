@@ -215,9 +215,9 @@ let little_db () =
       ("E", [| 5; 6 |]); ("E", [| 6; 7 |]); ("E", [| 6; 0 |]);
     ]
 
-let governed ?chaos ?budget ?(strict = false) () =
-  let rng = Random.State.make [| 11 |] in
-  Planner.count_governed ~rng ~strict ?chaos ?budget ~eps:0.3 ~delta:0.2
+let governed ?chaos ?budget ?(strict = false) ?(seed = 11) () =
+  let exec = Ac_exec.Engine.make ~jobs:1 ~seed () in
+  Planner.count_governed ~exec ~strict ?chaos ?budget ~eps:0.3 ~delta:0.2
     (little_query ()) (little_db ())
 
 let ok = function
@@ -308,26 +308,20 @@ let test_cancellation_leaves_clean_state () =
 let test_count_result_signature () =
   let q = little_query () in
   let bad_db = Structure.of_facts ~universe_size:4 [ ("F", [| 0; 1 |]) ] in
+  let exec = Ac_exec.Engine.make ~jobs:1 ~seed:1 () in
   (match
-     Planner.count_result ~rng:(Random.State.make [| 1 |]) ~eps:0.3
-       ~delta:0.2 q bad_db
+     Planner.count_governed ~exec ~strict:true ~eps:0.3 ~delta:0.2 q bad_db
    with
   | Error (Error.Signature_mismatch _) -> ()
   | Error e -> Alcotest.failf "wrong error class: %s" (Error.class_name e)
   | Ok _ -> Alcotest.fail "incompatible signature accepted");
-  match
-    Planner.count_governed ~rng:(Random.State.make [| 1 |]) ~eps:0.3
-      ~delta:0.2 q bad_db
-  with
+  match Planner.count_governed ~exec ~eps:0.3 ~delta:0.2 q bad_db with
   | Error (Error.Signature_mismatch _) -> ()
   | _ -> Alcotest.fail "governed must reject an incompatible signature too"
 
 let test_count_result_budget_error () =
   let b = Budget.create ~max_ticks:8 ~check_every:1 () in
-  match
-    Planner.count_result ~rng:(Random.State.make [| 1 |]) ~budget:b
-      ~eps:0.3 ~delta:0.2 (little_query ()) (little_db ())
-  with
+  match governed ~budget:b ~strict:true ~seed:1 () with
   | Error (Error.Budget tr) -> (
       match tr.Budget.limit with
       | Budget.Work -> ()
