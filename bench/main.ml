@@ -22,10 +22,10 @@
    Run with: dune exec bench/main.exe
    (pass --tables-only / --micro-only to select a layer)
 
-   Five gated modes each write one BENCH_<mode>.json instead:
-   --parallel, --obs, --chaos, --join, --cost. The acqd service paths
-   (cold and result-hot COUNTs, live mutation, the sharded fleet) are
-   measured end to end by perfbench/ (see perfbench/README.md). *)
+   Six gated modes each write one BENCH_<mode>.json instead:
+   --parallel, --obs, --chaos, --join, --cost, --conformance. The acqd
+   service paths (cold and result-hot COUNTs, live mutation, the sharded
+   fleet) are measured end to end by perfbench/ (see perfbench/README.md). *)
 
 module Clock = Monotonic_clock (* before [Toolkit] shadows the name *)
 
@@ -94,7 +94,7 @@ let tests =
         ignore
           (Approxcount.Fpras.approx_count
              ~config:(Ac_automata.Acjr.default_config ~seed:15 ())
-             acyclic_q acyclic_db)));
+             ~eps:0.25 acyclic_q acyclic_db)));
     Test.make ~name:"e7_fhw_exact_grid3x3" (Staged.stage (fun () ->
         ignore (Ac_hypergraph.Widths.fhw_exact grid_h)));
     Test.make ~name:"e8_karp_luby_union" (Staged.stage (fun () ->
@@ -279,7 +279,8 @@ let run_parallel () =
     let exec = Ac_exec.Engine.make ~jobs ~seed () in
     let est, ms =
       time_ms (fun () ->
-          Approxcount.Fpras.approx_count ~exec ~repetitions acyclic_q acyclic_db)
+          Approxcount.Fpras.approx_count ~exec ~repetitions ~eps:0.25 acyclic_q
+            acyclic_db)
     in
     estimates := Int64.bits_of_float est :: !estimates;
     ms /. 1000.0
@@ -640,6 +641,67 @@ let run_cost () =
     ],
     List.map snd rows )
 
+(* --- the FPRAS (eps, delta) promise (BENCH_conformance.json) ---
+
+   Each FPRAS corpus case of Ac_experiments.Conformance at each eps, run
+   under [trials] engine seeds twice: with the sketch sized kappa(eps),
+   as the request path runs it, and with the fixed kappa = 48 every eps
+   got before the sketch followed eps. Per row: violations of
+   |est - exact| <= eps * exact, the one-sided 95% Clopper-Pearson lower
+   bound on their rate, mean/max relative error and ms per count. The
+   gate, per row: the kappa(eps) lower bound is at most delta. *)
+
+let run_conformance () =
+  let module C = Ac_experiments.Conformance in
+  let trials = 30 and delta = 0.1 and fixed_kappa = 48 in
+  let stats ?kappa case eps =
+    let row, ms = time_ms (fun () -> C.run ?kappa ~eps ~delta ~trials case) in
+    ( row,
+      Json.Obj
+        [
+          ("kappa", Json.Int (Option.get row.C.kappa));
+          ("violations", Json.Int row.C.violations);
+          ("cp_lower", Json.Float row.C.cp_lower);
+          ("mean_rel_err", Json.Float row.C.mean_err);
+          ("max_rel_err", Json.Float row.C.max_err);
+          ("ms_per_count", Json.Float (ms /. float_of_int trials));
+          ("holds", Json.Bool (C.holds row));
+        ] )
+  in
+  let rows =
+    List.concat_map
+      (fun (case : C.case) ->
+        List.map
+          (fun eps ->
+            let row, sized = stats case eps in
+            let _, fixed = stats ~kappa:fixed_kappa case eps in
+            ( Json.Obj
+                [
+                  ("case", Json.String case.C.name);
+                  ("query", Json.String case.C.query);
+                  ("eps", Json.Float eps);
+                  ("kappa_eps", sized);
+                  ("kappa_fixed", fixed);
+                ],
+              ( Printf.sprintf "%s eps=%g: kappa(eps) CP lower <= delta"
+                  case.C.name eps,
+                C.holds row ) ))
+          [ 0.01; 0.05; 0.25 ])
+      C.fpras_cases
+  in
+  ( [
+      ( "benchmark",
+        Json.String "FPRAS (eps, delta) conformance: kappa(eps) vs fixed kappa" );
+      ("trials", Json.Int trials);
+      ("delta", Json.Float delta);
+      ("confidence", Json.Float 0.95);
+      ("sketch_constant", Json.Float Approxcount.Fpras.sketch_constant);
+      ("sketch_floor", Json.Int Approxcount.Fpras.sketch_floor);
+      ("fixed_kappa", Json.Int fixed_kappa);
+      ("rows", Json.List (List.map fst rows));
+    ],
+    List.map snd rows )
+
 let run_tables () =
   let fmt = Format.std_formatter in
   List.iter
@@ -660,6 +722,7 @@ let () =
       ("chaos", run_chaos);
       ("join", run_join);
       ("cost", run_cost);
+      ("conformance", run_conformance);
     ]
   in
   match List.find_opt (fun (m, _) -> List.mem ("--" ^ m) args) modes with

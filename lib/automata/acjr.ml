@@ -364,16 +364,14 @@ let estimate_fixed_shape ?config a shape = fst (estimator ?config a shape)
    batch parallelises over domains without sharing any mutable sketch
    state (the automaton itself is read-only here; each trial's process
    call allocates its own run-state memo). *)
-let estimate_median ?budget ?config ~exec ~repetitions a shape =
-  let base = match config with Some c -> c | None -> default_config () in
-  if repetitions <= 1 then
-    estimate_fixed_shape ~config:base a shape
+let estimate_median ?budget ~config ~exec ~repetitions a shape =
+  if repetitions <= 1 then estimate_fixed_shape ~config a shape
   else begin
     let trials =
       Ac_exec.Engine.run ?budget exec ~trials:repetitions
         (fun ~rng ~budget i ->
           ignore i;
-          estimate_fixed_shape ~config:{ base with rng; budget } a shape)
+          estimate_fixed_shape ~config:{ config with rng; budget } a shape)
     in
     let sorted = Array.copy trials in
     Array.sort Float.compare sorted;

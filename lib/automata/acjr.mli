@@ -38,10 +38,11 @@ val estimate_fixed_shape : ?config:config -> Tree_automaton.t -> Ltree.shape -> 
     randomness from stream [i] of [exec]'s seed, so the median is
     bit-identical for any jobs count. [budget] governs the whole batch
     through per-chunk sub-slices; [config]'s own [rng]/[budget] fields
-    are overridden per trial. *)
+    are overridden per trial (a single repetition runs on [config]
+    as given). *)
 val estimate_median :
   ?budget:Ac_runtime.Budget.t ->
-  ?config:config ->
+  config:config ->
   exec:Ac_exec.Engine.t ->
   repetitions:int ->
   Tree_automaton.t ->

@@ -281,8 +281,7 @@ let build ?budget q db = Option.map fst (build_with_decoder ?budget q db)
 
 (* [budget], when given, governs both the automaton construction and the
    sketch propagation (overriding the config's own budget). *)
-let config_with_budget budget config =
-  let config = match config with Some c -> c | None -> Acjr.default_config () in
+let with_budget budget (config : Acjr.config) =
   match budget with
   | None -> config
   | Some b -> { config with Acjr.budget = b }
@@ -294,6 +293,19 @@ let repetitions_for ~delta =
   let delta = Float.min 0.49 (Float.max 1e-12 delta) in
   let m = int_of_float (ceil (1.25 *. Float.log (1.0 /. delta))) in
   max 3 ((2 * m) + 1)
+
+(* Sketch size κ(ε) = max κ_min ⌈c/ε²⌉, for both the per-(node, state)
+   sample pool and the Karp–Luby union rounds. A single sketch's
+   relative error falls like 1/√κ; [c] and [κ_min] are calibrated
+   against exact counts by the (ε, δ) conformance test, not proven (see
+   DESIGN.md substitution 3). The cap only keeps the conversion to int
+   defined: a sketch that large exhausts any budget first. *)
+let sketch_constant = 0.12
+let sketch_floor = 16
+
+let sketch_size_for ~eps =
+  let k = Float.ceil (sketch_constant /. (eps *. eps)) in
+  max sketch_floor (int_of_float (Float.min k 1e9))
 
 (* Phase span: [k] receives the span (None when [parent] is — one
    branch on the untraced path). The phase's tick delta on [budget] is
@@ -310,19 +322,40 @@ let phase ?budget parent name k =
         ~finally:(fun () -> Trace.stop ~ticks:(ticks () - t0) sp)
         (fun () -> k sp)
 
-let approx_count ?budget ?config ?exec ?repetitions q db =
+(* The run's sketch: [config] when given (the A2/E6 ablations size it
+   by hand), κ(eps) samples and rounds otherwise. [rng] is only forced
+   when no config is given. *)
+let sketch_config ?budget ?config ~eps rng =
+  match config with
+  | Some c -> with_budget budget c
+  | None ->
+      let k = sketch_size_for ~eps in
+      {
+        Acjr.sketch_size = k;
+        union_rounds = k;
+        rng = Lazy.force rng;
+        budget = Option.value budget ~default:Budget.none;
+      }
+
+let approx_count ?budget ?config ?exec ?repetitions ~eps q db =
   let parent = match exec with Some e -> Engine.span e | None -> None in
   match phase ?budget parent "fpras:build" (fun _ -> build ?budget q db) with
   | None -> 0.0
   | Some b -> (
-      let config = config_with_budget budget config in
+      let rng =
+        lazy
+          (match exec with
+          | Some exec -> Engine.state exec ~stream:0
+          | None -> Random.State.make_self_init ())
+      in
+      let config = sketch_config ?budget ?config ~eps rng in
       match exec with
       | None -> Acjr.estimate_fixed_shape ~config b.automaton b.shape
       | Some exec ->
           (* Engine path: the automaton is built once (sequential — it is
              a deterministic construction) and shared read-only by the
-             repetitions. A single sketch propagation is the legacy
-             behaviour; [repetitions] defaults to the δ=0.05 batch. *)
+             repetitions, each drawing from its own stream of [exec]'s
+             seed. [repetitions] defaults to the δ=0.05 batch. *)
           let repetitions =
             match repetitions with
             | Some r -> max 1 r
@@ -342,11 +375,11 @@ let sample_answer ?budget ?config q db =
   match build_with_decoder ?budget q db with
   | None -> None
   | Some (b, decoder) -> (
-      match
-        Acjr.sample_fixed_shape
-          ~config:(config_with_budget budget config)
-          b.automaton b.shape
-      with
+      let config =
+        with_budget budget
+          (match config with Some c -> c | None -> Acjr.default_config ())
+      in
+      match Acjr.sample_fixed_shape ~config b.automaton b.shape with
       | None -> None
       | Some tree ->
           let l = Ecq.num_free q in

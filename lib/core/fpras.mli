@@ -47,23 +47,37 @@ val build :
     estimator ([max 3 (2⌈1.25 ln(1/δ)⌉ + 1)]). *)
 val repetitions_for : delta:float -> int
 
+(** [c] and [κ_min] of {!sketch_size_for}, calibrated against exact
+    counts by the (ε, δ) conformance test (DESIGN.md substitution 3). *)
+val sketch_constant : float
+val sketch_floor : int
+
+(** Sketch size for accuracy [eps]: κ(ε) = [max κ_min ⌈c/ε²⌉], used for
+    both the per-(node, state) sample pool and the Karp–Luby union
+    rounds. *)
+val sketch_size_for : eps:float -> int
+
 (** Approximate [|Ans(φ, D)|] end to end (the Theorem 16 FPRAS).
     [budget] governs both the automaton construction and the sketch
-    propagation (overriding [config]'s own budget field). Accuracy knobs
-    live in [config] (sketch size ~ 1/ε²).
+    propagation (overriding [config]'s own budget field). The sketch is
+    sized by [eps] ({!sketch_size_for}); a [config] given explicitly
+    replaces that sizing (for sketch-size ablations) and [eps] is then
+    unused.
 
     With [exec], a median over [repetitions] independent sketch
     propagations (default: the δ=0.05 batch of {!repetitions_for}) is
     fanned out over the engine's domains via
-    {!Ac_automata.Acjr.estimate_median}; [config]'s [rng] is overridden
-    by per-trial streams, so the result is bit-identical for any jobs
-    count. Without [exec], a single propagation runs sequentially under
-    [config]'s own rng — the legacy cost. *)
+    {!Ac_automata.Acjr.estimate_median}; every repetition draws from its
+    own stream of [exec]'s seed, so the result is bit-identical for any
+    jobs count. Without [exec], a single propagation runs sequentially
+    under [config]'s own rng (a self-initialised one when no [config] is
+    given). *)
 val approx_count :
   ?budget:Ac_runtime.Budget.t ->
   ?config:Ac_automata.Acjr.config ->
   ?exec:Ac_exec.Engine.t ->
   ?repetitions:int ->
+  eps:float ->
   Ac_query.Ecq.t ->
   Ac_relational.Structure.t ->
   float

@@ -81,12 +81,13 @@ let mismatch_message q db =
 (* The one estimator dispatch on the request path: the governed rungs
    and [Api.run]'s forced methods both count through here. All
    randomness comes from [exec]'s seed: the Fpras pipeline runs a median
-   batch of sketch repetitions sized by [delta], the Fptras pipelines
-   hand per-trial streams to the edge-count layer. *)
+   batch of sketch repetitions, their number set by [delta] and each
+   sketch's size by [eps]; the Fptras pipelines hand per-trial streams
+   to the edge-count layer. *)
 let run_algorithm ~budget ~exec ~eps ~delta algorithm q db =
   match algorithm with
   | Use_fpras ->
-      ( Fpras.approx_count ~budget ~exec
+      ( Fpras.approx_count ~budget ~exec ~eps
           ~repetitions:(Fpras.repetitions_for ~delta) q db,
         false )
   | Use_fptras engine ->

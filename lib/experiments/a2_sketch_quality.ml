@@ -5,7 +5,8 @@
    On a fixed acyclic-join instance with known exact count, sweep both
    together (κ = rounds ∈ {4, 12, 48, 96}) and report the observed error
    over five seeds — the error should shrink roughly like 1/√κ, and the
-   cost grow linearly. *)
+   cost grow linearly. Beside the sweep, the κ(ε) the FPRAS picks for a
+   few accuracies ([Fpras.sketch_size_for]). *)
 
 module QF = Ac_workload.Query_families
 module Dbgen = Ac_workload.Dbgen
@@ -35,7 +36,8 @@ let run fmt =
                       budget = Ac_runtime.Budget.none;
                     }
                   in
-                  let est = Fpras.approx_count ~config q db in
+                  (* the hand-sized config replaces the ε sizing *)
+                  let est = Fpras.approx_count ~config ~eps:0.25 q db in
                   Common.rel_err ~estimate:est ~truth:exact)
                 [ 1; 2; 3; 4; 5 ])
         in
@@ -53,7 +55,16 @@ let run fmt =
   Common.table fmt
     ~title:"A2  ACJR sketch-quality ablation (pool size = union rounds = κ)"
     ~header:[ "kappa"; "exact"; "mean rel.err"; "worst rel.err"; "t/run(s)" ]
-    rows
+    rows;
+  Common.table fmt
+    ~title:
+      (Printf.sprintf "A2  kappa(eps) = max %d ceil(%g/eps^2) picked by the FPRAS"
+         Fpras.sketch_floor Fpras.sketch_constant)
+    ~header:[ "eps"; "kappa(eps)" ]
+    (List.map
+       (fun eps ->
+         [ Printf.sprintf "%g" eps; string_of_int (Fpras.sketch_size_for ~eps) ])
+       [ 0.5; 0.25; 0.1; 0.05; 0.01 ])
 
 let experiment =
   {

@@ -54,7 +54,8 @@ let run fmt =
                 Printf.sprintf "%d st / %d nodes" b.Fpras.num_states b.num_nodes
           in
           let est, t_fpras =
-            Common.time (fun () -> Fpras.approx_count ~config q db)
+            (* the hand-sized config replaces the ε sizing *)
+            Common.time (fun () -> Fpras.approx_count ~config ~eps:0.3 q db)
           in
           let err = Common.rel_err ~estimate:est ~truth:(float_of_int exact) in
           let r_fptras, t_fptras =

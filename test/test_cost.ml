@@ -55,6 +55,43 @@ let test_repetition_formulas () =
         (Cost.edge_count_repetitions ~delta))
     [ 0.49; 0.3; 0.1; 0.05; 0.01; 1e-3; 1e-6; 1e-12 ]
 
+(* [Cost] prices an fpras run at log₂ reps + log₂(1/ε²); the executor
+   runs reps sketches of κ(ε) = ⌈c/ε²⌉ samples. Wherever the floor does
+   not bind, the two differ by the constant log₂ c, up to the ceiling's
+   less-than-one-sample overshoot. *)
+let test_fpras_sketch_price () =
+  let db =
+    Structure.of_facts ~universe_size:3 [ ("E", [| 0; 1 |]); ("E", [| 1; 2 |]) ]
+  in
+  let cost = analyze_with db (Ecq.parse "ans(x, y) :- E(x, z), E(z, y)") in
+  let delta = 0.1 in
+  let log2_reps = Float.log2 (float_of_int (Fpras.repetitions_for ~delta)) in
+  let log2_c = Float.log2 Fpras.sketch_constant in
+  List.iter
+    (fun eps ->
+      let kappa = Fpras.sketch_size_for ~eps in
+      Alcotest.(check bool)
+        (Printf.sprintf "floor does not bind at eps=%g" eps)
+        true (kappa > Fpras.sketch_floor);
+      let fpras =
+        List.find
+          (fun a -> a.Cost.rung = Cost.Fpras)
+          (Cost.rank ~eps ~delta cost)
+      in
+      let gap =
+        Float.log2 (float_of_int kappa) -. (fpras.Cost.log2_probes -. log2_reps)
+      in
+      let overshoot = Float.log2 (float_of_int kappa /. float_of_int (kappa - 1)) in
+      if gap < log2_c -. 1e-9 || gap > log2_c +. overshoot then
+        Alcotest.failf "eps=%g: log2 kappa - price = %g, log2 c = %g" eps gap log2_c)
+    [ 0.01; 0.02; 0.03; 0.05; 0.08 ];
+  List.iter
+    (fun eps ->
+      Alcotest.(check int)
+        (Printf.sprintf "floor at eps=%g" eps)
+        Fpras.sketch_floor (Fpras.sketch_size_for ~eps))
+    [ 0.1; 0.25; 0.5; 1.0 ]
+
 (* ---------- bound soundness: 2^bound >= exact count ---------- *)
 
 let prop_bound_sound =
@@ -303,4 +340,6 @@ let tests =
     Alcotest.test_case "cardinality: nominal stats" `Quick test_nominal_stats;
     Alcotest.test_case "report carries cost iff db" `Quick
       test_report_carries_cost;
+    Alcotest.test_case "fpras price mirrors the sketch size" `Quick
+      test_fpras_sketch_price;
   ]
