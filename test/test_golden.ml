@@ -12,7 +12,9 @@
    [Api.run] (every method on a CQ, a DCQ and an ECQ with negation, at
    seeds 1 and 7 and jobs 1 and 3), per [Api.sample] draw batch and per
    strict governed planner run, with the estimate as the hex of
-   [Int64.bits_of_float]. *)
+   [Int64.bits_of_float]. Its last rows pin the single-stream paths:
+   one DLM edge-count estimate, JVV and DLM sampler draws per query and
+   one Karp-Luby union count, each from one seeded [Random.State.t]. *)
 
 module Json = Ac_analysis.Json
 module Wire = Ac_server.Wire
@@ -22,6 +24,7 @@ module Journal = Ac_live.Journal
 module Error = Ac_runtime.Error
 module Api = Approxcount.Api
 module Planner = Approxcount.Planner
+module Sampling = Approxcount.Sampling
 module Colour_oracle = Approxcount.Colour_oracle
 module Ecq = Ac_query.Ecq
 module Structure = Ac_relational.Structure
@@ -208,6 +211,52 @@ let governed_cases () =
     ("gnp-cq", "ans(x, y) :- E(x, z), E(z, y)", estimate_db (), 1);
   ]
 
+(* The single-stream paths: every draw comes from one [Random.State.t]
+   consumed in a fixed order, so each row pins that order. *)
+let single_stream_lines db =
+  let rng_of seed = Random.State.make [| seed |] in
+  let draw_text = function
+    | None -> "-"
+    | Some a -> String.concat "," (Array.to_list (Array.map string_of_int a))
+  in
+  let dlm =
+    (* test_dlm's overlapping instance: 400 edges through class-0
+       vertex 0, large enough that the estimator samples (level > 0) *)
+    let space = Ac_dlm.Partite.space [| 30; 500 |] in
+    let edges = List.init 400 (fun j -> [| 0; j |]) in
+    let oracle parts =
+      not
+        (List.exists
+           (fun e ->
+             Array.exists (( = ) e.(0)) parts.(0)
+             && Array.exists (( = ) e.(1)) parts.(1))
+           edges)
+    in
+    let r =
+      Ac_dlm.Edge_count.estimate ~rng:(rng_of 13) ~epsilon:0.25 ~delta:0.1
+        space oracle
+    in
+    Printf.sprintf "dlm-estimate\toverlap-400\t13\t%s\t%b\t%d\t%d"
+      (bits r.Ac_dlm.Edge_count.value) r.exact r.level r.repetitions
+  in
+  let per_query name f =
+    List.map
+      (fun (qname, text) ->
+        Printf.sprintf "%s\t%s\t5\t%s" name qname
+          (draw_text (f ~rng:(rng_of 5) (Ecq.parse text))))
+      estimate_queries
+  in
+  let union =
+    Sampling.union_count_karp_luby ~rng:(rng_of 5)
+      (List.map (fun (_, text) -> Ecq.parse text) estimate_queries)
+      db
+  in
+  (dlm :: per_query "jvv-sample" (fun ~rng q ->
+       Sampling.sample ~rng ~eps:0.5 ~delta:0.2 q db))
+  @ per_query "dlm-sample" (fun ~rng q ->
+        Sampling.sample_dlm ~rng ~eps:0.5 ~delta:0.2 q db)
+  @ [ Printf.sprintf "karp-luby\tcq+dcq+ecq\t5\t%s" (bits union) ]
+
 let estimate_lines () =
   let db = estimate_db () in
   let runs =
@@ -286,7 +335,8 @@ let estimate_lines () =
         Printf.sprintf "governed\t%s\t%d\t1\t%s" name seed row)
       (governed_cases ())
   in
-  runs @ samples @ governed
+  runs @ samples @ governed @ single_stream_lines db
+
 
 let test_estimates () =
   let expected =
