@@ -71,21 +71,25 @@ let tests =
   [
     Test.make ~name:"e1_fptras_friends_n120" (Staged.stage (fun () ->
         ignore
-          (Approxcount.Fptras.approx_count ~rng:(rng_of 11) ~eps:0.5
+          (Approxcount.Fptras.approx_count
+             ~exec:(Ac_exec.Engine.sequential ~seed:11) ~eps:0.5
              ~delta:0.25 friends_q friends_db)));
     Test.make ~name:"e2_lihom_path4_host16" (Staged.stage (fun () ->
         ignore
-          (Approxcount.Lihom.approx_count ~rng:(rng_of 12) ~eps:0.5
+          (Approxcount.Lihom.approx_count
+             ~exec:(Ac_exec.Engine.sequential ~seed:12) ~eps:0.5
              ~delta:0.25 ~pattern:lihom_pattern lihom_host)));
     Test.make ~name:"e3_exact_clique4_n40" (Staged.stage (fun () ->
         ignore (Approxcount.Exact.by_join_projection clique_q clique_db)));
     Test.make ~name:"e3_fptras_clique4_n40" (Staged.stage (fun () ->
         ignore
-          (Approxcount.Fptras.approx_count ~rng:(rng_of 13) ~eps:0.5
+          (Approxcount.Fptras.approx_count
+             ~exec:(Ac_exec.Engine.sequential ~seed:13) ~eps:0.5
              ~delta:0.25 clique_q clique_db)));
     Test.make ~name:"e4_hamiltonian_direct_n5" (Staged.stage (fun () ->
         ignore
-          (Approxcount.Hardness.approx_via_query ~rng:(rng_of 14)
+          (Approxcount.Hardness.approx_via_query
+             ~exec:(Ac_exec.Engine.sequential ~seed:14)
              ~engine:Approxcount.Colour_oracle.Direct ~eps:0.5 ~delta:0.25
              ham_graph)));
     Test.make ~name:"e5_wide_path_arity6_exact" (Staged.stage (fun () ->
@@ -94,7 +98,8 @@ let tests =
         ignore
           (Approxcount.Fpras.approx_count
              ~config:(Ac_automata.Acjr.default_config ~seed:15 ())
-             ~eps:0.25 acyclic_q acyclic_db)));
+             ~exec:(Ac_exec.Engine.sequential ~seed:15)
+             ~repetitions:1 ~eps:0.25 acyclic_q acyclic_db)));
     Test.make ~name:"e7_fhw_exact_grid3x3" (Staged.stage (fun () ->
         ignore (Ac_hypergraph.Widths.fhw_exact grid_h)));
     Test.make ~name:"e8_karp_luby_union" (Staged.stage (fun () ->

@@ -36,20 +36,17 @@ let () =
   Format.printf "@.exact #LIHom (query encoding) = %d (graph brute force: %d)@."
     exact brute;
 
-  (match Lihom.approx_count_result ~rng ~eps:0.2 ~delta:0.1 ~pattern host with
-  | Error e -> Format.printf "FPTRAS failed: %s@." (Ac_runtime.Error.message e)
-  | Ok r ->
-      Format.printf "FPTRAS estimate = %.1f (%s; %d hom calls)@."
-        r.Approxcount.Fptras.estimate
-        (if r.exact then "exact path" else Printf.sprintf "level %d" r.level)
-        r.hom_calls);
+  let exec = Ac_exec.Engine.sequential ~seed:7 in
+  let r = Lihom.approx_count ~exec ~eps:0.2 ~delta:0.1 ~pattern host in
+  Format.printf "FPTRAS estimate = %.1f (%s; %d hom calls)@."
+    r.Approxcount.Fptras.estimate
+    (if r.exact then "exact path" else Printf.sprintf "level %d" r.level)
+    r.hom_calls;
 
   (* a bigger host where brute force is hopeless but the FPTRAS is fine *)
   let host2 = G.random_gnp ~rng 40 0.3 in
   let exact2 = Lihom.exact_count ~pattern ~host:host2 in
-  match Lihom.approx_count_result ~rng ~eps:0.3 ~delta:0.1 ~pattern host2 with
-  | Error e -> Format.printf "FPTRAS failed: %s@." (Ac_runtime.Error.message e)
-  | Ok r2 ->
-      Format.printf "@.40-frequency host: exact=%d fptras=%.1f (%s)@." exact2
-        r2.Approxcount.Fptras.estimate
-        (if r2.exact then "exact path" else Printf.sprintf "level %d" r2.level)
+  let r2 = Lihom.approx_count ~exec ~eps:0.3 ~delta:0.1 ~pattern host2 in
+  Format.printf "@.40-frequency host: exact=%d fptras=%.1f (%s)@." exact2
+    r2.Approxcount.Fptras.estimate
+    (if r2.exact then "exact path" else Printf.sprintf "level %d" r2.level)

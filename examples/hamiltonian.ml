@@ -33,18 +33,16 @@ let () =
       let g = G.random_gnp ~rng n 0.6 in
       let dp = Hardness.exact_paths g in
       let via_query = Hardness.exact_via_query g in
-      match
-        Hardness.approx_via_query_result
-          ~rng:(Random.State.make [| n |])
+      let r =
+        Hardness.approx_via_query
+          ~exec:(Ac_exec.Engine.sequential ~seed:n)
           ~engine:Approxcount.Colour_oracle.Direct ~eps:0.3 ~delta:0.2 g
-      with
-      | Error e -> Format.printf "%-4d failed: %s@." n (Ac_runtime.Error.message e)
-      | Ok r ->
-          Format.printf "%-4d %-8d %-10d %-12d %-10d@." n
-            (n * (n - 1) / 2)
-            dp via_query r.Approxcount.Fptras.hom_calls;
-          assert (dp = via_query);
-          assert (int_of_float r.Approxcount.Fptras.estimate = dp))
+      in
+      Format.printf "%-4d %-8d %-10d %-12d %-10d@." n
+        (n * (n - 1) / 2)
+        dp via_query r.Approxcount.Fptras.hom_calls;
+      assert (dp = via_query);
+      assert (int_of_float r.Approxcount.Fptras.estimate = dp))
     [ 3; 4; 5; 6 ];
 
   Format.printf

@@ -44,7 +44,6 @@ let queries =
 
 let () =
   let db = Structure_io.of_string database_text in
-  let rng = Random.State.make [| 2022 |] in
   List.iter
     (fun text ->
       let q = Ecq.parse text in
@@ -72,6 +71,9 @@ let () =
   in
   Format.printf "@.union: %a@." Ucq.pp u;
   Format.printf "  exact:    %d@." (Ucq.exact_count u db);
-  match Ucq.approx_count_result ~rng ~kl_rounds:120 ~eps:0.25 ~delta:0.1 u db with
-  | Ok est -> Format.printf "  karp-luby (FPTRAS + JVV): %.1f@." est
-  | Error e -> Format.printf "  karp-luby failed: %s@." (Ac_runtime.Error.message e)
+  let est =
+    Ucq.approx_count
+      ~exec:(Ac_exec.Engine.sequential ~seed:2022)
+      ~kl_rounds:120 ~eps:0.25 ~delta:0.1 u db
+  in
+  Format.printf "  karp-luby (FPTRAS + JVV): %.1f@." est

@@ -36,8 +36,8 @@ let () =
   (* The FPTRAS of Theorem 5: colour-coded Hom oracles + the DLM
      edge-count layer. On an instance this small it returns the exact
      count. *)
-  let rng = Random.State.make [| 42 |] in
-  let r = Approxcount.Fptras.approx_count ~rng ~eps:0.1 ~delta:0.05 q db in
+  let exec = Ac_exec.Engine.sequential ~seed:42 in
+  let r = Approxcount.Fptras.approx_count ~exec ~eps:0.1 ~delta:0.05 q db in
   Format.printf "FPTRAS estimate = %.1f (exact path: %b, oracle calls %d, hom calls %d)@."
     r.Approxcount.Fptras.estimate r.exact r.oracle_calls r.hom_calls;
 

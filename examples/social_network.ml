@@ -16,10 +16,10 @@
 module Ecq = Ac_query.Ecq
 module Dbgen = Ac_workload.Dbgen
 
-let run_query ?engine rng name q db =
+let run_query ?engine exec name q db =
   let exact = Approxcount.Exact.by_join_projection q db in
   let t0 = Unix.gettimeofday () in
-  let r = Approxcount.Fptras.approx_count ?engine ~rng ~eps:0.25 ~delta:0.1 q db in
+  let r = Approxcount.Fptras.approx_count ?engine ~exec ~eps:0.25 ~delta:0.1 q db in
   let dt = Unix.gettimeofday () -. t0 in
   Format.printf "%-12s exact=%6d  fptras=%8.1f  (%s, %d oracle / %d hom calls, %.2fs)@."
     name exact r.Approxcount.Fptras.estimate
@@ -39,22 +39,19 @@ let () =
   in
   let reach3 = Ecq.parse "ans(x, y) :- F(x, a), F(a, b), F(b, y)" in
 
-  run_query rng "popular" popular db;
-  run_query rng "triad-open" triad db;
+  let exec = Ac_exec.Engine.sequential ~seed:2026 in
+  run_query exec "popular" popular db;
+  run_query exec "triad-open" triad db;
   (* reach3 is a pure CQ: use the generic-join engine (Theorem 13's),
      which is much faster per oracle call on long joins *)
-  run_query ~engine:Approxcount.Colour_oracle.Generic rng "reach3" reach3 db;
+  run_query ~engine:Approxcount.Colour_oracle.Generic exec "reach3" reach3 db;
 
   (* §6: sample a few answers of the triad query approximately uniformly *)
   Format.printf "@.sampled open triads:@.";
   for _ = 1 to 5 do
-    match
-      Approxcount.Sampling.sample_result ~rng ~eps:0.4 ~delta:0.2 triad db
-    with
-    | Ok (Some [| x; y |]) ->
-        Format.printf "  %d -?- %d (friend of a friend)@." x y
-    | Ok _ -> Format.printf "  (no sample)@."
-    | Error e -> Format.printf "  (failed: %s)@." (Ac_runtime.Error.message e)
+    match Approxcount.Sampling.sample ~rng ~eps:0.4 ~delta:0.2 triad db with
+    | Some [| x; y |] -> Format.printf "  %d -?- %d (friend of a friend)@." x y
+    | _ -> Format.printf "  (no sample)@."
   done;
 
   (* §6: union of queries — people who are popular OR lonely-adjacent *)

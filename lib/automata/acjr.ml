@@ -8,13 +8,8 @@ type config = {
   budget : Budget.t;
 }
 
-let default_config ?seed ?(budget = Budget.none) () =
-  let rng =
-    match seed with
-    | Some s -> Random.State.make [| s |]
-    | None -> Random.State.make_self_init ()
-  in
-  { sketch_size = 48; union_rounds = 48; rng; budget }
+let default_config ~seed ?(budget = Budget.none) () =
+  { sketch_size = 48; union_rounds = 48; rng = Random.State.make [| seed |]; budget }
 
 (* Shape nodes flattened in postorder (children get smaller ids). *)
 type snode = { children : int list }
@@ -347,8 +342,7 @@ let process a config shape =
   done;
   (cells, root)
 
-let estimator ?config a shape =
-  let config = match config with Some c -> c | None -> default_config () in
+let estimator ~config a shape =
   let cells, root = process a config shape in
   let root_cell =
     Option.value ~default:empty_cell
@@ -356,7 +350,7 @@ let estimator ?config a shape =
   in
   (root_cell.est, root_cell.draw)
 
-let estimate_fixed_shape ?config a shape = fst (estimator ?config a shape)
+let estimate_fixed_shape ~config a shape = fst (estimator ~config a shape)
 
 (* The paper's confidence amplification: independent repetitions of the
    whole sketch propagation, combined by median. Each trial re-seeds the
@@ -380,8 +374,8 @@ let estimate_median ?budget ~config ~exec ~repetitions a shape =
     else 0.5 *. (sorted.((n / 2) - 1) +. sorted.(n / 2))
   end
 
-let sample_fixed_shape ?config a shape =
-  let _, draw = estimator ?config a shape in
+let sample_fixed_shape ~config a shape =
+  let _, draw = estimator ~config a shape in
   draw ()
 
 (* ------------------------------------------------------------------ *)
@@ -391,8 +385,7 @@ let sample_fixed_shape ?config a shape =
    split, which the membership test resolves with a size check plus a
    run check. *)
 
-let slice_estimator ?config a n =
-  let config = match config with Some c -> c | None -> default_config () in
+let slice_estimator ~config a n =
   if n < 1 then (0.0, fun () -> None)
   else begin
     let index = state_index a in
@@ -481,4 +474,4 @@ let slice_estimator ?config a n =
     (root.est, root.draw)
   end
 
-let estimate_slice ?config a n = fst (slice_estimator ?config a n)
+let estimate_slice ~config a n = fst (slice_estimator ~config a n)

@@ -25,11 +25,12 @@ type config = {
           the propagation with [Budget_exceeded] *)
 }
 
-val default_config : ?seed:int -> ?budget:Ac_runtime.Budget.t -> unit -> config
+(** The fixed 48-sample sketch drawing from [Random.State.make [|seed|]]. *)
+val default_config : seed:int -> ?budget:Ac_runtime.Budget.t -> unit -> config
 
 (** Estimate of the number of labelings of [shape] accepted by the
     automaton. *)
-val estimate_fixed_shape : ?config:config -> Tree_automaton.t -> Ltree.shape -> float
+val estimate_fixed_shape : config:config -> Tree_automaton.t -> Ltree.shape -> float
 
 (** Median over [repetitions] independent sketch propagations, each on
     its own deterministic RNG stream, fanned out over [exec]'s domains
@@ -52,12 +53,12 @@ val estimate_median :
 (** Approximately-uniform sample of an accepted labeling ([None] when the
     estimate is 0). *)
 val sample_fixed_shape :
-  ?config:config -> Tree_automaton.t -> Ltree.shape -> Ltree.t option
+  config:config -> Tree_automaton.t -> Ltree.shape -> Ltree.t option
 
 (** Estimate and a sampler sharing the same sketches (cheaper when many
     samples are needed). *)
 val estimator :
-  ?config:config ->
+  config:config ->
   Tree_automaton.t ->
   Ltree.shape ->
   float * (unit -> Ltree.t option)
@@ -71,11 +72,11 @@ val estimator :
     transitions over sizes [n-1] and [1]. *)
 
 (** Estimate of [|L_n(A)|] (Definition 50's N-slice). *)
-val estimate_slice : ?config:config -> Tree_automaton.t -> int -> float
+val estimate_slice : config:config -> Tree_automaton.t -> int -> float
 
 (** Estimate plus an approximately-uniform sampler over the N-slice. *)
 val slice_estimator :
-  ?config:config ->
+  config:config ->
   Tree_automaton.t ->
   int ->
   float * (unit -> Ltree.t option)

@@ -42,9 +42,8 @@ type t = {
   engine : engine;
   full : int array; (* 0..universe-1, shared by every domain filter *)
   base_budget : int; (* colouring rounds per remaining disequality = base_budget · 4^{|Δ'|} *)
-  probe_budget : int; (* witnesses enumerated before colouring; 0 disables the shortcut *)
+  probe : bool; (* colour-free witness search before any colouring round *)
   budget : Budget.t; (* cooperative cancellation: ticked per oracle call and per colouring round *)
-  rng : Random.State.t;
   homs : int Atomic.t; (* atomic: probed concurrently from parallel trial domains *)
   oracles : int Atomic.t;
   span : Trace.span option; (* parent for per-call "oracle" spans; None = untraced *)
@@ -73,9 +72,8 @@ let default_base q db =
 
 let budget_cap = 65536
 
-let create ?rng ?rounds ?(probe_budget = 1024) ?(budget = Budget.none)
-    ?(span = None) ~engine q db =
-  let rng = match rng with Some r -> r | None -> Random.State.make_self_init () in
+let create ?rounds ?(probe = true) ?(budget = Budget.none) ?(span = None)
+    ~engine q db =
   let base_budget =
     match rounds with None -> default_base q db | Some r -> max 1 r
   in
@@ -94,19 +92,14 @@ let create ?rng ?rounds ?(probe_budget = 1024) ?(budget = Budget.none)
     delta = Ecq.delta q;
     engine;
     base_budget;
-    probe_budget = max 0 probe_budget;
+    probe;
     budget;
-    rng;
     homs = Atomic.make 0;
     oracles = Atomic.make 0;
     span;
     cache = Box_cache.create 1024;
     cache_lock = Mutex.create ();
   }
-
-let create_result ?rng ?rounds ?probe_budget ?budget ?span ~engine q db =
-  Ac_runtime.Error.guard (fun () ->
-      create ?rng ?rounds ?probe_budget ?budget ?span ~engine q db)
 
 let space t =
   let l = Ecq.num_free t.query in
@@ -198,9 +191,8 @@ let decide_direct t domains delta =
     !found
   end
 
-(* [rng] defaults to the oracle's own state; parallel trial engines pass
-   their per-trial stream instead, so probe outcomes depend only on the
-   stream (everything else in [t] is read-only during a probe).
+(* Probe outcomes depend only on [rng], the stream of the phase or trial
+   issuing the probe (everything else in [t] is read-only during one).
 
    Every path below except the colouring rounds is deterministic in
    [parts] alone — propagation, the probe shortcut and the engine
@@ -227,11 +219,10 @@ let answer_in_box_uncached ~rng t parts =
                  as the second endpoint binds) settles the box exactly —
                  first surviving witness means an edge, exhaustion means
                  provably none. The colouring rounds below only run when
-                 the probe is disabled ([probe_budget = 0], the ablation
+                 the probe is disabled ([probe = false], the ablation
                  knob) — they use the chosen engine, preserving the width
                  guarantees where they matter. *)
-              let verdict = ref `Unknown in
-              if t.probe_budget > 0 then begin
+              if t.probe then begin
                 Atomic.incr t.homs;
                 let found = ref false in
                 Hom.iter_solutions t.solver ~domains ~reuse:true
@@ -239,12 +230,9 @@ let answer_in_box_uncached ~rng t parts =
                   ~f:(fun _ ->
                     found := true;
                     false);
-                verdict := (if !found then `Edge else `Empty)
-              end;
-              match !verdict with
-              | `Edge -> (true, true)
-              | `Empty -> (false, true)
-              | `Unknown ->
+                (!found, true)
+              end
+              else
               let budget =
                 let scaled =
                   float_of_int t.base_budget
@@ -314,8 +302,7 @@ let answer_in_box ~rng t parts =
    trial → oracle call). Untraced oracles ([span = None], the default)
    pay one branch per call; traced calls are recorded up to the
    collector's [max_spans] cap (a governed run can issue thousands). *)
-let has_answer_in_box ?rng t parts =
-  let rng = match rng with Some r -> r | None -> t.rng in
+let has_answer_in_box ~rng t parts =
   match t.span with
   | None -> answer_in_box ~rng t parts
   | Some _ ->
@@ -324,5 +311,4 @@ let has_answer_in_box ?rng t parts =
         ~finally:(fun () -> Trace.stop sp)
         (fun () -> answer_in_box ~rng t parts)
 
-let aligned_oracle t parts = not (has_answer_in_box t parts)
 let seeded_oracle t ~rng parts = not (has_answer_in_box ~rng t parts)

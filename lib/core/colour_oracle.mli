@@ -34,7 +34,7 @@ val hom_calls : t -> int
 (** Oracle calls issued so far. *)
 val oracle_calls : t -> int
 
-(** [create ~rng ~rounds ~engine φ db]. [rounds] is the {e base}
+(** [create ~rounds ~engine φ db]. [rounds] is the {e base}
     colouring budget: an oracle call whose propagation leaves [Δ']
     unresolved disequalities uses [rounds · 4^{|Δ'|}] random colourings
     (capped at 65536; the paper's budget is the [⌈ln(2Tℓ!/δ)⌉] factor of
@@ -42,12 +42,14 @@ val oracle_calls : t -> int
     endpoint domains are resolved deterministically first, so most oracle
     calls near the leaves of the splitting enumeration pay no colouring
     rounds at all. Ignored by [Direct] and when [φ] has no
-    disequalities. [probe_budget] (default 1024) enables the colour-free
+    disequalities. [probe] (default [true]) enables the colour-free
     probe: the surviving disequalities are pushed into one generic-join
     search (see {!Ac_join.Generic_join.run}), whose first surviving
     witness — or exhaustion — settles the box {e exactly}, so no
-    colouring rounds run at all; [0] disables the probe, leaving the
-    pure Lemma 22 colouring (used by the A1 ablation). [budget], when given, is the
+    colouring rounds run at all; [false] disables the probe, leaving the
+    pure Lemma 22 colouring (used by the A1 ablation). The oracle holds
+    no randomness of its own: every probe takes the stream it colours
+    from as an argument. [budget], when given, is the
     cooperative-cancellation hook: it is ticked on every oracle call,
     every colouring round and (through {!Ac_hom.Hom}) every
     search/DP step, so a tripped budget aborts the oracle with
@@ -57,9 +59,8 @@ val oracle_calls : t -> int
     absent) — the bottom level of the plan → rung → trial → oracle-call
     hierarchy. *)
 val create :
-  ?rng:Random.State.t ->
   ?rounds:int ->
-  ?probe_budget:int ->
+  ?probe:bool ->
   ?budget:Ac_runtime.Budget.t ->
   ?span:Ac_obs.Trace.span option ->
   engine:engine ->
@@ -67,34 +68,18 @@ val create :
   Ac_relational.Structure.t ->
   t
 
-(** {!create} wrapped in {!Ac_runtime.Error.guard}: the result form for
-    public callers ([create] itself is the internal raising variant). *)
-val create_result :
-  ?rng:Random.State.t ->
-  ?rounds:int ->
-  ?probe_budget:int ->
-  ?budget:Ac_runtime.Budget.t ->
-  ?span:Ac_obs.Trace.span option ->
-  engine:engine ->
-  Ac_query.Ecq.t ->
-  Ac_relational.Structure.t ->
-  (t, Ac_runtime.Error.t) result
-
 (** The paper's colouring budget [⌈ln(2 T ℓ! / δ)⌉ · 4^{|Δ|}]. *)
 val rounds_for :
   delta:float -> ell:int -> num_diseq:int -> expected_oracle_calls:int -> int
 
 (** The aligned [EdgeFree] oracle over the ℓ classes (class [i] =
-    values of free variable [i]). *)
-val aligned_oracle : t -> Ac_dlm.Partite.aligned_oracle
-
-(** Same oracle with the probe's RNG passed per call
-    ({!Ac_dlm.Edge_count.seeded_oracle}): the form the parallel trial
-    engine needs, so each trial's colourings come from its own stream.
-    The oracle value itself is safe to share across domains — the
-    prepared solver and relations are read-only after {!create}, the
-    call counters are atomic, and the baked [budget] is ticked from all
-    domains (racy counts, but trips reach every domain). *)
+    values of free variable [i]), with the probe's RNG passed per call
+    ({!Ac_dlm.Edge_count.seeded_oracle}), so each trial's colourings
+    come from its own stream. The oracle value itself is safe to share
+    across domains — the prepared solver and relations are read-only
+    after {!create}, the call counters are atomic, and the baked
+    [budget] is ticked from all domains (racy counts, but trips reach
+    every domain). *)
 val seeded_oracle : t -> Ac_dlm.Edge_count.seeded_oracle
 
 (** The partite space of [H(φ, D)]: ℓ classes of size [|U(D)|]. Raises
@@ -103,7 +88,6 @@ val seeded_oracle : t -> Ac_dlm.Edge_count.seeded_oracle
 val space : t -> Ac_dlm.Partite.space
 
 (** Decision with explicit free-variable domains — [false] iff edge-free.
-    Exposed for the Boolean-query path and for tests. [rng] (default:
-    the oracle's own state) supplies the colouring randomness for this
-    one probe. *)
-val has_answer_in_box : ?rng:Random.State.t -> t -> int array array -> bool
+    Exposed for the Boolean-query path and for tests. [rng] supplies
+    the colouring randomness for this one probe. *)
+val has_answer_in_box : rng:Random.State.t -> t -> int array array -> bool

@@ -323,8 +323,7 @@ let phase ?budget parent name k =
         (fun () -> k sp)
 
 (* The run's sketch: [config] when given (the A2/E6 ablations size it
-   by hand), κ(eps) samples and rounds otherwise. [rng] is only forced
-   when no config is given. *)
+   by hand), κ(eps) samples and rounds drawing from [rng] otherwise. *)
 let sketch_config ?budget ?config ~eps rng =
   match config with
   | Some c -> with_budget budget c
@@ -333,53 +332,45 @@ let sketch_config ?budget ?config ~eps rng =
       {
         Acjr.sketch_size = k;
         union_rounds = k;
-        rng = Lazy.force rng;
+        rng;
         budget = Option.value budget ~default:Budget.none;
       }
 
-let approx_count ?budget ?config ?exec ?repetitions ~eps q db =
-  let parent = match exec with Some e -> Engine.span e | None -> None in
+(* The automaton is built once (sequential — it is a deterministic
+   construction) and shared read-only by the repetitions, each drawing
+   from its own stream of [exec]'s seed. [repetitions] defaults to the
+   δ=0.05 batch. *)
+let approx_count ?budget ?config ~exec ?repetitions ~eps q db =
+  let parent = Engine.span exec in
   match phase ?budget parent "fpras:build" (fun _ -> build ?budget q db) with
   | None -> 0.0
-  | Some b -> (
-      let rng =
-        lazy
-          (match exec with
-          | Some exec -> Engine.state exec ~stream:0
-          | None -> Random.State.make_self_init ())
+  | Some b ->
+      let config =
+        sketch_config ?budget ?config ~eps (Engine.state exec ~stream:0)
       in
-      let config = sketch_config ?budget ?config ~eps rng in
-      match exec with
-      | None -> Acjr.estimate_fixed_shape ~config b.automaton b.shape
-      | Some exec ->
-          (* Engine path: the automaton is built once (sequential — it is
-             a deterministic construction) and shared read-only by the
-             repetitions, each drawing from its own stream of [exec]'s
-             seed. [repetitions] defaults to the δ=0.05 batch. *)
-          let repetitions =
-            match repetitions with
-            | Some r -> max 1 r
-            | None -> repetitions_for ~delta:0.05
-          in
-          phase ?budget parent "fpras:median" (fun sp ->
-              Acjr.estimate_median ?budget ~config
-                ~exec:(Engine.with_span exec sp)
-                ~repetitions b.automaton b.shape))
+      let repetitions =
+        match repetitions with
+        | Some r -> max 1 r
+        | None -> repetitions_for ~delta:0.05
+      in
+      phase ?budget parent "fpras:median" (fun sp ->
+          Acjr.estimate_median ?budget ~config
+            ~exec:(Engine.with_span exec sp)
+            ~repetitions b.automaton b.shape)
 
 let exact_count_automaton ?budget q db =
   match build ?budget q db with
   | None -> 0
   | Some b -> Exact_ta.count_fixed_shape b.automaton b.shape
 
-let sample_answer ?budget ?config q db =
+let sample_answer ?budget ~config q db =
   match build_with_decoder ?budget q db with
   | None -> None
   | Some (b, decoder) -> (
-      let config =
-        with_budget budget
-          (match config with Some c -> c | None -> Acjr.default_config ())
-      in
-      match Acjr.sample_fixed_shape ~config b.automaton b.shape with
+      match
+        Acjr.sample_fixed_shape ~config:(with_budget budget config) b.automaton
+          b.shape
+      with
       | None -> None
       | Some tree ->
           let l = Ecq.num_free q in

@@ -64,18 +64,17 @@ val sketch_size_for : eps:float -> int
     replaces that sizing (for sketch-size ablations) and [eps] is then
     unused.
 
-    With [exec], a median over [repetitions] independent sketch
-    propagations (default: the δ=0.05 batch of {!repetitions_for}) is
-    fanned out over the engine's domains via
-    {!Ac_automata.Acjr.estimate_median}; every repetition draws from its
-    own stream of [exec]'s seed, so the result is bit-identical for any
-    jobs count. Without [exec], a single propagation runs sequentially
-    under [config]'s own rng (a self-initialised one when no [config] is
-    given). *)
+    A median over [repetitions] independent sketch propagations
+    (default: the δ=0.05 batch of {!repetitions_for}) is fanned out over
+    [exec]'s domains via {!Ac_automata.Acjr.estimate_median}; every
+    repetition draws from its own stream of [exec]'s seed, so the result
+    is bit-identical for any jobs count. A single repetition runs one
+    propagation on the config as given: [config]'s own rng when one is
+    passed, stream 0 of [exec]'s seed otherwise. *)
 val approx_count :
   ?budget:Ac_runtime.Budget.t ->
   ?config:Ac_automata.Acjr.config ->
-  ?exec:Ac_exec.Engine.t ->
+  exec:Ac_exec.Engine.t ->
   ?repetitions:int ->
   eps:float ->
   Ac_query.Ecq.t ->
@@ -93,10 +92,10 @@ val exact_count_automaton :
 
 (** Approximately-uniform answer sampling via the automaton (the §6
     extension backed by ACJR's sampler): returns an answer tuple over the
-    free variables. *)
+    free variables. Every draw comes from [config]'s rng. *)
 val sample_answer :
   ?budget:Ac_runtime.Budget.t ->
-  ?config:Ac_automata.Acjr.config ->
+  config:Ac_automata.Acjr.config ->
   Ac_query.Ecq.t ->
   Ac_relational.Structure.t ->
   int array option

@@ -1,5 +1,4 @@
 module Ecq = Ac_query.Ecq
-module Partite = Ac_dlm.Partite
 module Edge_count = Ac_dlm.Edge_count
 module Budget = Ac_runtime.Budget
 module Engine = Ac_exec.Engine
@@ -14,8 +13,8 @@ type result = {
   hom_calls : int;
 }
 
-let boolean_result ?rng oracle =
-  let found = Colour_oracle.has_answer_in_box ?rng oracle [||] in
+let boolean_result ~rng oracle =
+  let found = Colour_oracle.has_answer_in_box ~rng oracle [||] in
   {
     estimate = (if found then 1.0 else 0.0);
     exact = true;
@@ -35,69 +34,49 @@ let of_edge_count oracle (r : Edge_count.result) =
     hom_calls = Colour_oracle.hom_calls oracle;
   }
 
-let approx_count ?budget ?rng ?exec ?(engine = Colour_oracle.Tree_dp) ?rounds
-    ?probe_budget ~eps ~delta q db =
-  match exec with
-  | None ->
-      (* Sequential path: one global RNG drives the oracle and the
-         estimator, exactly as before the engine existed. *)
-      let rng =
-        match rng with Some r -> r | None -> Random.State.make_self_init ()
-      in
-      let oracle =
-        Colour_oracle.create ~rng ?rounds ?probe_budget ?budget ~engine q db
-      in
-      if Ecq.num_free q = 0 then boolean_result oracle
-      else
-        let space = Colour_oracle.space oracle in
-        let aligned = Colour_oracle.aligned_oracle oracle in
-        of_edge_count oracle (Edge_count.estimate ~rng ~epsilon:eps ~delta space aligned)
-  | Some exec ->
-      (* Engine path: the oracle's baked rng is never consulted — every
-         probe receives the stream of the trial (or sequential phase)
-         that issued it, so the estimate is bit-identical for any jobs
-         count. [rng] is ignored here by construction: randomness must
-         come from the engine's seed alone. *)
-      let parent = Engine.span exec in
-      let oracle =
-        Colour_oracle.create
-          ~rng:(Engine.state exec ~stream:0)
-          ?rounds ?probe_budget ?budget ~span:parent ~engine q db
-      in
-      if Ecq.num_free q = 0 then
-        boolean_result ~rng:(Engine.state exec ~stream:0) oracle
-      else
-        let space = Colour_oracle.space oracle in
-        let seeded = Colour_oracle.seeded_oracle oracle in
-        let estimate exec =
-          Edge_count.estimate_exec ~exec ?budget ~epsilon:eps ~delta space
-            seeded
-        in
-        of_edge_count oracle
-          (match parent with
-          | None -> estimate exec
-          | Some _ ->
-              (* Phase span for the DLM edge-count loop; its tick delta
-                 answers "which phase burned the budget". Trials nest
-                 under it via the re-spanned engine context. *)
-              let sp = Trace.child parent "fptras:estimate" in
-              let ticks () =
-                match budget with Some b -> Budget.ticks b | None -> 0
-              in
-              let t0 = ticks () in
-              Fun.protect
-                ~finally:(fun () -> Trace.stop ~ticks:(ticks () - t0) sp)
-                (fun () -> estimate (Engine.with_span exec sp)))
+(* Every probe receives the stream of the trial (or sequential phase)
+   that issued it, so the estimate is bit-identical for any jobs
+   count. *)
+let approx_count ?budget ~exec ?(engine = Colour_oracle.Tree_dp) ?rounds ?probe
+    ~eps ~delta q db =
+  let parent = Engine.span exec in
+  let oracle =
+    Colour_oracle.create ?rounds ?probe ?budget ~span:parent ~engine q db
+  in
+  if Ecq.num_free q = 0 then
+    boolean_result ~rng:(Engine.state exec ~stream:0) oracle
+  else
+    let space = Colour_oracle.space oracle in
+    let seeded = Colour_oracle.seeded_oracle oracle in
+    let estimate exec =
+      Edge_count.estimate ?budget ~source:(Edge_count.Engine exec)
+        ~epsilon:eps ~delta space seeded
+    in
+    of_edge_count oracle
+      (match parent with
+      | None -> estimate exec
+      | Some _ ->
+          (* Phase span for the DLM edge-count loop; its tick delta
+             answers "which phase burned the budget". Trials nest
+             under it via the re-spanned engine context. *)
+          let sp = Trace.child parent "fptras:estimate" in
+          let ticks () =
+            match budget with Some b -> Budget.ticks b | None -> 0
+          in
+          let t0 = ticks () in
+          Fun.protect
+            ~finally:(fun () -> Trace.stop ~ticks:(ticks () - t0) sp)
+            (fun () -> estimate (Engine.with_span exec sp)))
 
-let exact_count_via_oracle ?budget ?rng ?(engine = Colour_oracle.Tree_dp)
+let exact_count_via_oracle ?budget ~rng ?(engine = Colour_oracle.Tree_dp)
     ?rounds q db =
-  let rng = match rng with Some r -> r | None -> Random.State.make_self_init () in
-  let oracle = Colour_oracle.create ~rng ?rounds ?budget ~engine q db in
-  if Ecq.num_free q = 0 then boolean_result oracle
+  let oracle = Colour_oracle.create ?rounds ?budget ~engine q db in
+  if Ecq.num_free q = 0 then boolean_result ~rng oracle
   else begin
     let space = Colour_oracle.space oracle in
-    let aligned = Colour_oracle.aligned_oracle oracle in
-    let count = Edge_count.exact_count space aligned () in
+    let count =
+      Edge_count.exact_count space (Colour_oracle.seeded_oracle oracle ~rng) ()
+    in
     {
       estimate = float_of_int count;
       exact = true;

@@ -29,24 +29,21 @@ type result = {
 (** [(ε, δ)]-approximation of [|Ans(φ, D)|]. Boolean queries (ℓ = 0) are
     answered by a single oracle decision (the count is 0 or 1).
     [rounds] overrides the colouring budget per oracle call;
-    [probe_budget] the witness pre-pass (see {!Colour_oracle.create});
+    [probe] switches the witness pre-pass (see {!Colour_oracle.create});
     [budget] is the cooperative-cancellation hook threaded into every
     oracle call — a tripped budget aborts with
     [Ac_runtime.Budget.Budget_exceeded].
 
-    With [exec], the estimator's median repetitions fan out over the
-    engine's domains ({!Ac_dlm.Edge_count.estimate_exec}) and {e all}
-    randomness — colourings included — derives from the engine's seed
-    ([rng] is ignored), so the result is bit-identical for any jobs
-    count. Without it, [rng] drives everything sequentially, as
-    before. *)
+    {e All} randomness — colourings included — derives from [exec]'s
+    seed, and the estimator's median repetitions fan out over the
+    engine's domains ({!Ac_dlm.Edge_count.estimate} with an [Engine]
+    source), so the result is bit-identical for any jobs count. *)
 val approx_count :
   ?budget:Ac_runtime.Budget.t ->
-  ?rng:Random.State.t ->
-  ?exec:Ac_exec.Engine.t ->
+  exec:Ac_exec.Engine.t ->
   ?engine:Colour_oracle.engine ->
   ?rounds:int ->
-  ?probe_budget:int ->
+  ?probe:bool ->
   eps:float ->
   delta:float ->
   Ac_query.Ecq.t ->
@@ -57,10 +54,10 @@ val approx_count :
     demonstrates completeness of the oracle reduction (used by tests; cost
     grows linearly with the answer count). Randomised colourings make
     this "exact up to the one-sided colouring failure probability"; use
-    [rounds] to push it down. *)
+    [rounds] to push it down. Every colouring draws from [rng]. *)
 val exact_count_via_oracle :
   ?budget:Ac_runtime.Budget.t ->
-  ?rng:Random.State.t ->
+  rng:Random.State.t ->
   ?engine:Colour_oracle.engine ->
   ?rounds:int ->
   Ac_query.Ecq.t ->

@@ -10,11 +10,7 @@ let exact_paths = Graph.count_hamiltonian_paths
 let exact_via_query g =
   Exact.by_join_projection (query (Graph.num_vertices g)) (database_of g)
 
-let approx_via_query ?budget ?rng ?exec ?engine ?rounds ~eps ~delta g =
-  Fptras.approx_count ?budget ?rng ?exec ?engine ?rounds ~eps ~delta
+let approx_via_query ?budget ~exec ?engine ?rounds ~eps ~delta g =
+  Fptras.approx_count ?budget ~exec ?engine ?rounds ~eps ~delta
     (query (Graph.num_vertices g))
     (database_of g)
-
-let approx_via_query_result ?budget ?rng ?exec ?engine ?rounds ~eps ~delta g =
-  Ac_runtime.Error.guard (fun () ->
-      approx_via_query ?budget ?rng ?exec ?engine ?rounds ~eps ~delta g)

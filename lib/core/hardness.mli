@@ -19,28 +19,14 @@ val exact_paths : Ac_workload.Graph.t -> int
 (** Exact answer count through the query encoding. *)
 val exact_via_query : Ac_workload.Graph.t -> int
 
-(** FPTRAS on the Hamiltonian query. Raising variant — see
-    {!approx_via_query_result}. *)
+(** FPTRAS on the Hamiltonian query. Raises on failure, like
+    {!Fptras.approx_count}. *)
 val approx_via_query :
   ?budget:Ac_runtime.Budget.t ->
-  ?rng:Random.State.t ->
-  ?exec:Ac_exec.Engine.t ->
+  exec:Ac_exec.Engine.t ->
   ?engine:Colour_oracle.engine ->
   ?rounds:int ->
   eps:float ->
   delta:float ->
   Ac_workload.Graph.t ->
   Fptras.result
-
-(** {!approx_via_query} with all failures as typed errors — the public
-    form. *)
-val approx_via_query_result :
-  ?budget:Ac_runtime.Budget.t ->
-  ?rng:Random.State.t ->
-  ?exec:Ac_exec.Engine.t ->
-  ?engine:Colour_oracle.engine ->
-  ?rounds:int ->
-  eps:float ->
-  delta:float ->
-  Ac_workload.Graph.t ->
-  (Fptras.result, Ac_runtime.Error.t) result

@@ -11,14 +11,9 @@ let database_of host =
   done;
   s
 
-let approx_count ?budget ?rng ?exec ?engine ?rounds ~eps ~delta ~pattern host =
-  Fptras.approx_count ?budget ?rng ?exec ?engine ?rounds ~eps ~delta
+let approx_count ?budget ~exec ?engine ?rounds ~eps ~delta ~pattern host =
+  Fptras.approx_count ?budget ~exec ?engine ?rounds ~eps ~delta
     (query_of pattern) (database_of host)
-
-let approx_count_result ?budget ?rng ?exec ?engine ?rounds ~eps ~delta ~pattern
-    host =
-  Ac_runtime.Error.guard (fun () ->
-      approx_count ?budget ?rng ?exec ?engine ?rounds ~eps ~delta ~pattern host)
 
 let exact_count ~pattern ~host =
   Exact.by_join_projection (query_of pattern) (database_of host)

@@ -14,11 +14,10 @@ val query_of : Ac_workload.Graph.t -> Ac_query.Ecq.t
 val database_of : Ac_workload.Graph.t -> Ac_relational.Structure.t
 
 (** FPTRAS for #LIHom (Corollary 6); the trailing positional argument is
-    the host graph [G']. Raising variant — see {!approx_count_result}. *)
+    the host graph [G']. Raises on failure, like {!Fptras.approx_count}. *)
 val approx_count :
   ?budget:Ac_runtime.Budget.t ->
-  ?rng:Random.State.t ->
-  ?exec:Ac_exec.Engine.t ->
+  exec:Ac_exec.Engine.t ->
   ?engine:Colour_oracle.engine ->
   ?rounds:int ->
   eps:float ->
@@ -26,20 +25,6 @@ val approx_count :
   pattern:Ac_workload.Graph.t ->
   Ac_workload.Graph.t ->
   Fptras.result
-
-(** {!approx_count} with all failures as typed errors — the public
-    form. *)
-val approx_count_result :
-  ?budget:Ac_runtime.Budget.t ->
-  ?rng:Random.State.t ->
-  ?exec:Ac_exec.Engine.t ->
-  ?engine:Colour_oracle.engine ->
-  ?rounds:int ->
-  eps:float ->
-  delta:float ->
-  pattern:Ac_workload.Graph.t ->
-  Ac_workload.Graph.t ->
-  (Fptras.result, Ac_runtime.Error.t) result
 
 (** Exact count through the query encoding (join + projection). *)
 val exact_count : pattern:Ac_workload.Graph.t -> host:Ac_workload.Graph.t -> int

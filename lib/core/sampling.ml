@@ -4,35 +4,24 @@ module Tuple = Ac_relational.Tuple
 module Partite = Ac_dlm.Partite
 module Edge_count = Ac_dlm.Edge_count
 module Budget = Ac_runtime.Budget
-module Error = Ac_runtime.Error
 module Engine = Ac_exec.Engine
 
 (* Estimate the number of answers inside the box given by [pins]:
-   [pins.(i) = Some values] confines free variable [i]; the restricted
-   space relabels each pinned class to [0 .. |values|-1], and the wrapper
-   translates parts back before hitting the real oracle. [rng] drives
-   both the estimator and the oracle's colouring probes, so a draw is a
-   pure function of the RNG state handed to it. *)
+   [pins.(i) = Some values] confines free variable [i], an unpinned class
+   spans the whole universe. [rng] drives both the estimator and the
+   oracle's colouring probes, so a draw is a pure function of the RNG
+   state handed to it. *)
 let pinned_estimate ~rng ~eps ~delta oracle space pins =
-  let sizes =
+  let box =
     Array.mapi
       (fun i size ->
-        match pins.(i) with Some p -> Array.length p | None -> size)
+        match pins.(i) with Some p -> p | None -> Array.init size Fun.id)
       space.Partite.class_sizes
   in
-  let space' = Partite.space sizes in
-  let aligned' parts' =
-    let parts =
-      Array.mapi
-        (fun i part ->
-          match pins.(i) with
-          | Some p -> Array.map (fun k -> p.(k)) part
-          | None -> part)
-        parts'
-    in
-    not (Colour_oracle.has_answer_in_box ~rng oracle parts)
-  in
-  (Edge_count.estimate ~rng ~epsilon:eps ~delta space' aligned').Edge_count.value
+  (Edge_count.estimate ~source:(Edge_count.Stream rng) ~within:box
+     ~epsilon:eps ~delta space
+     (Colour_oracle.seeded_oracle oracle))
+    .Edge_count.value
 
 (* One JVV draw over a prepared oracle. Every random choice — the
    halving decisions, the counting estimates behind them and the oracle
@@ -92,20 +81,16 @@ let draw_one ~rng ~budget ~eps ~delta oracle ~num_free ~universe_size =
     end
   end
 
-let make_sampler ?budget ?rng ?(engine = Colour_oracle.Tree_dp) ?rounds ~eps
+let make_sampler ?budget ~rng ?(engine = Colour_oracle.Tree_dp) ?rounds ~eps
     ~delta q db =
-  let rng = match rng with Some r -> r | None -> Random.State.make_self_init () in
   let checkpoint = match budget with None -> Budget.none | Some b -> b in
-  let oracle = Colour_oracle.create ~rng ?rounds ?budget ~engine q db in
+  let oracle = Colour_oracle.create ?rounds ?budget ~engine q db in
   let num_free = Ecq.num_free q and universe_size = Structure.universe_size db in
   fun () ->
     draw_one ~rng ~budget:checkpoint ~eps ~delta oracle ~num_free ~universe_size
 
-let sample ?budget ?rng ?engine ?rounds ~eps ~delta q db =
-  make_sampler ?budget ?rng ?engine ?rounds ~eps ~delta q db ()
-
-let sample_result ?budget ?rng ?engine ?rounds ~eps ~delta q db =
-  Error.guard (fun () -> sample ?budget ?rng ?engine ?rounds ~eps ~delta q db)
+let sample ?budget ~rng ?engine ?rounds ~eps ~delta q db =
+  make_sampler ?budget ~rng ?engine ?rounds ~eps ~delta q db ()
 
 (* Independent draws fanned out over the engine: the oracle and solver
    are built once (read-only afterwards), draw [i] runs on stream [i],
@@ -114,9 +99,7 @@ let sample_result ?budget ?rng ?engine ?rounds ~eps ~delta q db =
 let sample_many ?budget ?(engine = Colour_oracle.Tree_dp) ?rounds ~exec ~draws
     ~eps ~delta q db =
   let oracle =
-    Colour_oracle.create
-      ~rng:(Engine.state exec ~stream:0)
-      ?rounds ?budget ~span:(Engine.span exec) ~engine q db
+    Colour_oracle.create ?rounds ?budget ~span:(Engine.span exec) ~engine q db
   in
   let num_free = Ecq.num_free q and universe_size = Structure.universe_size db in
   Engine.run ?budget exec ~trials:draws (fun ~rng ~budget i ->
@@ -126,18 +109,16 @@ let sample_many ?budget ?(engine = Colour_oracle.Tree_dp) ?rounds ~exec ~draws
 (* §6 first bullet: answers are the hyperedges of H(φ, D), so the
    DLM-style edge sampler applied to the colour-coded oracle samples an
    answer directly. *)
-let sample_dlm ?budget ?rng ?(engine = Colour_oracle.Tree_dp) ?rounds ~eps
+let sample_dlm ?budget ~rng ?(engine = Colour_oracle.Tree_dp) ?rounds ~eps
     ~delta q db =
-  let rng = match rng with Some r -> r | None -> Random.State.make_self_init () in
-  let oracle = Colour_oracle.create ~rng ?rounds ?budget ~engine q db in
+  let oracle = Colour_oracle.create ?rounds ?budget ~engine q db in
   if Ecq.num_free q = 0 then
-    if Colour_oracle.has_answer_in_box oracle [||] then Some [||] else None
+    if Colour_oracle.has_answer_in_box ~rng oracle [||] then Some [||] else None
   else
     Edge_count.sample_edge ~rng ~epsilon:eps ~delta (Colour_oracle.space oracle)
-      (Colour_oracle.aligned_oracle oracle)
+      (Colour_oracle.seeded_oracle oracle)
 
-let sample_exact ?rng q db =
-  let rng = match rng with Some r -> r | None -> Random.State.make_self_init () in
+let sample_exact ~rng q db =
   match Exact.answers q db with
   | [] -> None
   | answers ->
@@ -160,9 +141,8 @@ let union_count_exact queries db =
     queries;
   Tuple.Table.length seen
 
-let union_count_karp_luby ?rng ?(rounds = 2000) queries db =
+let union_count_karp_luby ~rng ?(rounds = 2000) queries db =
   check_same_arity queries;
-  let rng = match rng with Some r -> r | None -> Random.State.make_self_init () in
   let pools =
     List.map
       (fun q ->
@@ -202,25 +182,23 @@ let union_count_karp_luby ?rng ?(rounds = 2000) queries db =
     total *. !acc /. float_of_int rounds
   end
 
-let union_count_approx ?rng ?(engine = Colour_oracle.Tree_dp) ?rounds
+let union_count_approx ~exec ?(engine = Colour_oracle.Tree_dp) ?rounds
     ?(kl_rounds = 60) ~eps ~delta queries db =
   check_same_arity queries;
-  let rng = match rng with Some r -> r | None -> Random.State.make_self_init () in
+  let rng = Engine.state exec ~stream:0 in
   let queries = Array.of_list queries in
   let oracles =
-    Array.map (fun q -> Colour_oracle.create ~rng ?rounds ~engine q db) queries
+    Array.map (fun q -> Colour_oracle.create ?rounds ~engine q db) queries
   in
   let member j tau =
-    if Array.length tau = 0 then
-      Colour_oracle.has_answer_in_box oracles.(j) [||]
-    else
-      Colour_oracle.has_answer_in_box oracles.(j)
-        (Array.map (fun v -> [| v |]) tau)
+    Colour_oracle.has_answer_in_box ~rng oracles.(j)
+      (Array.map (fun v -> [| v |]) tau)
   in
   let counts =
-    Array.map
-      (fun q ->
-        (Fptras.approx_count ~rng ~engine ?rounds ~eps ~delta q db)
+    Array.mapi
+      (fun j q ->
+        (Fptras.approx_count ~exec:(Engine.split exec (j + 1)) ~engine ?rounds
+           ~eps ~delta q db)
           .Fptras.estimate)
       queries
   in

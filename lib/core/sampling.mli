@@ -14,20 +14,22 @@
     draw a query proportionally to its answer count, draw one of its
     answers, weight by the inverse multiplicity.
 
-    The sampling entry points come in three forms: {!make_sampler} /
-    {!sample} are the internal raising variants (a tripped budget raises
-    [Ac_runtime.Budget.Budget_exceeded]); {!sample_result} is the public
-    result form; {!sample_many} fans independent draws out over an
-    {!Ac_exec.Engine}. *)
+    The sampling entry points come in two forms: {!make_sampler} /
+    {!sample} draw from one given stream and raise on failure (a tripped
+    budget raises [Ac_runtime.Budget.Budget_exceeded]); {!sample_many}
+    fans independent draws out over an {!Ac_exec.Engine}. The typed
+    public form is [Api.sample]. *)
 
 (** [make_sampler ~eps ~delta q db] prepares a reusable sampler (the
     oracle and solver are built once); each call draws one
     approximately-uniform answer, or [None] when the (approximate) count
     is 0. Cost per draw: [ℓ · log |U|] counting calls (pinning by
-    recursive halving). Raising variant — see {!sample_result}. *)
+    recursive halving). Every draw — halving choices, the counting
+    estimates behind them and the oracle colourings — comes from [rng]
+    in program order. *)
 val make_sampler :
   ?budget:Ac_runtime.Budget.t ->
-  ?rng:Random.State.t ->
+  rng:Random.State.t ->
   ?engine:Colour_oracle.engine ->
   ?rounds:int ->
   eps:float ->
@@ -37,10 +39,10 @@ val make_sampler :
   unit ->
   int array option
 
-(** One-shot {!make_sampler}. Raising variant — see {!sample_result}. *)
+(** One-shot {!make_sampler}. *)
 val sample :
   ?budget:Ac_runtime.Budget.t ->
-  ?rng:Random.State.t ->
+  rng:Random.State.t ->
   ?engine:Colour_oracle.engine ->
   ?rounds:int ->
   eps:float ->
@@ -48,18 +50,6 @@ val sample :
   Ac_query.Ecq.t ->
   Ac_relational.Structure.t ->
   int array option
-
-(** {!sample} with all failures as typed errors — the public form. *)
-val sample_result :
-  ?budget:Ac_runtime.Budget.t ->
-  ?rng:Random.State.t ->
-  ?engine:Colour_oracle.engine ->
-  ?rounds:int ->
-  eps:float ->
-  delta:float ->
-  Ac_query.Ecq.t ->
-  Ac_relational.Structure.t ->
-  (int array option, Ac_runtime.Error.t) result
 
 (** [draws] independent JVV draws fanned out over [exec]'s domains: the
     oracle is built once and shared read-only, draw [i] runs entirely on
@@ -84,7 +74,7 @@ val sample_many :
     an answer directly. *)
 val sample_dlm :
   ?budget:Ac_runtime.Budget.t ->
-  ?rng:Random.State.t ->
+  rng:Random.State.t ->
   ?engine:Colour_oracle.engine ->
   ?rounds:int ->
   eps:float ->
@@ -95,7 +85,7 @@ val sample_dlm :
 
 (** Exactly-uniform sampling by full enumeration (testing baseline). *)
 val sample_exact :
-  ?rng:Random.State.t ->
+  rng:Random.State.t ->
   Ac_query.Ecq.t ->
   Ac_relational.Structure.t ->
   int array option
@@ -107,7 +97,7 @@ val union_count_exact : Ac_query.Ecq.t list -> Ac_relational.Structure.t -> int
 (** Karp–Luby estimate of [|⋃ Ans(φ_i, D)|] using per-query enumeration
     for the sampling pools ([rounds] draws, default 2000). *)
 val union_count_karp_luby :
-  ?rng:Random.State.t ->
+  rng:Random.State.t ->
   ?rounds:int ->
   Ac_query.Ecq.t list ->
   Ac_relational.Structure.t ->
@@ -117,9 +107,11 @@ val union_count_karp_luby :
     from the FPTRAS, draws from the JVV samplers, membership through the
     counting oracle — no exact enumeration anywhere. [kl_rounds] draws
     (default 60; each costs one JVV sample plus one membership decision
-    per query). *)
+    per query). Query [j]'s cardinality runs on [Engine.split exec
+    (j + 1)]; the draws, picks and membership probes share stream 0 of
+    [exec]'s seed. *)
 val union_count_approx :
-  ?rng:Random.State.t ->
+  exec:Ac_exec.Engine.t ->
   ?engine:Colour_oracle.engine ->
   ?rounds:int ->
   ?kl_rounds:int ->

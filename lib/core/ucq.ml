@@ -35,12 +35,8 @@ let pp fmt u =
 
 let exact_count u db = Sampling.union_count_exact u.disjuncts db
 
-let approx_count ?rng ?engine ?rounds ?kl_rounds ~eps ~delta u db =
-  Sampling.union_count_approx ?rng ?engine ?rounds ?kl_rounds ~eps ~delta
+let approx_count ~exec ?engine ?rounds ?kl_rounds ~eps ~delta u db =
+  Sampling.union_count_approx ~exec ?engine ?rounds ?kl_rounds ~eps ~delta
     u.disjuncts db
-
-let approx_count_result ?rng ?engine ?rounds ?kl_rounds ~eps ~delta u db =
-  Ac_runtime.Error.guard (fun () ->
-      approx_count ?rng ?engine ?rounds ?kl_rounds ~eps ~delta u db)
 
 let is_answer u db tau = List.exists (fun q -> Exact.is_answer q db tau) u.disjuncts

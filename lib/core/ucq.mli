@@ -25,10 +25,10 @@ val pp : Format.formatter -> t -> unit
 val exact_count : t -> Ac_relational.Structure.t -> int
 
 (** Karp–Luby with the fully approximate pipeline (FPTRAS cardinalities,
-    JVV draws, oracle membership). Raising variant — see
-    {!approx_count_result}. *)
+    JVV draws, oracle membership; see {!Sampling.union_count_approx}).
+    Raises on failure. *)
 val approx_count :
-  ?rng:Random.State.t ->
+  exec:Ac_exec.Engine.t ->
   ?engine:Colour_oracle.engine ->
   ?rounds:int ->
   ?kl_rounds:int ->
@@ -37,19 +37,6 @@ val approx_count :
   t ->
   Ac_relational.Structure.t ->
   float
-
-(** {!approx_count} with all failures as typed errors — the public
-    form. *)
-val approx_count_result :
-  ?rng:Random.State.t ->
-  ?engine:Colour_oracle.engine ->
-  ?rounds:int ->
-  ?kl_rounds:int ->
-  eps:float ->
-  delta:float ->
-  t ->
-  Ac_relational.Structure.t ->
-  (float, Ac_runtime.Error.t) result
 
 (** Is the tuple an answer of some disjunct? *)
 val is_answer : t -> Ac_relational.Structure.t -> int array -> bool

@@ -91,88 +91,13 @@ let subsample rng (space : Partite.space) p : Partite.aligned =
       Array.of_list !kept)
     space.Partite.class_sizes
 
-let restrict (space : Partite.space) (box : Partite.aligned) oracle =
-  if Array.length box <> Partite.num_classes space then
-    invalid_arg "Edge_count.restrict: wrong class count";
-  let space' = Partite.space (Array.map Array.length box) in
-  let oracle' (parts' : Partite.aligned) =
-    oracle (Array.mapi (fun i part -> Array.map (fun k -> box.(i).(k)) part) parts')
-  in
-  (space', oracle')
-
-let rec estimate ?rng ?within ~epsilon ~delta space oracle =
-  match within with
-  | Some box ->
-      let space', oracle' = restrict space box oracle in
-      estimate ?rng ~epsilon ~delta space' oracle'
-  | None ->
-  if epsilon <= 0.0 || epsilon >= 1.0 then invalid_arg "Edge_count.estimate: epsilon";
-  if delta <= 0.0 || delta >= 1.0 then invalid_arg "Edge_count.estimate: delta";
-  let rng = match rng with Some r -> r | None -> Random.State.make_self_init () in
-  let l = Partite.num_classes space in
-  (* target survivor count: per-trial relative error ≈ 1/sqrt(target) *)
-  let target = max 24 (int_of_float (ceil (8.0 /. (epsilon *. epsilon)))) in
-  let cap = 8 * target in
-  (* exact when the hypergraph is already small *)
-  let all_edges, complete = enumerate space oracle ~limit:(2 * target) () in
-  if complete then
-    { value = float_of_int (List.length all_edges); exact = true; level = 0; repetitions = 1 }
-  else begin
-    let capped_count ~limit j =
-      let parts = subsample rng space (keep_probability ~classes:l j) in
-      let edges, complete = enumerate space oracle ~within:parts ~limit () in
-      (List.length edges, complete)
-    in
-    (* Locate the smallest level whose survivors fit the target, probing
-       DOWNWARD from the sparsest level: probes above the boundary see few
-       survivors and are cheap, and the first over-full probe stops the
-       descent (expected total work ~ 2·target enumerated edges). *)
-    let max_level = top_level space in
-    let rec locate j =
-      if j <= 1 then 1
-      else
-        let c, complete = capped_count ~limit:target j in
-        if complete && c <= target then locate (j - 1) else j + 1
-    in
-    let level = min max_level (locate max_level) in
-    (* fresh unbiased trials at the located level; median for confidence *)
-    let repetitions = repetitions_for ~delta in
-    let run_trials ~cap level =
-      List.init repetitions (fun _ ->
-          let c, complete = capped_count ~limit:cap level in
-          let c = if complete then c else cap in
-          float_of_int c *. Float.pow 2.0 (float_of_int level))
-    in
-    (* The located level can be too sparse: the single-probe descent may
-       overshoot, and overlapping hyperedges (answers sharing free-variable
-       values) correlate survival, inflating the per-trial variance beyond
-       the 1/sqrt(survivors) of independent edges. Refine adaptively: if
-       the trials' interquartile spread exceeds the accuracy target (or
-       they see far fewer survivors than planned), descend two levels —
-       quadrupling expected survivors and the enumeration cap — and redo,
-       up to three times. *)
-    let rec refine level cap attempts =
-      let trials = run_trials ~cap level in
-      let q1, med, q3 = quartiles trials in
-      let dispersion = (q3 -. q1) /. Float.max med 1.0 in
-      let raw = med /. Float.pow 2.0 (float_of_int level) in
-      if
-        attempts > 0 && level > 1
-        && (dispersion > epsilon || raw < float_of_int target /. 3.0)
-      then refine (max 1 (level - 2)) (cap * 4) (attempts - 1)
-      else (level, med)
-    in
-    let level, value = refine level cap 3 in
-    { value; exact = false; level; repetitions }
-  end
-
-(* Oracle whose probes are themselves randomized (the Lemma 22 colourful
-   oracle re-colours per call): the per-trial stream must feed it too,
-   or trial results would depend on global mutable RNG state and the
-   jobs count. *)
+(* Oracle whose probes may themselves be randomized (the Lemma 22
+   colourful oracle re-colours per call): the estimator hands it the
+   stream of the phase or trial that issues the probe, so results never
+   depend on global mutable RNG state or on the jobs count. *)
 type seeded_oracle = rng:Random.State.t -> Partite.aligned -> bool
 
-let restrict_seeded (space : Partite.space) (box : Partite.aligned)
+let restrict (space : Partite.space) (box : Partite.aligned)
     (oracle : seeded_oracle) =
   if Array.length box <> Partite.num_classes space then
     invalid_arg "Edge_count.restrict: wrong class count";
@@ -183,38 +108,43 @@ let restrict_seeded (space : Partite.space) (box : Partite.aligned)
   in
   (space', oracle')
 
-(* Same estimator as {!estimate}, with the independent median trials
-   fanned out over the engine's domains. Stream discipline (all indices
-   relative to [exec]'s seed): stream 0 feeds the exact pre-enumeration,
-   stream 1 the level-locating descent — both sequential — and refine
-   round [k] runs its trials on the derived engine [split exec (2 + k)],
-   trial [i] on that engine's stream [i]. Every random draw is pinned to
-   a stream, so the result is bit-identical for any jobs count. *)
-let rec estimate_exec ~exec ?budget ?within ~epsilon ~delta space
+type source = Stream of Random.State.t | Engine of Ac_exec.Engine.t
+
+let rec estimate ?budget ?within ~source ~epsilon ~delta space
     (oracle : seeded_oracle) =
   match within with
   | Some box ->
-      let space', oracle' = restrict_seeded space box oracle in
-      estimate_exec ~exec ?budget ~epsilon ~delta space' oracle'
+      let space', oracle' = restrict space box oracle in
+      estimate ?budget ~source ~epsilon ~delta space' oracle'
   | None ->
   if epsilon <= 0.0 || epsilon >= 1.0 then invalid_arg "Edge_count.estimate: epsilon";
   if delta <= 0.0 || delta >= 1.0 then invalid_arg "Edge_count.estimate: delta";
+  let phase_rng stream =
+    match source with
+    | Stream rng -> rng
+    | Engine exec -> Ac_exec.Engine.state exec ~stream
+  in
   let l = Partite.num_classes space in
+  (* target survivor count: per-trial relative error ≈ 1/sqrt(target) *)
   let target = max 24 (int_of_float (ceil (8.0 /. (epsilon *. epsilon)))) in
   let cap = 8 * target in
-  let pre_rng = Ac_exec.Engine.state exec ~stream:0 in
+  (* exact when the hypergraph is already small *)
   let all_edges, complete =
-    enumerate space (oracle ~rng:pre_rng) ~limit:(2 * target) ()
+    enumerate space (oracle ~rng:(phase_rng 0)) ~limit:(2 * target) ()
   in
   if complete then
     { value = float_of_int (List.length all_edges); exact = true; level = 0; repetitions = 1 }
   else begin
-    let locate_rng = Ac_exec.Engine.state exec ~stream:1 in
     let capped_count ~rng ~limit j =
       let parts = subsample rng space (keep_probability ~classes:l j) in
       let edges, complete = enumerate space (oracle ~rng) ~within:parts ~limit () in
       (List.length edges, complete)
     in
+    (* Locate the smallest level whose survivors fit the target, probing
+       DOWNWARD from the sparsest level: probes above the boundary see few
+       survivors and are cheap, and the first over-full probe stops the
+       descent (expected total work ~ 2·target enumerated edges). *)
+    let locate_rng = phase_rng 1 in
     let max_level = top_level space in
     let rec locate j =
       if j <= 1 then 1
@@ -223,19 +153,31 @@ let rec estimate_exec ~exec ?budget ?within ~epsilon ~delta space
         if complete && c <= target then locate (j - 1) else j + 1
     in
     let level = min max_level (locate max_level) in
+    (* fresh unbiased trials at the located level; median for confidence *)
     let repetitions = repetitions_for ~delta in
     let run_trials ~round ~cap level =
-      let sub = Ac_exec.Engine.split exec (2 + round) in
-      Array.to_list
-        (Ac_exec.Engine.run ?budget sub ~trials:repetitions
-           (fun ~rng ~budget:_ _i ->
-             let parts = subsample rng space (keep_probability ~classes:l level) in
-             let edges, complete =
-               enumerate space (oracle ~rng) ~within:parts ~limit:cap ()
-             in
-             let c = if complete then List.length edges else cap in
-             float_of_int c *. Float.pow 2.0 (float_of_int level)))
+      let trial rng =
+        let c, complete = capped_count ~rng ~limit:cap level in
+        let c = if complete then c else cap in
+        float_of_int c *. Float.pow 2.0 (float_of_int level)
+      in
+      match source with
+      | Stream rng -> List.init repetitions (fun _ -> trial rng)
+      | Engine exec ->
+          Array.to_list
+            (Ac_exec.Engine.run ?budget
+               (Ac_exec.Engine.split exec (2 + round))
+               ~trials:repetitions
+               (fun ~rng ~budget:_ _i -> trial rng))
     in
+    (* The located level can be too sparse: the single-probe descent may
+       overshoot, and overlapping hyperedges (answers sharing free-variable
+       values) correlate survival, inflating the per-trial variance beyond
+       the 1/sqrt(survivors) of independent edges. Refine adaptively: if
+       the trials' interquartile spread exceeds the accuracy target (or
+       they see far fewer survivors than planned), descend two levels —
+       quadrupling expected survivors and the enumeration cap — and redo,
+       up to three times. *)
     let rec refine ~round level cap attempts =
       let trials = run_trials ~round ~cap level in
       let q1, med, q3 = quartiles trials in
@@ -251,14 +193,13 @@ let rec estimate_exec ~exec ?budget ?within ~epsilon ~delta space
     { value; exact = false; level; repetitions }
   end
 
-let sample_edge ?rng ~epsilon ~delta space oracle =
-  let rng = match rng with Some r -> r | None -> Random.State.make_self_init () in
+let sample_edge ~rng ~epsilon ~delta space oracle =
   (* Descend boxes by halving the widest class, weighting each half by its
      (estimated) edge count; a box whose edges the estimator can list
      exactly finishes with a uniform draw among them. *)
   let rec descend box =
     let space', oracle' = restrict space box oracle in
-    let edges, complete = enumerate space' oracle' ~limit:64 () in
+    let edges, complete = enumerate space' (oracle' ~rng) ~limit:64 () in
     if complete then begin
       match edges with
       | [] -> None
@@ -282,8 +223,11 @@ let sample_edge ?rng ~epsilon ~delta space oracle =
       in
       let left = with_part (Array.sub p 0 mid) in
       let right = with_part (Array.sub p mid (Array.length p - mid)) in
-      let n_left = (estimate ~rng ~within:left ~epsilon ~delta space oracle).value in
-      let n_right = (estimate ~rng ~within:right ~epsilon ~delta space oracle).value in
+      let count within =
+        (estimate ~source:(Stream rng) ~within ~epsilon ~delta space oracle).value
+      in
+      let n_left = count left in
+      let n_right = count right in
       let total = n_left +. n_right in
       if total <= 0.0 then None
       else if Random.State.float rng total < n_left then descend left

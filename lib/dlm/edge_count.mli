@@ -41,6 +41,13 @@ type result = {
   repetitions : int;    (** independent estimates the median was taken over *)
 }
 
+(** An oracle whose probes may themselves be randomized (e.g. the Lemma
+    22 colourful oracle re-colours per probe). The estimator passes each
+    probe the stream of the phase or trial that issues it, keeping the
+    result independent of global RNG state and of the jobs count. A
+    deterministic oracle ignores [rng]. *)
+type seeded_oracle = rng:Random.State.t -> Partite.aligned -> bool
+
 (** [restrict space box oracle] is the sub-hypergraph [H[box]] presented
     as a fresh space (class [i] relabelled to [0 .. |box.(i)|-1]) with a
     translating oracle. Used by box-restricted estimation and by the
@@ -48,40 +55,33 @@ type result = {
 val restrict :
   Partite.space ->
   Partite.aligned ->
-  Partite.aligned_oracle ->
-  Partite.space * Partite.aligned_oracle
+  seeded_oracle ->
+  Partite.space * seeded_oracle
 
 (** Median repetitions giving confidence [1 - delta] — exposed so
     callers (and their parallel engines) can size a batch up front. *)
 val repetitions_for : delta:float -> int
 
-(** [(ε,δ)]-style estimate of [|E(H)|] (or of [|E(H[within])|]). [rng]
-    defaults to a self-init state. *)
+(** Where {!estimate} draws its randomness. *)
+type source =
+  | Stream of Random.State.t
+      (** every draw, oracle probes included, from this one stream in
+          program order: the form a single JVV draw (itself one engine
+          trial) and {!sample_edge} use *)
+  | Engine of Ac_exec.Engine.t
+      (** the exact pre-enumeration and the level-locating descent run
+          sequentially on the engine's streams 0 and 1; refine round [k]
+          fans its median repetitions out over the derived engine
+          [split exec (2 + k)] ({!Ac_exec.Engine.run}), so the result is
+          bit-identical for any jobs count *)
+
+(** [(ε,δ)]-style estimate of [|E(H)|] (or of [|E(H[within])|]).
+    [budget] governs the [Engine] form's parallel trials through
+    per-chunk sub-slices. *)
 val estimate :
-  ?rng:Random.State.t ->
-  ?within:Partite.aligned ->
-  epsilon:float ->
-  delta:float ->
-  Partite.space ->
-  Partite.aligned_oracle ->
-  result
-
-(** An oracle whose probes are themselves randomized (e.g. the Lemma 22
-    colourful oracle re-colours per probe). The estimator passes the
-    per-trial stream in, keeping the result independent of global RNG
-    state and of the jobs count. *)
-type seeded_oracle = rng:Random.State.t -> Partite.aligned -> bool
-
-(** {!estimate} with its median trials fanned out over [exec]'s domains
-    ({!Ac_exec.Engine.run}); bit-identical for any jobs count. The exact
-    pre-enumeration and the level-locating descent run sequentially on
-    dedicated streams (0 and 1); refine round [k] runs its repetitions
-    on the derived engine [split exec (2 + k)]. [budget] governs the
-    parallel trials through per-chunk sub-slices. *)
-val estimate_exec :
-  exec:Ac_exec.Engine.t ->
   ?budget:Ac_runtime.Budget.t ->
   ?within:Partite.aligned ->
+  source:source ->
   epsilon:float ->
   delta:float ->
   Partite.space ->
@@ -92,12 +92,12 @@ val estimate_exec :
     cites from Dell–Lapinskas–Meeks (§6): recursive halving of the widest
     class, each half chosen with probability proportional to its
     (estimated) edge count; exact uniform sampling when the current box's
-    edges fit the estimator's exact path. [None] when the hypergraph is
-    (believed) edge-free. *)
+    edges fit the estimator's exact path. Every draw comes from [rng].
+    [None] when the hypergraph is (believed) edge-free. *)
 val sample_edge :
-  ?rng:Random.State.t ->
+  rng:Random.State.t ->
   epsilon:float ->
   delta:float ->
   Partite.space ->
-  Partite.aligned_oracle ->
+  seeded_oracle ->
   edge option

@@ -48,7 +48,7 @@ let run fmt =
             let r, t =
               Common.time (fun () ->
                   Fptras.approx_count
-                    ~rng:(Random.State.make [| 5 |])
+                    ~exec:(Ac_exec.Engine.sequential ~seed:5)
                     ~engine ~eps:0.3 ~delta:0.1 q db)
             in
             [
@@ -82,8 +82,8 @@ let run fmt =
         let r, t =
           Common.time (fun () ->
               Fptras.approx_count
-                ~rng:(Random.State.make [| 7 |])
-                ~rounds:base ~probe_budget:0 ~eps:0.3 ~delta:0.1 q db)
+                ~exec:(Ac_exec.Engine.sequential ~seed:7)
+                ~rounds:base ~probe:false ~eps:0.3 ~delta:0.1 q db)
         in
         [
           string_of_int base;

@@ -37,7 +37,11 @@ let run fmt =
                     }
                   in
                   (* the hand-sized config replaces the ε sizing *)
-                  let est = Fpras.approx_count ~config ~eps:0.25 q db in
+                  let est =
+                    Fpras.approx_count ~config
+                      ~exec:(Ac_exec.Engine.sequential ~seed)
+                      ~repetitions:1 ~eps:0.25 q db
+                  in
                   Common.rel_err ~estimate:est ~truth:exact)
                 [ 1; 2; 3; 4; 5 ])
         in

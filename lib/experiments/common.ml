@@ -1,6 +1,8 @@
 let rng name =
   Random.State.make (Array.of_seq (Seq.map Char.code (String.to_seq name)))
 
+let engine rng = Ac_exec.Engine.sequential ~seed:(Random.State.bits rng)
+
 let time f =
   let t0 = Unix.gettimeofday () in
   let r = f () in

@@ -4,6 +4,11 @@
 
 val rng : string -> Random.State.t
 
+(** A sequential engine seeded by the next draw of [rng], so every
+    estimator call of an experiment gets its own seed from the
+    experiment's deterministic stream. *)
+val engine : Random.State.t -> Ac_exec.Engine.t
+
 (** [time f] = (result, seconds). *)
 val time : (unit -> 'a) -> 'a * float
 

@@ -37,7 +37,8 @@ let run fmt =
             (fun epsilon ->
               let r, t =
                 Common.time (fun () ->
-                    Fptras.approx_count ~rng ~eps:epsilon ~delta:0.1 q db)
+                    Fptras.approx_count ~exec:(Common.engine rng) ~eps:epsilon
+                      ~delta:0.1 q db)
               in
               let err =
                 Common.rel_err ~estimate:r.Fptras.estimate

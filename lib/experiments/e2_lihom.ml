@@ -32,7 +32,8 @@ let run fmt =
             assert (exact = Lihom.exact_count_brute ~pattern ~host);
           let r, t =
             Common.time (fun () ->
-                Lihom.approx_count ~rng ~eps:0.3 ~delta:0.1 ~pattern host)
+                Lihom.approx_count ~exec:(Common.engine rng) ~eps:0.3
+                  ~delta:0.1 ~pattern host)
           in
           let err =
             Common.rel_err ~estimate:r.Approxcount.Fptras.estimate

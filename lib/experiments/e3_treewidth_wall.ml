@@ -20,7 +20,8 @@ let db_of rng n p = G.to_structure (G.random_gnp ~rng n p)
 let row rng q db label =
   let exact, t_exact = Common.time (fun () -> Exact.by_join_projection q db) in
   let r, t_apx =
-    Common.time (fun () -> Fptras.approx_count ~rng ~eps:0.5 ~delta:0.2 q db)
+    Common.time (fun () ->
+        Fptras.approx_count ~exec:(Common.engine rng) ~eps:0.5 ~delta:0.2 q db)
   in
   let err =
     Common.rel_err ~estimate:r.Fptras.estimate ~truth:(float_of_int exact)

@@ -30,7 +30,7 @@ let run fmt =
           let r, t =
             Common.time (fun () ->
                 Hardness.approx_via_query
-                  ~rng:(Random.State.make [| n |])
+                  ~exec:(Ac_exec.Engine.sequential ~seed:n)
                   ~engine ~rounds:16 ~eps:0.3 ~delta:0.2 g)
           in
           rows :=

@@ -32,8 +32,8 @@ let run fmt =
       let exact, t_exact = Common.time (fun () -> Exact.by_join_projection q db) in
       let r, t =
         Common.time (fun () ->
-            Fptras.approx_count ~rng ~engine:Colour_oracle.Generic ~eps:0.3
-              ~delta:0.1 q db)
+            Fptras.approx_count ~exec:(Common.engine rng)
+              ~engine:Colour_oracle.Generic ~eps:0.3 ~delta:0.1 q db)
       in
       let err =
         Common.rel_err ~estimate:r.Fptras.estimate ~truth:(float_of_int exact)

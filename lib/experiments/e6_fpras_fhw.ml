@@ -55,12 +55,16 @@ let run fmt =
           in
           let est, t_fpras =
             (* the hand-sized config replaces the ε sizing *)
-            Common.time (fun () -> Fpras.approx_count ~config ~eps:0.3 q db)
+            Common.time (fun () ->
+                Fpras.approx_count ~config
+                  ~exec:(Ac_exec.Engine.sequential ~seed:n)
+                  ~repetitions:1 ~eps:0.3 q db)
           in
           let err = Common.rel_err ~estimate:est ~truth:(float_of_int exact) in
           let r_fptras, t_fptras =
             Common.time (fun () ->
-                Fptras.approx_count ~rng ~eps:0.3 ~delta:0.1 q db)
+                Fptras.approx_count ~exec:(Common.engine rng) ~eps:0.3
+                  ~delta:0.1 q db)
           in
           rows :=
             [

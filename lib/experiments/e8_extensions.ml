@@ -103,8 +103,8 @@ let run fmt =
   in
   let kl_full, t_full =
     Common.time (fun () ->
-        Sampling.union_count_approx ~rng ~kl_rounds:150 ~eps:0.25 ~delta:0.1
-          [ q1; q2 ] db)
+        Sampling.union_count_approx ~exec:(Common.engine rng) ~kl_rounds:150
+          ~eps:0.25 ~delta:0.1 [ q1; q2 ] db)
   in
   Common.table fmt
     ~title:"E8c  §6 Karp–Luby union counting (UCQ)"

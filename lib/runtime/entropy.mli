@@ -1,6 +1,6 @@
 (** Reproducible self-initialisation seeds.
 
-    [Random.State.make_self_init] hides the seed it used, making
+    A self-initialised [Random.State.t] hides the seed it used, making
     budget-exceeded runs impossible to replay. {!fresh_seed} draws a
     seed from the clock (plus a process-local counter so rapid calls
     differ) that the caller can log and later feed back through

@@ -3,9 +3,11 @@
 # Run from anywhere; exits non-zero with one line per violation.
 #
 #   1. Entropy discipline — all seeding goes through Ac_runtime.Entropy:
-#      no Random.self_init anywhere, no bare Random.<fn> (anything but
-#      Random.State) in lib/ outside lib/runtime/entropy.ml. A stray
-#      global-RNG call would silently break replayability.
+#      no Random.self_init or Random.State.make_self_init anywhere (a
+#      self-initialised state hides its seed; estimators take an explicit
+#      stream or engine), no bare Random.<fn> (anything but Random.State)
+#      in lib/ outside lib/runtime/entropy.ml. A stray global-RNG call
+#      would silently break replayability.
 #   2. Library purity — lib/ never writes to stdout (Printf.printf,
 #      print_endline, print_string) and never calls exit: rendering and
 #      process control belong to bin/.
@@ -42,8 +44,8 @@ complain() {
 }
 
 # --- 1. entropy discipline -------------------------------------------------
-if grep -rn "Random\.self_init" --include="*.ml" lib bin test examples bench 2>/dev/null; then
-  complain "Random.self_init is forbidden: draw seeds from Ac_runtime.Entropy"
+if grep -rn "Random\.\(State\.make_\)\?self_init" --include="*.ml" lib bin test examples bench 2>/dev/null; then
+  complain "Random.self_init and Random.State.make_self_init are forbidden: draw seeds from Ac_runtime.Entropy"
 fi
 bare_random=$(grep -rn "Random\." --include="*.ml" lib 2>/dev/null \
   | grep -v "Random\.State" \

@@ -43,7 +43,8 @@ let test_lihom_fptras () =
   let host = G.random_gnp ~rng 10 0.4 in
   let expected = Lihom.exact_count ~pattern ~host in
   let r =
-    Lihom.approx_count ~rng ~rounds:48 ~eps:0.25 ~delta:0.2 ~pattern host
+    Lihom.approx_count ~exec:(Ac_exec.Engine.sequential ~seed:5) ~rounds:48
+      ~eps:0.25 ~delta:0.2 ~pattern host
   in
   (* small instance: exact path of the estimator *)
   Alcotest.(check int) "fptras equals exact" expected (int_of_float r.Fptras.estimate)
@@ -116,8 +117,8 @@ let test_hamiltonian_fptras () =
   let g = G.random_gnp ~rng 5 0.7 in
   let expected = Hardness.exact_paths g in
   let r =
-    Hardness.approx_via_query ~rng ~engine:Approxcount.Colour_oracle.Direct
-      ~eps:0.3 ~delta:0.2 g
+    Hardness.approx_via_query ~exec:(Ac_exec.Engine.sequential ~seed:11)
+      ~engine:Approxcount.Colour_oracle.Direct ~eps:0.3 ~delta:0.2 g
   in
   Alcotest.(check int) "direct engine equals DP" expected
     (int_of_float r.Fptras.estimate);
@@ -125,7 +126,7 @@ let test_hamiltonian_fptras () =
   let expected4 = Hardness.exact_paths g4 in
   let r4 =
     Hardness.approx_via_query
-      ~rng:(Random.State.make [| 14 |])
+      ~exec:(Ac_exec.Engine.sequential ~seed:14)
       ~rounds:24 ~eps:0.3 ~delta:0.2 g4
   in
   Alcotest.(check int) "colour engine equals DP (n=4)" expected4

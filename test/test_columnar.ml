@@ -260,9 +260,7 @@ let prop_estimates_bit_identical =
         with_impl impl (fun () ->
             let exec = Ac_exec.Engine.make ~jobs ~seed:11 () in
             let r =
-              Fptras.approx_count ~exec
-                ~rng:(Random.State.make [| 3 |])
-                ~engine:Approxcount.Colour_oracle.Generic ~rounds:60 ~eps:0.5
+              Fptras.approx_count ~exec ~engine:Approxcount.Colour_oracle.Generic ~rounds:60 ~eps:0.5
                 ~delta:0.3 q db
             in
             Int64.bits_of_float r.Fptras.estimate)

@@ -9,6 +9,9 @@ let oracle_of_edges edges parts =
            (Array.mapi (fun i v -> Array.exists (( = ) v) parts.(i)) edge))
        edges)
 
+(* The estimator's oracle form; these hypergraphs ignore the stream. *)
+let deterministic oracle ~rng:_ = oracle
+
 let sort_edges = List.sort compare
 
 let test_space_basics () =
@@ -101,7 +104,10 @@ let test_estimate_exact_small () =
   let s = Partite.space [| 5; 5 |] in
   let edges = [ [| 0; 0 |]; [| 1; 2 |] ] in
   let rng = Random.State.make [| 1 |] in
-  let r = Edge_count.estimate ~rng ~epsilon:0.3 ~delta:0.1 s (oracle_of_edges edges) in
+  let r =
+    Edge_count.estimate ~source:(Stream rng) ~epsilon:0.3 ~delta:0.1 s
+      (deterministic (oracle_of_edges edges))
+  in
   Alcotest.(check bool) "exact on small" true r.Edge_count.exact;
   Alcotest.(check (float 1e-9)) "value" 2.0 r.Edge_count.value
 
@@ -112,7 +118,10 @@ let test_estimate_overlapping_edges () =
   let s = Partite.space [| 30; 500 |] in
   let edges = List.init 400 (fun j -> [| 0; j |]) in
   let rng = Random.State.make [| 13 |] in
-  let r = Edge_count.estimate ~rng ~epsilon:0.25 ~delta:0.1 s (oracle_of_edges edges) in
+  let r =
+    Edge_count.estimate ~source:(Stream rng) ~epsilon:0.25 ~delta:0.1 s
+      (deterministic (oracle_of_edges edges))
+  in
   let err = Float.abs (r.Edge_count.value -. 400.0) /. 400.0 in
   Alcotest.(check bool)
     (Printf.sprintf "within 40%% (got %.1f at level %d)" r.Edge_count.value r.level)
@@ -127,7 +136,10 @@ let test_estimate_three_classes () =
     done
   done;
   let rng = Random.State.make [| 21 |] in
-  let r = Edge_count.estimate ~rng ~epsilon:0.25 ~delta:0.1 s (oracle_of_edges !edges) in
+  let r =
+    Edge_count.estimate ~source:(Stream rng) ~epsilon:0.25 ~delta:0.1 s
+      (deterministic (oracle_of_edges !edges))
+  in
   let err = Float.abs (r.Edge_count.value -. 144.0) /. 144.0 in
   Alcotest.(check bool)
     (Printf.sprintf "3-partite within 40%% (got %.1f)" r.Edge_count.value)
@@ -144,7 +156,10 @@ let test_estimate_accuracy () =
     done
   done;
   let rng = Random.State.make [| 7 |] in
-  let r = Edge_count.estimate ~rng ~epsilon:0.2 ~delta:0.1 s (oracle_of_edges !edges) in
+  let r =
+    Edge_count.estimate ~source:(Stream rng) ~epsilon:0.2 ~delta:0.1 s
+      (deterministic (oracle_of_edges !edges))
+  in
   let err = Float.abs (r.Edge_count.value -. 900.0) /. 900.0 in
   Alcotest.(check bool)
     (Printf.sprintf "within 30%% (got %.1f)" r.Edge_count.value)

@@ -88,7 +88,11 @@ let prop_acjr_close =
     (fun ((q, db), seed) ->
       let exact = float_of_int (Exact.by_join_projection q db) in
       let config = Ac_automata.Acjr.default_config ~seed () in
-      let est = Fpras.approx_count ~config ~eps:0.25 q db in
+      let est =
+        Fpras.approx_count ~config
+          ~exec:(Ac_exec.Engine.sequential ~seed)
+          ~repetitions:1 ~eps:0.25 q db
+      in
       if exact = 0.0 then est = 0.0
       else Float.abs (est -. exact) /. exact < 0.5)
 
@@ -140,7 +144,9 @@ let test_empty_relation_zero () =
   let db2 = Structure.copy db in
   Structure.declare db2 "T" ~arity:2;
   Alcotest.(check bool) "empty T relation → None" true (Fpras.build q db2 = None);
-  Alcotest.(check (float 1e-9)) "approx 0" 0.0 (Fpras.approx_count ~eps:0.25 q db2)
+  Alcotest.(check (float 1e-9)) "approx 0" 0.0 (Fpras.approx_count
+       ~exec:(Ac_exec.Engine.sequential ~seed:0)
+       ~eps:0.25 q db2)
 
 let test_build_stats () =
   let q = Ac_workload.Query_families.acyclic_join () in

@@ -37,7 +37,7 @@ let prop_approx_small_exact =
       let expected = Exact.by_join_projection q db in
       let r =
         Fptras.approx_count
-          ~rng:(Random.State.make [| seed |])
+          ~exec:(Ac_exec.Engine.sequential ~seed)
           ~rounds:48 ~eps:0.25 ~delta:0.2 q db
       in
       r.Fptras.exact && int_of_float r.Fptras.estimate = expected)
@@ -46,9 +46,9 @@ let test_boolean_queries () =
   let q = Ecq.parse "ans() :- E(x, y), x != y" in
   let db_yes = Structure.of_facts ~universe_size:3 [ ("E", [| 0; 1 |]) ] in
   let db_no = Structure.of_facts ~universe_size:3 [ ("E", [| 0; 0 |]) ] in
-  let rng = Random.State.make [| 9 |] in
+  let exec = Ac_exec.Engine.sequential ~seed:9 in
   let count db =
-    (Fptras.approx_count ~rng ~rounds:48 ~eps:0.3 ~delta:0.2 q db).Fptras.estimate
+    (Fptras.approx_count ~exec ~rounds:48 ~eps:0.3 ~delta:0.2 q db).Fptras.estimate
   in
   Alcotest.(check (float 1e-9)) "boolean yes" 1.0 (count db_yes);
   Alcotest.(check (float 1e-9)) "boolean no" 0.0 (count db_no)
@@ -59,7 +59,10 @@ let test_friends_medium_accuracy () =
   let q = Ac_workload.Query_families.friends () in
   let db = Ac_workload.Dbgen.friends_database ~rng ~n:250 ~avg_degree:6.0 in
   let exact = float_of_int (Exact.by_join_projection q db) in
-  let r = Fptras.approx_count ~rng ~eps:0.2 ~delta:0.1 q db in
+  let r =
+    Fptras.approx_count ~exec:(Ac_exec.Engine.sequential ~seed:17) ~eps:0.2
+      ~delta:0.1 q db
+  in
   let err = Float.abs (r.Fptras.estimate -. exact) /. Float.max exact 1.0 in
   Alcotest.(check bool)
     (Printf.sprintf "relative error %.3f (est %.1f vs %f)" err r.Fptras.estimate exact)
@@ -72,7 +75,10 @@ let test_star_distinct_estimator_path () =
     Ac_workload.Dbgen.random_structure ~rng ~universe_size:80 [ ("E", 2, 300) ]
   in
   let exact = float_of_int (Exact.by_join_projection q db) in
-  let r = Fptras.approx_count ~rng ~eps:0.25 ~delta:0.2 q db in
+  let r =
+    Fptras.approx_count ~exec:(Ac_exec.Engine.sequential ~seed:23) ~eps:0.25
+      ~delta:0.2 q db
+  in
   let err = Float.abs (r.Fptras.estimate -. exact) /. Float.max exact 1.0 in
   Alcotest.(check bool)
     (Printf.sprintf "star2 err %.3f (est %.1f vs %f, level %d)" err
@@ -82,8 +88,10 @@ let test_star_distinct_estimator_path () =
 let test_zero_answers () =
   let q = Ecq.parse "ans(x) :- E(x, y), !E(x, y)" in
   let db = Structure.of_facts ~universe_size:3 [ ("E", [| 0; 1 |]) ] in
-  let rng = Random.State.make [| 3 |] in
-  let r = Fptras.approx_count ~rng ~eps:0.3 ~delta:0.2 q db in
+  let r =
+    Fptras.approx_count ~exec:(Ac_exec.Engine.sequential ~seed:3) ~eps:0.3
+      ~delta:0.2 q db
+  in
   Alcotest.(check (float 1e-9)) "contradictory query" 0.0 r.Fptras.estimate
 
 let test_engines_agree_exact_mode () =
@@ -95,7 +103,7 @@ let test_engines_agree_exact_mode () =
     (fun engine ->
       let r =
         Fptras.approx_count
-          ~rng:(Random.State.make [| 37 |])
+          ~exec:(Ac_exec.Engine.sequential ~seed:37)
           ~engine ~rounds:48 ~eps:0.3 ~delta:0.2 q db
       in
       Alcotest.(check int) "engine agrees" expected (int_of_float r.Fptras.estimate))

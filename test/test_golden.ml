@@ -224,7 +224,7 @@ let single_stream_lines db =
        vertex 0, large enough that the estimator samples (level > 0) *)
     let space = Ac_dlm.Partite.space [| 30; 500 |] in
     let edges = List.init 400 (fun j -> [| 0; j |]) in
-    let oracle parts =
+    let oracle ~rng:_ parts =
       not
         (List.exists
            (fun e ->
@@ -233,8 +233,8 @@ let single_stream_lines db =
            edges)
     in
     let r =
-      Ac_dlm.Edge_count.estimate ~rng:(rng_of 13) ~epsilon:0.25 ~delta:0.1
-        space oracle
+      Ac_dlm.Edge_count.estimate ~source:(Stream (rng_of 13)) ~epsilon:0.25
+        ~delta:0.1 space oracle
     in
     Printf.sprintf "dlm-estimate\toverlap-400\t13\t%s\t%b\t%d\t%d"
       (bits r.Ac_dlm.Edge_count.value) r.exact r.level r.repetitions

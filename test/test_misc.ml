@@ -18,12 +18,12 @@ let test_unaligned_oracle_path () =
       [ ("E", [| 0; 1 |]); ("E", [| 0; 2 |]); ("E", [| 3; 2 |]) ]
   in
   let oracle =
-    Colour_oracle.create
-      ~rng:(Random.State.make [| 1 |])
-      ~rounds:64 ~engine:Colour_oracle.Tree_dp q db
+    Colour_oracle.create ~rounds:64 ~engine:Colour_oracle.Tree_dp q db
   in
   let space = Colour_oracle.space oracle in
-  let aligned = Colour_oracle.aligned_oracle oracle in
+  let aligned =
+    Colour_oracle.seeded_oracle oracle ~rng:(Random.State.make [| 1 |])
+  in
   let answers = Exact.answers q db in
   Alcotest.(check bool) "has answers" true (answers <> []);
   (* a genuine answer (a, b): presented with the classes swapped inside

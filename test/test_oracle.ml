@@ -32,7 +32,7 @@ let prop_oracle_matches ~allow_neg ~allow_diseq engine_name engine =
       if l = 0 || Structure.universe_size db = 0 then true
       else begin
         let rng = Random.State.make [| seed |] in
-        let oracle = Colour_oracle.create ~rng ~rounds:48 ~engine q db in
+        let oracle = Colour_oracle.create ~rounds:48 ~engine q db in
         let u = Structure.universe_size db in
         let ok = ref true in
         for trial = 0 to 4 do
@@ -45,7 +45,7 @@ let prop_oracle_matches ~allow_neg ~allow_diseq engine_name engine =
                      (List.init u Fun.id)))
           in
           let expected = box_has_answer q db parts in
-          let got = Colour_oracle.has_answer_in_box oracle parts in
+          let got = Colour_oracle.has_answer_in_box ~rng oracle parts in
           if got <> expected then ok := false
         done;
         !ok
@@ -58,25 +58,23 @@ let test_counts_tracked () =
       [ ("F", [| 0; 1 |]); ("F", [| 0; 2 |]) ]
   in
   let oracle =
-    Colour_oracle.create
-      ~rng:(Random.State.make [| 1 |])
-      ~rounds:64 ~engine:Colour_oracle.Tree_dp q db
+    Colour_oracle.create ~rounds:64 ~engine:Colour_oracle.Tree_dp q db
   in
   Alcotest.(check int) "no calls yet" 0 (Colour_oracle.oracle_calls oracle);
   let parts = [| [| 0; 1; 2 |] |] in
-  Alcotest.(check bool) "answer found" true (Colour_oracle.has_answer_in_box oracle parts);
+  Alcotest.(check bool) "answer found" true
+    (Colour_oracle.has_answer_in_box ~rng:(Random.State.make [| 1 |]) oracle
+       parts);
   Alcotest.(check int) "one oracle call" 1 (Colour_oracle.oracle_calls oracle);
   Alcotest.(check bool) "hom calls made" true (Colour_oracle.hom_calls oracle > 0)
 
 let test_empty_part () =
   let q = Ac_workload.Query_families.friends () in
   let db = Structure.of_facts ~universe_size:3 [ ("F", [| 0; 1 |]); ("F", [| 0; 2 |]) ] in
-  let oracle =
-    Colour_oracle.create ~rng:(Random.State.make [| 1 |]) ~rounds:8
-      ~engine:Colour_oracle.Tree_dp q db
-  in
+  let oracle = Colour_oracle.create ~rounds:8 ~engine:Colour_oracle.Tree_dp q db in
   Alcotest.(check bool) "empty part has no edge" false
-    (Colour_oracle.has_answer_in_box oracle [| [||] |])
+    (Colour_oracle.has_answer_in_box ~rng:(Random.State.make [| 1 |]) oracle
+       [| [||] |])
 
 let test_propagation_pinned_diseq () =
   (* Hamiltonian-style query: all disequalities among free variables; at
@@ -85,25 +83,20 @@ let test_propagation_pinned_diseq () =
   let q = Ac_workload.Query_families.hamiltonian 3 in
   let g = Ac_workload.Graph.path 3 in
   let db = Ac_workload.Graph.to_structure g in
-  let oracle =
-    Colour_oracle.create ~rng:(Random.State.make [| 2 |]) ~rounds:1
-      ~engine:Colour_oracle.Tree_dp q db
-  in
+  let oracle = Colour_oracle.create ~rounds:1 ~engine:Colour_oracle.Tree_dp q db in
+  let rng = Random.State.make [| 2 |] in
   (* the path 0-1-2 is a Hamiltonian path *)
   Alcotest.(check bool) "path found" true
-    (Colour_oracle.has_answer_in_box oracle [| [| 0 |]; [| 1 |]; [| 2 |] |]);
+    (Colour_oracle.has_answer_in_box ~rng oracle [| [| 0 |]; [| 1 |]; [| 2 |] |]);
   Alcotest.(check bool) "non-path rejected" false
-    (Colour_oracle.has_answer_in_box oracle [| [| 0 |]; [| 2 |]; [| 1 |] |]);
+    (Colour_oracle.has_answer_in_box ~rng oracle [| [| 0 |]; [| 2 |]; [| 1 |] |]);
   Alcotest.(check bool) "repeated vertex rejected" false
-    (Colour_oracle.has_answer_in_box oracle [| [| 0 |]; [| 1 |]; [| 0 |] |])
+    (Colour_oracle.has_answer_in_box ~rng oracle [| [| 0 |]; [| 1 |]; [| 0 |] |])
 
 let test_space () =
   let q = Ac_workload.Query_families.star_distinct 2 in
   let db = Structure.of_facts ~universe_size:5 [ ("E", [| 0; 1 |]) ] in
-  let oracle =
-    Colour_oracle.create ~rng:(Random.State.make [| 3 |]) ~engine:Colour_oracle.Generic
-      q db
-  in
+  let oracle = Colour_oracle.create ~engine:Colour_oracle.Generic q db in
   let space = Colour_oracle.space oracle in
   Alcotest.(check int) "two classes" 2 (Ac_dlm.Partite.num_classes space);
   Alcotest.(check int) "class size" 10 (Ac_dlm.Partite.num_vertices space)

@@ -83,7 +83,7 @@ let test_ucq_counts () =
   Alcotest.(check bool) "non member" false (Ucq.is_answer u db [| 2 |]);
   let est =
     Ucq.approx_count
-      ~rng:(Random.State.make [| 7 |])
+      ~exec:(Ac_exec.Engine.sequential ~seed:7)
       ~kl_rounds:100 ~eps:0.3 ~delta:0.2 u db
   in
   Alcotest.(check bool)
@@ -133,7 +133,7 @@ let prop_core_hom_equivalent =
 let test_sample_edge () =
   let space = Ac_dlm.Partite.space [| 6; 6 |] in
   let edges = [ [| 0; 0 |]; [| 1; 2 |]; [| 5; 5 |] ] in
-  let oracle parts =
+  let oracle ~rng:_ parts =
     not
       (List.exists
          (fun e ->
@@ -154,7 +154,8 @@ let test_sample_edge () =
   Alcotest.(check bool) "diversity" true (Hashtbl.length seen >= 2);
   (* empty hypergraph *)
   Alcotest.(check bool) "empty" true
-    (Ac_dlm.Edge_count.sample_edge ~rng ~epsilon:0.3 ~delta:0.2 space (fun _ -> true)
+    (Ac_dlm.Edge_count.sample_edge ~rng ~epsilon:0.3 ~delta:0.2 space
+       (fun ~rng:_ _ -> true)
     = None)
 
 let test_sample_dlm_query_level () =
@@ -174,7 +175,7 @@ let test_sample_dlm_query_level () =
 
 let test_restrict () =
   let space = Ac_dlm.Partite.space [| 4; 4 |] in
-  let oracle parts =
+  let oracle ~rng:_ parts =
     (* edge-free unless class 0 keeps value 3 and class 1 keeps value 1 *)
     not (Array.exists (( = ) 3) parts.(0) && Array.exists (( = ) 1) parts.(1))
   in
@@ -183,8 +184,9 @@ let test_restrict () =
   in
   Alcotest.(check int) "restricted sizes" 3 (Ac_dlm.Partite.num_vertices space');
   (* local (1, 0) = global (3, 1): not edge-free *)
-  Alcotest.(check bool) "translated" false (oracle' [| [| 1 |]; [| 0 |] |]);
-  Alcotest.(check bool) "translated free" true (oracle' [| [| 0 |]; [| 0 |] |])
+  let rng = Random.State.make [| 0 |] in
+  Alcotest.(check bool) "translated" false (oracle' ~rng [| [| 1 |]; [| 0 |] |]);
+  Alcotest.(check bool) "translated free" true (oracle' ~rng [| [| 0 |]; [| 0 |] |])
 
 let tests =
   [

@@ -20,7 +20,8 @@ let test_repeated_variable_atom () =
   Alcotest.(check int) "exact self loops" 2 (Exact.by_join_projection q db);
   Alcotest.(check int) "brute agrees" 2 (Exact.brute_force q db);
   let r =
-    Fptras.approx_count ~rng:(Random.State.make [| 1 |]) ~eps:0.3 ~delta:0.2 q db
+    Fptras.approx_count ~exec:(Ac_exec.Engine.sequential ~seed:1) ~eps:0.3
+      ~delta:0.2 q db
   in
   Alcotest.(check (float 1e-9)) "fptras" 2.0 r.Fptras.estimate;
   Alcotest.(check int) "fpras automaton" 2 (Fpras.exact_count_automaton q db)
@@ -72,13 +73,12 @@ let test_no_hom_box_is_cheap () =
       [ ("F", [| 0; 1 |]); ("F", [| 0; 2 |]) ]
   in
   let oracle =
-    Colour_oracle.create
-      ~rng:(Random.State.make [| 1 |])
-      ~rounds:10000 ~engine:Colour_oracle.Tree_dp q db
+    Colour_oracle.create ~rounds:10000 ~engine:Colour_oracle.Tree_dp q db
   in
   (* person 4 has no friends: the box {4} admits no hom *)
   Alcotest.(check bool) "no answer" false
-    (Colour_oracle.has_answer_in_box oracle [| [| 4 |] |]);
+    (Colour_oracle.has_answer_in_box ~rng:(Random.State.make [| 1 |]) oracle
+       [| [| 4 |] |]);
   Alcotest.(check bool) "cheap decision" true (Colour_oracle.hom_calls oracle <= 3)
 
 let test_witness_shortcut () =
@@ -89,13 +89,10 @@ let test_witness_shortcut () =
     Structure.of_facts ~universe_size:5
       [ ("F", [| 0; 1 |]); ("F", [| 0; 2 |]) ]
   in
-  let oracle =
-    Colour_oracle.create
-      ~rng:(Random.State.make [| 1 |])
-      ~rounds:1 ~engine:Colour_oracle.Tree_dp q db
-  in
+  let oracle = Colour_oracle.create ~rounds:1 ~engine:Colour_oracle.Tree_dp q db in
   Alcotest.(check bool) "found" true
-    (Colour_oracle.has_answer_in_box oracle [| [| 0 |] |])
+    (Colour_oracle.has_answer_in_box ~rng:(Random.State.make [| 1 |]) oracle
+       [| [| 0 |] |])
 
 let test_two_diseqs_same_pair_vars () =
   (* duplicated disequalities collapse in Δ(φ) *)
@@ -126,7 +123,7 @@ let test_medium_estimator_accuracy_sweep () =
       let exact = float_of_int (Exact.by_join_projection q db) in
       let r =
         Fptras.approx_count
-          ~rng:(Random.State.make [| n |])
+          ~exec:(Ac_exec.Engine.sequential ~seed:n)
           ~eps:0.25 ~delta:0.1 q db
       in
       let err = Float.abs (r.Fptras.estimate -. exact) /. Float.max exact 1.0 in

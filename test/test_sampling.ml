@@ -101,9 +101,10 @@ let prop_union_karp_luby_close =
 
 let test_union_approx () =
   let q1, q2, db = union_fixture () in
-  let rng = Random.State.make [| 4 |] in
   let est =
-    Sampling.union_count_approx ~rng ~kl_rounds:120 ~eps:0.25 ~delta:0.1
+    Sampling.union_count_approx
+      ~exec:(Ac_exec.Engine.sequential ~seed:4)
+      ~kl_rounds:120 ~eps:0.25 ~delta:0.1
       [ q1; q2 ] db
   in
   Alcotest.(check bool)
