@@ -22,8 +22,8 @@
    Run with: dune exec bench/main.exe
    (pass --tables-only / --micro-only to select a layer)
 
-   Six gated modes each write one BENCH_<mode>.json instead:
-   --parallel, --obs, --chaos, --join, --cost, --conformance. The acqd
+   Five gated modes each write one BENCH_<mode>.json instead:
+   --parallel, --obs, --chaos, --cost, --conformance. The acqd
    service paths (cold and result-hot COUNTs, live mutation, the sharded
    fleet) are measured end to end by perfbench/ (see perfbench/README.md). *)
 
@@ -315,96 +315,6 @@ let run_parallel () =
     ],
     [ ("identical_estimates", List.for_all (Int64.equal estimate) !estimates) ]
   )
-
-(* --- columnar join kernels vs the trie oracle (BENCH_join.json) ---
-
-   Times the same joins under both Generic_join implementations over
-   one shared sealed database: the hash-trie reference path and the
-   columnar leapfrog kernels. Two figures per workload:
-
-     end_to_end: prepare + run per evaluation — what a server request
-                 pays. The columnar path reuses the relations' memoized
-                 sorted projections across prepares; the trie path
-                 rebuilds its tries every time.
-     run_only:   enumeration over an already-prepared join.
-
-   Counts must agree between the two paths (they enumerate identical
-   sequences), and the kernels must win end-to-end. *)
-
-let run_join () =
-  let module GJ = Ac_join.Generic_join in
-  let module Structure = Ac_relational.Structure in
-  let db = G.to_structure (G.random_gnp ~rng:(rng_of 31) 80 0.15) in
-  ignore (Structure.seal db);
-  let u = Structure.universe_size db in
-  let e = Structure.relation db "E" in
-  let triangle =
-    [ GJ.atom [| 0; 1 |] e; GJ.atom [| 1; 2 |] e; GJ.atom [| 2; 0 |] e ]
-  in
-  let four_cycle =
-    [
-      GJ.atom [| 0; 1 |] e;
-      GJ.atom [| 1; 2 |] e;
-      GJ.atom [| 2; 3 |] e;
-      GJ.atom [| 3; 0 |] e;
-    ]
-  in
-  let workloads =
-    [ ("triangle", 3, triangle); ("four_cycle", 4, four_cycle) ]
-  in
-  let iters = 25 in
-  (* ms per evaluation, averaged over [iters] *)
-  let per_iter f () =
-    snd (time_ms (fun () -> for _ = 1 to iters do f () done))
-    /. float_of_int iters
-  in
-  let run_count p =
-    let n = ref 0 in
-    GJ.run p ~f:(fun _ ->
-        incr n;
-        true);
-    !n
-  in
-  let row (name, num_vars, atoms) =
-    let prepare impl = GJ.prepare ~num_vars ~universe_size:u ~impl atoms in
-    let count impl = run_count (prepare impl) in
-    (* end-to-end, then run-only over one prepared join *)
-    let timings impl =
-      let p = prepare impl in
-      [
-        per_iter (fun () -> ignore (count impl));
-        per_iter (fun () -> ignore (run_count p));
-      ]
-    in
-    match rounds 5 (timings GJ.Trie @ timings GJ.Columnar) with
-    | [ te; tr; ce; cr ] ->
-        let tc = count GJ.Trie and cc = count GJ.Columnar in
-        ( Json.Obj
-            [
-              ("name", Json.String name);
-              ("count_trie", Json.Int tc);
-              ("count_columnar", Json.Int cc);
-              ("trie_end_to_end_ms", spread te);
-              ("columnar_end_to_end_ms", spread ce);
-              ("trie_run_only_ms", spread tr);
-              ("columnar_run_only_ms", spread cr);
-              ("end_to_end_speedup", Json.Float (median te /. median ce));
-            ],
-          tc = cc,
-          median ce < median te )
-    | _ -> assert false
-  in
-  let rows = List.map row workloads in
-  ( [
-      ("benchmark", Json.String "generic join: columnar kernels vs trie oracle");
-      ("graph", Json.String "gnp n=80 p=0.15 (seed 31), symmetric E");
-      ("iterations", Json.Int iters);
-      ("workloads", Json.List (List.map (fun (j, _, _) -> j) rows));
-    ],
-    [
-      ("counts_equal", List.for_all (fun (_, equal, _) -> equal) rows);
-      ("kernels_beat_trie_end_to_end", List.for_all (fun (_, _, win) -> win) rows);
-    ] )
 
 (* --- observability overhead (BENCH_obs.json) ---
 
@@ -725,7 +635,6 @@ let () =
       ("parallel", run_parallel);
       ("obs", run_obs);
       ("chaos", run_chaos);
-      ("join", run_join);
       ("cost", run_cost);
       ("conformance", run_conformance);
     ]

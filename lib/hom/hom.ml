@@ -131,7 +131,7 @@ let pow_fits u w =
   let rec go acc i = i = 0 || (acc <= max_int / u && go (acc * u) (i - 1)) in
   go u (w - 1)
 
-let build_dp ~budget ?impl inst atoms =
+let build_dp ~budget inst atoms =
   let h = hypergraph inst.source in
   let d = Tree_decomposition.decompose h in
   let num_nodes = Tree_decomposition.num_nodes d in
@@ -174,7 +174,7 @@ let build_dp ~budget ?impl inst atoms =
         in
         let join =
           Generic_join.prepare ~num_vars:(Array.length vars) ~universe_size
-            ~budget ?impl local_atoms
+            ~budget local_atoms
         in
         let children =
           List.map
@@ -224,19 +224,19 @@ let build_dp ~budget ?impl inst atoms =
     key_pool = Atomic.make [];
   }
 
-let prepare ~strategy ?(budget = Budget.none) ?impl inst =
+let prepare ~strategy ?(budget = Budget.none) inst =
   let atoms = to_atoms inst in
   let num_vars = Structure.universe_size inst.source in
   let universe_size = Structure.universe_size inst.target in
   let base_domains = restrict_domains inst in
   let full_join =
-    Generic_join.prepare ~num_vars ~universe_size ~budget ?impl atoms
+    Generic_join.prepare ~num_vars ~universe_size ~budget atoms
   in
   let dp =
     match strategy with
     | Backtracking -> None
     | Decomposition ->
-        if num_vars = 0 then None else Some (build_dp ~budget ?impl inst atoms)
+        if num_vars = 0 then None else Some (build_dp ~budget inst atoms)
   in
   {
     instance = inst;

@@ -13,7 +13,7 @@
     Both accept optional per-variable [domains] (used by the colour-coding
     reduction to pin unary constraints cheaply). The colour-coding oracle
     issues thousands of decisions against one instance; {!prepare} once
-    (tries, decomposition, arc-consistent base domains) and {!decide}
+    (join indexes, decomposition, arc-consistent base domains) and {!decide}
     per call. *)
 
 type instance = {
@@ -48,7 +48,6 @@ type prepared
 val prepare :
   strategy:strategy ->
   ?budget:Ac_runtime.Budget.t ->
-  ?impl:Ac_join.Generic_join.impl ->
   instance ->
   prepared
 val strategy : prepared -> strategy

@@ -121,32 +121,31 @@ let ghw_exact h =
   in
   fst (Tree_decomposition.exact_f_width h ~cost)
 
+(* Same 0/1 LP shape as the cover LP, so the exact simplex solves it
+   too and the value is converted at the boundary, as in [fcn]. *)
 let max_fractional_independent_set h =
   let n = Hypergraph.num_vertices h in
   if n = 0 then (0.0, [||])
   else begin
-    let objective = Array.make n 1.0 in
-    let edge_constraints =
-      List.map
-        (fun e ->
-          let coeffs =
-            Array.init n (fun v -> if Bitset.mem e v then 1.0 else 0.0)
-          in
-          Ac_lp.Simplex.constr coeffs Ac_lp.Simplex.Le 1.0)
-        (Hypergraph.edges h)
+    let open Ac_lp in
+    let row mem =
+      Simplex_exact.constr
+        (Array.init n (fun v -> if mem v then Rat.one else Rat.zero))
+        Simplex_exact.Le Rat.one
     in
-    let box_constraints =
-      List.init n (fun v ->
-          let coeffs = Array.make n 0.0 in
-          coeffs.(v) <- 1.0;
-          Ac_lp.Simplex.constr coeffs Ac_lp.Simplex.Le 1.0)
+    let constraints =
+      List.map (fun e -> row (Bitset.mem e)) (Hypergraph.edges h)
+      @ List.init n (fun v -> row (Int.equal v))
     in
     match
-      Ac_lp.Simplex.maximize ~num_vars:n ~objective
-        (edge_constraints @ box_constraints)
+      Simplex_exact.maximize ~num_vars:n ~objective:(Array.make n Rat.one)
+        constraints
     with
-    | Ac_lp.Simplex.Optimal { value; point } -> (value, point)
-    | Ac_lp.Simplex.Infeasible | Ac_lp.Simplex.Unbounded -> (0.0, Array.make n 0.0)
+    | Simplex_exact.Optimal { value; point } ->
+        (Rat.to_float value, Array.map Rat.to_float point)
+    | Simplex_exact.Infeasible | Simplex_exact.Unbounded ->
+        (* cannot happen: μ ≡ 0 is feasible and the boxes bound μ *)
+        (0.0, Array.make n 0.0)
   end
 
 let is_fractional_independent_set ?(tolerance = 1e-6) h mu =

@@ -52,7 +52,9 @@ val hw_of_decomposition : Hypergraph.t -> Tree_decomposition.t -> int
 val ghw_exact : Hypergraph.t -> float
 
 (** Maximum-weight fractional independent set (Definition 33): total
-    weight and the weight vector. *)
+    weight and the weight vector. Computed by the exact rational simplex
+    and converted at the boundary, like {!fcn}; both raise
+    [Ac_lp.Rat.Overflow] when an exact pivot leaves native ints. *)
 val max_fractional_independent_set : Hypergraph.t -> float * float array
 
 (** [mu_width h mu] = μ-width of [H] (Definition 32 with f = μ), exact for

@@ -14,32 +14,20 @@ let atom scope relation =
     invalid_arg "Generic_join.atom: scope length must equal relation arity";
   { scope; relation }
 
-type impl = Trie | Columnar
-
-(* Process-wide default, settable so the bench harness and the
-   differential tests can pit the two paths against each other. *)
-let default_impl_ref = Atomic.make Columnar
-let set_default_impl i = Atomic.set default_impl_ref i
-let default_impl () = Atomic.get default_impl_ref
-
 (* Per-atom preprocessed index over the first-occurrence positions of the
    scope's distinct variables (in global elimination order; tuples
-   violating repeated-variable equality are dropped at build time):
-   either a trie (the reference path) or a sorted columnar projection
-   read by the leapfrog kernels. *)
-type index = I_trie of Trie.t | I_cols of Relation.cols
-
+   violating repeated-variable equality are dropped at build time): a
+   sorted columnar projection read by the leapfrog kernels. *)
 type indexed = {
   vars_in_order : int array;
-  index : index;
+  cols : Relation.cols;
 }
 
 (* Complement views never get an index: materializing or even
    enumerating [U^k \ R] is exactly the blow-up the lazy views exist to
    avoid. They join as {e filter atoms}: once the last of their
    variables binds, one O(k log n) membership probe on the base decides
-   the whole atom. Both impls do this identically, so enumeration
-   order — and everything downstream of it — cannot diverge. *)
+   the whole atom. *)
 type filter = {
   f_scope : int array;
   f_relation : Relation.t;
@@ -48,30 +36,24 @@ type filter = {
 type prepared = {
   num_vars : int;
   universe_size : int;
-  impl : impl;
   order : int array;
   indexed : indexed array;
-  at_level : (int * int) list array; (* order position → (atom, level) *)
-  parts_at : (int * int) array array; (* at_level as arrays, for the kernels *)
+  parts_at : (int * int) array array; (* order position → (atom, level) *)
   filters_at : filter list array; (* order position → filters now decidable *)
   start_filters : filter list; (* variable-free filters, checked once *)
   budget : Budget.t; (* ticked once per search-tree node *)
   pool : state list Atomic.t;
-      (* recycled columnar run states: the oracle path runs thousands of
+      (* recycled run states: the oracle path runs thousands of
          tiny joins per second over one [prepared], and cursor-state
          allocation would dominate them *)
 }
 
 (* Per-run cursor state, so one [prepared] can serve concurrent runs
    (the parallel estimator shares prepares across trial domains). A
-   state is owned by exactly one run at a time; columnar states return
-   to the pool on normal completion (never after an exception — a
-   half-unwound trie walk or cursor stack is not worth repairing). *)
-and state =
-  | S_trie of Trie.t array
-  | S_cols of cols_state
-
-and cols_state = {
+   state is owned by exactly one run at a time and returns to the pool
+   on normal completion (never after an exception — a half-unwound
+   cursor stack is not worth repairing). *)
+and state = {
   los : int array array; (* per atom: row-range stack, one slot per level *)
   his : int array array;
   with_dom : Gallop.run array array;
@@ -101,38 +83,25 @@ let scope_index a =
     a.scope;
   (seen, List.rev !distinct)
 
-let index_atom ~impl ~position a =
+let index_atom ~position a =
   let seen, distinct = scope_index a in
   let sorted =
     List.sort (fun u v -> Int.compare position.(u) position.(v)) distinct
   in
   let positions = Array.of_list (List.map (Hashtbl.find seen) sorted) in
-  let index =
-    match impl with
-    | Trie ->
-        let keep tuple =
-          let ok = ref true in
-          Array.iteri
-            (fun pos v ->
-              let first = Hashtbl.find seen v in
-              if tuple.(pos) <> tuple.(first) then ok := false)
-            a.scope;
-          !ok
-        in
-        I_trie (Trie.build ~keep a.relation ~positions)
-    | Columnar ->
-        let equalities = ref [] in
-        Array.iteri
-          (fun pos v ->
-            let first = Hashtbl.find seen v in
-            if pos <> first then equalities := (pos, first) :: !equalities)
-          a.scope;
-        Relation.seal a.relation;
-        I_cols
-          (Relation.projection a.relation ~positions
-             ~equalities:(Array.of_list (List.rev !equalities)))
-  in
-  { vars_in_order = Array.of_list sorted; index }
+  let equalities = ref [] in
+  Array.iteri
+    (fun pos v ->
+      let first = Hashtbl.find seen v in
+      if pos <> first then equalities := (pos, first) :: !equalities)
+    a.scope;
+  Relation.seal a.relation;
+  {
+    vars_in_order = Array.of_list sorted;
+    cols =
+      Relation.projection a.relation ~positions
+        ~equalities:(Array.of_list (List.rev !equalities));
+  }
 
 let validate ~num_vars atoms =
   List.iter
@@ -157,9 +126,7 @@ let default_order ~num_vars atoms =
   in
   Array.of_list sorted
 
-let prepare ~num_vars ~universe_size ?(budget = Budget.none) ?impl ?order atoms
-    =
-  let impl = match impl with Some i -> i | None -> default_impl () in
+let prepare ~num_vars ~universe_size ?(budget = Budget.none) ?order atoms =
   validate ~num_vars atoms;
   let order =
     match order with
@@ -176,7 +143,7 @@ let prepare ~num_vars ~universe_size ?(budget = Budget.none) ?impl ?order atoms
     List.partition (fun a -> not (Relation.is_complement a.relation)) atoms
   in
   let indexed =
-    Array.of_list (List.map (index_atom ~impl ~position) positive)
+    Array.of_list (List.map (index_atom ~position) positive)
   in
   let at_level = Array.make num_vars [] in
   Array.iteri
@@ -202,10 +169,8 @@ let prepare ~num_vars ~universe_size ?(budget = Budget.none) ?impl ?order atoms
   {
     num_vars;
     universe_size;
-    impl;
     order;
     indexed;
-    at_level;
     parts_at = Array.map Array.of_list at_level;
     filters_at;
     start_filters = !start_filters;
@@ -213,17 +178,12 @@ let prepare ~num_vars ~universe_size ?(budget = Budget.none) ?impl ?order atoms
     pool = Atomic.make [];
   }
 
-let cols_of idx =
-  match idx.index with
-  | I_cols c -> c
-  | I_trie _ -> invalid_arg "Generic_join: trie index in columnar run"
-
 let filter_ok assignment flt =
   Relation.mem flt.f_relation
     (Array.map (fun v -> assignment.(v)) flt.f_scope)
 
-let fresh_cols_state p =
-  let acols = Array.map cols_of p.indexed in
+let fresh_state p =
+  let acols = Array.map (fun idx -> idx.cols) p.indexed in
   let depth idx = Array.length idx.vars_in_order in
   let los = Array.map (fun idx -> Array.make (depth idx + 1) 0) p.indexed in
   let his =
@@ -288,49 +248,34 @@ let run ?domains ?(reuse = false) ?(diseqs = [||]) p ~f =
               let c = Intset.canon a in
               domain_arr.(v) <- (if c == a then dom else Some c))
         ds);
-  let state =
-    match p.impl with
-    | Trie ->
-        S_trie
-          (Array.map
-             (fun idx ->
-               match idx.index with
-               | I_trie t -> t
-               | I_cols _ -> invalid_arg "Generic_join: mixed index")
-             p.indexed)
-    | Columnar -> (
-        match pool_take p.pool with
-        | Some s -> s
-        | None -> S_cols (fresh_cols_state p))
+  let cs =
+    match pool_take p.pool with Some s -> s | None -> fresh_state p
   in
-  (match state with
-  | S_trie _ -> ()
-  | S_cols cs ->
-      for i = 0 to p.num_vars - 1 do
-        match domain_arr.(p.order.(i)) with
-        | Some arr when Array.length p.parts_at.(i) > 0 ->
-            let len = Array.length arr in
-            let dcol =
-              match cs.domcols.(i) with
-              | Some c when Column.length c >= len -> c
-              | _ ->
-                  let c = Column.create (max p.universe_size len) in
-                  cs.domcols.(i) <- Some c;
-                  c
-            in
-            for k = 0 to len - 1 do
-              Column.set dcol k arr.(k)
-            done;
-            let r0 = cs.with_dom.(i).(0) in
-            r0.Gallop.col <- dcol;
-            r0.Gallop.lo <- 0;
-            r0.Gallop.hi <- len;
-            cs.sel.(i) <- cs.with_dom.(i);
-            cs.offs.(i) <- 1
-        | _ ->
-            cs.sel.(i) <- cs.no_dom.(i);
-            cs.offs.(i) <- 0
-      done);
+  for i = 0 to p.num_vars - 1 do
+    match domain_arr.(p.order.(i)) with
+    | Some arr when Array.length p.parts_at.(i) > 0 ->
+        let len = Array.length arr in
+        let dcol =
+          match cs.domcols.(i) with
+          | Some c when Column.length c >= len -> c
+          | _ ->
+              let c = Column.create (max p.universe_size len) in
+              cs.domcols.(i) <- Some c;
+              c
+        in
+        for k = 0 to len - 1 do
+          Column.set dcol k arr.(k)
+        done;
+        let r0 = cs.with_dom.(i).(0) in
+        r0.Gallop.col <- dcol;
+        r0.Gallop.lo <- 0;
+        r0.Gallop.hi <- len;
+        cs.sel.(i) <- cs.with_dom.(i);
+        cs.offs.(i) <- 1
+    | _ ->
+        cs.sel.(i) <- cs.no_dom.(i);
+        cs.offs.(i) <- 0
+  done;
   let assignment = Array.make p.num_vars (-1) in
   let stop = ref false in
   (* [descend]/[filters_pass] live in the [rec] group rather than inside
@@ -365,121 +310,74 @@ let run ?domains ?(reuse = false) ?(diseqs = [||]) p ~f =
     end
     else begin
       let v = p.order.(i) in
-      (match p.at_level.(i) with
-      | [] -> (
-          match domain_arr.(v) with
-          | Some arr ->
-              let n = Array.length arr in
-              let k = ref 0 in
-              while (not !stop) && !k < n do
-                descend i v arr.(!k);
-                incr k
-              done
-          | None ->
-              let value = ref 0 in
-              while (not !stop) && !value < p.universe_size do
-                descend i v !value;
-                incr value
-              done)
-      | participants -> (
-          match state with
-          | S_trie nodes ->
-              (* candidates: keys of the smallest participating trie,
-                 ascending, filtered by the others and by the domain *)
-              let smallest =
-                List.fold_left
-                  (fun (bai, bn) (ai, _) ->
-                    let n = Trie.num_keys nodes.(ai) in
-                    if n < bn then (ai, n) else (bai, bn))
-                  (-1, max_int) participants
-                |> fst
-              in
-              let source, need_mem_check =
-                match domain_arr.(v) with
-                | Some arr -> (arr, true)
-                | None -> (Trie.keys nodes.(smallest), false)
-              in
-              let saved =
-                List.map (fun (ai, _) -> (ai, nodes.(ai))) participants
-              in
-              Array.iter
-                (fun value ->
-                  if
-                    (not !stop)
-                    && ((not need_mem_check)
-                       || Trie.mem_key nodes.(smallest) value)
-                  then begin
-                    let ok = ref true in
-                    List.iter
-                      (fun (ai, _) ->
-                        if !ok then
-                          match Trie.child nodes.(ai) value with
-                          | Some sub -> nodes.(ai) <- sub
-                          | None -> ok := false)
-                      participants;
-                    if !ok then descend i v value;
-                    List.iter (fun (ai, node) -> nodes.(ai) <- node) saved
-                  end)
-                source
-          | S_cols cs ->
-              (* leapfrog: every participant contributes its current
-                 sorted run; common values arrive ascending, and their
-                 per-run bounds become the child cursors *)
-              let parts = p.parts_at.(i) in
-              let nparts = Array.length parts in
-              let runs = cs.sel.(i) and off = cs.offs.(i) in
-              let los = cs.los and his = cs.his in
-              for j = 0 to nparts - 1 do
-                let ai, lvl = parts.(j) in
-                let r = runs.(j + off) in
-                r.Gallop.lo <- los.(ai).(lvl);
-                r.Gallop.hi <- his.(ai).(lvl)
-              done;
-              Gallop.intersect_into ~pos:cs.pos.(i) ~bounds:cs.bounds.(i) runs
-                (fun value bounds ->
-                  if not !stop then begin
-                    for j = 0 to nparts - 1 do
-                      let ai, lvl = parts.(j) in
-                      los.(ai).(lvl + 1) <- bounds.(2 * (j + off));
-                      his.(ai).(lvl + 1) <- bounds.((2 * (j + off)) + 1)
-                    done;
-                    descend i v value
-                  end)));
+      let parts = p.parts_at.(i) in
+      let nparts = Array.length parts in
+      (if nparts = 0 then
+         match domain_arr.(v) with
+         | Some arr ->
+             let n = Array.length arr in
+             let k = ref 0 in
+             while (not !stop) && !k < n do
+               descend i v arr.(!k);
+               incr k
+             done
+         | None ->
+             let value = ref 0 in
+             while (not !stop) && !value < p.universe_size do
+               descend i v !value;
+               incr value
+             done
+       else
+         (* leapfrog: every participant contributes its current sorted
+            run; common values arrive ascending, and their per-run bounds
+            become the child cursors *)
+         let runs = cs.sel.(i) and off = cs.offs.(i) in
+         let los = cs.los and his = cs.his in
+         for j = 0 to nparts - 1 do
+           let ai, lvl = parts.(j) in
+           let r = runs.(j + off) in
+           r.Gallop.lo <- los.(ai).(lvl);
+           r.Gallop.hi <- his.(ai).(lvl)
+         done;
+         Gallop.intersect_into ~pos:cs.pos.(i) ~bounds:cs.bounds.(i) runs
+           (fun value bounds ->
+             if not !stop then begin
+               for j = 0 to nparts - 1 do
+                 let ai, lvl = parts.(j) in
+                 los.(ai).(lvl + 1) <- bounds.(2 * (j + off));
+                 his.(ai).(lvl + 1) <- bounds.((2 * (j + off)) + 1)
+               done;
+               descend i v value
+             end));
       assignment.(v) <- -1
     end
   in
   if List.for_all (filter_ok assignment) p.start_filters then assign 0;
-  match state with
-  | S_cols _ -> pool_give p.pool state
-  | S_trie _ -> ()
+  pool_give p.pool cs
 
-let iter ~num_vars ~universe_size ?budget ?domains ?impl ?order atoms ~f =
-  run ?domains (prepare ~num_vars ~universe_size ?budget ?impl ?order atoms) ~f
+let iter ~num_vars ~universe_size ?budget ?domains ?order atoms ~f =
+  run ?domains (prepare ~num_vars ~universe_size ?budget ?order atoms) ~f
 
-let find ~num_vars ~universe_size ?budget ?domains ?impl ?order atoms =
+let find ~num_vars ~universe_size ?budget ?domains ?order atoms =
   let result = ref None in
-  iter ~num_vars ~universe_size ?budget ?domains ?impl ?order atoms
-    ~f:(fun a ->
+  iter ~num_vars ~universe_size ?budget ?domains ?order atoms ~f:(fun a ->
       result := Some a;
       false);
   !result
 
-let exists ~num_vars ~universe_size ?budget ?domains ?impl ?order atoms =
-  Option.is_some
-    (find ~num_vars ~universe_size ?budget ?domains ?impl ?order atoms)
+let exists ~num_vars ~universe_size ?budget ?domains ?order atoms =
+  Option.is_some (find ~num_vars ~universe_size ?budget ?domains ?order atoms)
 
-let count ~num_vars ~universe_size ?budget ?domains ?impl ?order atoms =
+let count ~num_vars ~universe_size ?budget ?domains ?order atoms =
   let n = ref 0 in
-  iter ~num_vars ~universe_size ?budget ?domains ?impl ?order atoms
-    ~f:(fun _ ->
+  iter ~num_vars ~universe_size ?budget ?domains ?order atoms ~f:(fun _ ->
       incr n;
       true);
   !n
 
-let solutions ~num_vars ~universe_size ?budget ?domains ?impl ?order atoms =
+let solutions ~num_vars ~universe_size ?budget ?domains ?order atoms =
   let acc = ref [] in
-  iter ~num_vars ~universe_size ?budget ?domains ?impl ?order atoms
-    ~f:(fun a ->
+  iter ~num_vars ~universe_size ?budget ?domains ?order atoms ~f:(fun a ->
       acc := a :: !acc;
       true);
   List.rev !acc

@@ -7,19 +7,17 @@
     the AGM bound — this is the engine behind the paper's Lemma 48
     (enumerating [Sol(φ, D, B)]) and behind the [Hom] decision solvers.
 
-    Two interchangeable implementations share the search skeleton:
+    Each atom is read through its sealed relation's sorted columnar
+    projection, and every level intersects the participants' runs with
+    the galloping leapfrog kernels of [Ac_kernels] — batch-at-a-time, no
+    per-tuple allocation. {!prepare} seals the atoms' relations.
 
-    - {!Columnar} (the default) reads sealed relations' sorted columnar
-      projections and intersects per-level runs with the galloping
-      leapfrog kernels of [Ac_kernels] — batch-at-a-time, no per-tuple
-      allocation. {!prepare} seals the atoms' relations.
-    - {!Trie} builds hash tries per atom — the reference oracle the
-      differential tests compare against. Leaves relation phases alone.
-
-    Both paths enumerate candidates in ascending order at every level,
-    so they produce {e identical} solution sequences — and therefore
-    bit-identical estimates downstream, where bounded oracles make the
-    order observable. [Ac_live] relies on this contract: a live
+    Candidates are enumerated in ascending order at every level, so
+    solutions arrive in lexicographic order of the assignment read along
+    the variable order — a function of the relations' contents, not of
+    how they were built — and estimates downstream, where bounded
+    oracles make the order observable, are bit-identical. [Ac_live]
+    relies on this contract: a live
     (main+delta) database seals its merged view in the same ascending
     lexicographic order as a freshly-rebuilt sealed relation, so a
     join over the view and a join over a rebuild see the same
@@ -29,7 +27,7 @@
     Atoms over {!Ac_relational.Relation.complement_view}s are never
     indexed (that would materialize the blow-up the views avoid): they
     join as filter atoms, decided by one membership probe when the last
-    of their variables binds — identically in both implementations.
+    of their variables binds.
 
     Variables contained in no candidate-providing atom range over their
     [domains] entry (or the full universe).
@@ -47,33 +45,22 @@ type atom = {
 
 val atom : int array -> Ac_relational.Relation.t -> atom
 
-(** Index implementation: columnar leapfrog kernels (production) or hash
-    tries (reference oracle). *)
-type impl = Trie | Columnar
-
-(** Process-wide default used when {!prepare} gets no [?impl];
-    initially {!Columnar}. *)
-val set_default_impl : impl -> unit
-
-val default_impl : unit -> impl
-
 (** A compiled join: per-atom indexes and variable order, reusable
     across (concurrent) runs. *)
 type prepared
 
-(** [prepare ~num_vars ~universe_size ?impl ?order atoms]. [order], when
+(** [prepare ~num_vars ~universe_size ?order atoms]. [order], when
     given, must be a permutation of the variables; the default order
     takes variables ascending by the smallest relation they appear in.
     [budget], when given, is ticked once per backtracking-search node on
     every later {!run}, so a tripped budget cancels the enumeration with
-    [Ac_runtime.Budget.Budget_exceeded]. With the {!Columnar} impl the
-    atoms' relations are sealed here. Raises [Invalid_argument] on
+    [Ac_runtime.Budget.Budget_exceeded]. The atoms' relations are sealed
+    here. Raises [Invalid_argument] on
     malformed atoms. *)
 val prepare :
   num_vars:int ->
   universe_size:int ->
   ?budget:Ac_runtime.Budget.t ->
-  ?impl:impl ->
   ?order:int array ->
   atom list ->
   prepared
@@ -91,7 +78,7 @@ val prepare :
     solution. [diseqs] pushes disequality pairs [(a, b)] (variable
     indices, [α(a) ≠ α(b)]) into the search: violating subtrees are
     pruned when the second endpoint binds, so [f] sees exactly the
-    satisfying solutions, in unchanged (ascending, impl-independent)
+    satisfying solutions, in unchanged (ascending)
     order — equivalent to filtering in [f], never slower. *)
 val run :
   ?domains:int array option array ->
@@ -108,7 +95,6 @@ val iter :
   universe_size:int ->
   ?budget:Ac_runtime.Budget.t ->
   ?domains:int array option array ->
-  ?impl:impl ->
   ?order:int array ->
   atom list ->
   f:(int array -> bool) ->
@@ -119,7 +105,6 @@ val find :
   universe_size:int ->
   ?budget:Ac_runtime.Budget.t ->
   ?domains:int array option array ->
-  ?impl:impl ->
   ?order:int array ->
   atom list ->
   int array option
@@ -129,7 +114,6 @@ val exists :
   universe_size:int ->
   ?budget:Ac_runtime.Budget.t ->
   ?domains:int array option array ->
-  ?impl:impl ->
   ?order:int array ->
   atom list ->
   bool
@@ -139,7 +123,6 @@ val count :
   universe_size:int ->
   ?budget:Ac_runtime.Budget.t ->
   ?domains:int array option array ->
-  ?impl:impl ->
   ?order:int array ->
   atom list ->
   int
@@ -149,7 +132,6 @@ val solutions :
   universe_size:int ->
   ?budget:Ac_runtime.Budget.t ->
   ?domains:int array option array ->
-  ?impl:impl ->
   ?order:int array ->
   atom list ->
   int array list

@@ -105,20 +105,3 @@ let intersect_into ~pos ~bounds runs f =
       end
     done
   end
-
-let intersect runs f =
-  let k = Array.length runs in
-  intersect_into ~pos:(Array.make (max k 1) 0) ~bounds:(Array.make (2 * max k 1) 0)
-    runs f
-
-let intersect_arrays arrays =
-  let runs =
-    Array.map
-      (fun a ->
-        let col = Column.of_array a in
-        { col; lo = 0; hi = Column.length col })
-      arrays
-  in
-  let out = Selvec.create () in
-  intersect runs (fun v _ -> Selvec.push out v);
-  Selvec.to_array out

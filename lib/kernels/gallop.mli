@@ -4,10 +4,10 @@
     A {e run} is a slice [\[lo, hi)] of a sorted {!Ac_relational.Column.t}
     (duplicates allowed — a run is typically one column of a sorted
     projection restricted to the rows matching the bindings so far).
-    [intersect] enumerates the distinct values common to all runs in
-    ascending order, handing each value the per-run sub-range holding it;
-    that ascending order is what keeps columnar and trie enumeration
-    bit-identical downstream. *)
+    {!intersect_into} enumerates the distinct values common to all runs
+    in ascending order, handing each value the per-run sub-range holding
+    it; that ascending order is what makes join enumeration order — and
+    the estimates downstream of it — reproducible. *)
 
 module Column = Ac_relational.Column
 
@@ -27,27 +27,18 @@ val equal_range : Column.t -> lo:int -> hi:int -> int -> int * int
     scratch column — per search node instead of allocating. *)
 type run = { mutable col : Column.t; mutable lo : int; mutable hi : int }
 
-(** [intersect runs f] calls [f v bounds] for every value [v] present in
-    all runs, in ascending order. [bounds] is a flat scratch array
-    [\[lo0; hi0; lo1; hi1; …\]]: [bounds.(2i), bounds.(2i+1))] is the
-    index range of [v] inside [runs.(i)]. The scratch is overwritten on
-    the next value — copy what must outlive the callback. [f] may
-    recurse into further [intersect] calls over {e other} run arrays
-    (the nested-loop join does exactly this); [runs] itself is read
-    once at entry and never mutated. No-op when [runs] is empty or any
-    run is empty. *)
-val intersect : run array -> (int -> int array -> unit) -> unit
-
-(** {!intersect} with caller-owned scratch, for hot loops that run one
-    intersection per search node: [pos] (length ≥ number of runs) holds
-    the cursors, [bounds] (length ≥ 2 × number of runs) is the flat
-    range scratch handed to [f]. Both are overwritten freely; neither is
-    read on entry. [f] may recurse into further [intersect_into] calls
-    as long as they use {e different} scratch arrays. *)
+(** [intersect_into ~pos ~bounds runs f] calls [f v bounds] for every
+    value [v] present in all runs, in ascending order. [bounds] is a flat
+    scratch array [\[lo0; hi0; lo1; hi1; …\]]: [bounds.(2i), bounds.(2i+1))]
+    is the index range of [v] inside [runs.(i)]; [pos] holds the
+    cursors. The caller owns both (lengths ≥ the number of runs and ≥
+    twice that), so hot loops running one intersection per search node
+    allocate nothing; both are overwritten freely, neither is read on
+    entry, and [bounds] is overwritten on the next value — copy what
+    must outlive the callback. [f] may recurse into further
+    [intersect_into] calls over {e other} run arrays with {e different}
+    scratch arrays (the nested-loop join does exactly this); [runs]
+    itself is read once at entry and never mutated. No-op when [runs]
+    is empty or any run is empty. *)
 val intersect_into :
   pos:int array -> bounds:int array -> run array -> (int -> int array -> unit) -> unit
-
-(** Distinct values common to all the given sorted arrays (duplicates
-    tolerated), ascending. Convenience wrapper over {!intersect} for
-    domain lists and tests. *)
-val intersect_arrays : int array array -> int array

@@ -11,7 +11,7 @@
     lexicographic — bit-identical to a freshly rebuilt sealed relation
     holding the same live set — so [Generic_join] over a live view
     produces the same estimate, per seed, as a rebuild from scratch
-    (the same contract docs/join.md pins for Trie vs Columnar).
+    (the determinism contract of docs/storage.md).
 
     {!Db} wraps a named database: a set of live relations plus a
     {b monotone version counter} and a {b rolling fingerprint} that

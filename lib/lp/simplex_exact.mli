@@ -1,14 +1,14 @@
 (** Exact two-phase simplex over rationals.
 
-    Same problem shape as {!Simplex} but with {!Rat} coefficients and
-    exact pivoting (Bland's rule throughout — with exact arithmetic it
-    both terminates and needs no tolerances). Used by the width-measure
-    computations to certify values like [fcn = 3/2] exactly; the float
-    solver remains for large/ad-hoc problems.
-
-    Kept separate from the float solver on purpose: they differ exactly
-    where it matters — tolerance logic in entering/ratio tests — and a
-    shared functor would have to abstract that difference away. *)
+    This is the linear-programming substrate of the width-measure
+    computations: fractional edge covers (Definition 39), fractional
+    hypertreewidth bag costs (Definition 41) and fractional independent
+    sets witnessing adaptive width (Definition 33). Problems are stated
+    over [n] non-negative variables with {!Rat} coefficients; pivoting
+    is exact (Bland's rule throughout — with exact arithmetic it both
+    terminates and needs no tolerances), so values like [fcn = 3/2] are
+    certified. Arithmetic that leaves native ints raises
+    [Rat.Overflow]. *)
 
 type relation = Le | Ge | Eq
 

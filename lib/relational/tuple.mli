@@ -2,8 +2,7 @@
 
     Universe elements are represented as dense non-negative integers
     [0 .. n-1]; a tuple is an immutable-by-convention [int array]. The
-    module provides the hashing/equality used by relation hash tables and
-    by trie indexes. *)
+    module provides the hashing/equality used by relation hash tables. *)
 
 type t = int array
 

@@ -4,7 +4,7 @@
 #
 # Usage: scripts/ci.sh [--with-bench]
 #   --with-bench  also run the gated bench modes (parallel, obs, chaos,
-#                 join, cost, conformance), leaving their BENCH_<mode>.json files in
+#                 cost, conformance), leaving their BENCH_<mode>.json files in
 #                 the repository root (slow: several minutes).
 set -eu
 
@@ -36,7 +36,7 @@ scripts/smoke_server.sh --fleet
 
 if [ "${1:-}" = "--with-bench" ]; then
   # each mode writes BENCH_<mode>.json and exits 1 if one of its gates fails
-  for mode in parallel obs chaos join cost conformance; do
+  for mode in parallel obs chaos cost conformance; do
     echo "== bench --$mode (BENCH_$mode.json)"
     dune exec bench/main.exe -- --$mode
   done

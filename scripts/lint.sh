@@ -18,10 +18,8 @@
 #      invisible to the cooperative-cancellation governor.
 #   5. Batch discipline — the vectorized join path must stay vectorized:
 #      no tuple-at-a-time Relation.iter/fold/to_list in the hot-loop
-#      modules (lib/join/generic_join.ml, lib/kernels/*). Indexes are
-#      built from sealed columns via Relation.projection; the trie
-#      reference path (lib/join/trie.ml) is the one deliberate
-#      exception and lives in its own file.
+#      modules (lib/join/*, lib/kernels/*). Indexes are built from
+#      sealed columns via Relation.projection.
 #   6. Domain safety — shared-memory primitives (Atomic, Mutex, Domain,
 #      Condition) appear only in the allowlisted modules that were
 #      designed (and reviewed) for multi-domain use. A Mutex creeping
@@ -85,7 +83,7 @@ done
 
 # --- 5. batch discipline ---------------------------------------------------
 tuple_at_a_time=$(grep -rn "Relation\.iter\|Relation\.fold\|Relation\.to_list" \
-  lib/join/generic_join.ml lib/kernels 2>/dev/null || true)
+  lib/join lib/kernels 2>/dev/null || true)
 if [ -n "$tuple_at_a_time" ]; then
   echo "$tuple_at_a_time" >&2
   complain "tuple-at-a-time Relation.iter/fold/to_list in a vectorized hot-loop module (read sealed columns via Relation.projection / Ac_kernels instead)"

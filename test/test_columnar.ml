@@ -1,12 +1,11 @@
 (* The sealed columnar storage layer: seal semantics, complement views,
-   fingerprint stability, the galloping kernels, and the differential
-   guarantee that the columnar join path is observationally identical to
-   the trie reference oracle (counts and bit-identical estimates). *)
+   fingerprint stability, the galloping kernels, the join's enumeration
+   order against an ordered brute-force reference, and bit-identical
+   estimates across jobs counts. *)
 
 module Relation = Ac_relational.Relation
 module Structure = Ac_relational.Structure
 module Column = Ac_relational.Column
-module Selvec = Ac_kernels.Selvec
 module Gallop = Ac_kernels.Gallop
 module Generic_join = Ac_join.Generic_join
 module Ecq = Ac_query.Ecq
@@ -137,9 +136,27 @@ let test_gallop_search () =
   Alcotest.(check int) "beyond end" hi (Gallop.lower col ~lo:0 ~hi 100);
   Alcotest.(check int) "restricted lo" 4 (Gallop.lower col ~lo:4 ~hi 3)
 
+(* [Gallop.intersect_into] over whole arrays, with scratch sized here *)
+let intersect runs f =
+  let k = Array.length runs in
+  Gallop.intersect_into ~pos:(Array.make k 0) ~bounds:(Array.make (2 * k) 0)
+    runs f
+
 let test_intersect_arrays () =
+  let common arrays =
+    let runs =
+      Array.map
+        (fun a ->
+          let col = Column.of_array a in
+          { Gallop.col; lo = 0; hi = Column.length col })
+        arrays
+    in
+    let out = ref [] in
+    intersect runs (fun v _ -> out := v :: !out);
+    Array.of_list (List.rev !out)
+  in
   let check name want arrays =
-    Alcotest.(check (array int)) name want (Gallop.intersect_arrays arrays)
+    Alcotest.(check (array int)) name want (common arrays)
   in
   check "two runs" [| 2; 5 |] [| [| 1; 2; 5; 9 |]; [| 2; 3; 5 |] |];
   check "duplicates collapse" [| 2 |] [| [| 2; 2; 2 |]; [| 1; 2; 2 |] |];
@@ -161,31 +178,17 @@ let test_intersect_bounds () =
     |]
   in
   let got = ref [] in
-  Gallop.intersect runs (fun v bounds ->
+  intersect runs (fun v bounds ->
       got := (v, Array.to_list bounds) :: !got);
   Alcotest.(check (list (pair int (list int))))
     "values and ranges"
     [ (2, [ 1; 3; 0; 3 ]); (4, [ 3; 4; 3; 5 ]) ]
     (List.rev !got)
 
-let test_selvec () =
-  let s = Selvec.create ~capacity:1 () in
-  for i = 0 to 99 do
-    Selvec.push s (i * 2)
-  done;
-  Alcotest.(check int) "length" 100 (Selvec.length s);
-  Alcotest.(check int) "get" 84 (Selvec.get s 42);
-  Alcotest.(check (array int)) "to_array" (Array.init 100 (fun i -> i * 2))
-    (Selvec.to_array s);
-  Selvec.clear s;
-  Alcotest.(check int) "cleared" 0 (Selvec.length s);
-  Alcotest.(check bool) "get out of bounds" true
-    (match Selvec.get s 0 with exception Invalid_argument _ -> true | _ -> false)
-
-(* -- differential: columnar vs trie -------------------------------- *)
+(* -- enumeration order against brute force ------------------------ *)
 
 (* Random atom sets in the style of test_join, including a complement
-   view so the filter-atom path is exercised on both backends. *)
+   view so the filter-atom path is exercised. *)
 let gen_atoms =
   QCheck2.Gen.(
     let num_vars = 3 and universe = 3 in
@@ -225,50 +228,53 @@ let gen_atoms =
     in
     return atoms)
 
-let prop_counts_agree =
-  QCheck2.Test.make ~count:300 ~name:"columnar count = trie count" gen_atoms
-    (fun atoms ->
-      let count impl =
-        Generic_join.count ~num_vars:3 ~universe_size:3 ~impl atoms
+(* The join enumerates in lexicographic order of the assignment read
+   along [order], with [diseqs] pruning exactly what a filter in [f]
+   would drop. The reference is [Test_join.brute]'s output, which
+   shares no code with the join, filtered and sorted by the permuted
+   key; the sequences must be identical, not just equal as sets. *)
+let prop_matches_ordered_brute =
+  let num_vars = 3 and universe_size = 3 in
+  QCheck2.Test.make ~count:300 ~name:"join = ordered brute force"
+    QCheck2.Gen.(
+      let var = int_range 0 (num_vars - 1) in
+      quad gen_atoms
+        (shuffle_a (Array.init num_vars Fun.id))
+        (array_size (return num_vars)
+           (opt (array_size (int_range 0 3) (int_range 0 (universe_size - 1)))))
+        (list_size (int_range 0 2)
+           (pair var var >>= fun (a, b) ->
+            return (a, if a = b then (b + 1) mod num_vars else b))))
+    (fun (atoms, order, domains, diseqs) ->
+      let diseqs = Array.of_list diseqs in
+      let got = ref [] in
+      Generic_join.run ~domains ~diseqs
+        (Generic_join.prepare ~num_vars ~universe_size ~order atoms)
+        ~f:(fun a ->
+          got := a :: !got;
+          true);
+      let key a = Array.map (fun v -> a.(v)) order in
+      let want =
+        Test_join.brute ~num_vars ~universe_size ~domains atoms
+        |> List.filter (fun a -> Array.for_all (fun (u, v) -> a.(u) <> a.(v)) diseqs)
+        |> List.sort (fun a b -> compare (key a) (key b))
       in
-      (* columnar first: it seals the relations; the trie must read the
-         sealed phase identically *)
-      let columnar = count Generic_join.Columnar in
-      columnar = count Generic_join.Trie)
-
-let prop_solutions_identical_sequence =
-  QCheck2.Test.make ~count:150
-    ~name:"columnar and trie enumerate the same sequence" gen_atoms (fun atoms ->
-      let sols impl =
-        Generic_join.solutions ~num_vars:3 ~universe_size:3 ~impl atoms
-      in
-      (* not just equal as sets: identical order, which is what makes
-         bounded-enumeration estimates bit-identical downstream *)
-      sols Generic_join.Columnar = sols Generic_join.Trie)
-
-let with_impl impl f =
-  let saved = Generic_join.default_impl () in
-  Generic_join.set_default_impl impl;
-  Fun.protect ~finally:(fun () -> Generic_join.set_default_impl saved) f
+      List.rev !got = want)
 
 let prop_estimates_bit_identical =
   QCheck2.Test.make ~count:15
-    ~name:"estimates bit-identical across impls and jobs"
+    ~name:"estimates bit-identical across jobs"
     (Gen.ecq_with_db ~allow_neg:true ~allow_diseq:true)
     (fun (q, db) ->
-      let estimate impl jobs =
-        with_impl impl (fun () ->
-            let exec = Ac_exec.Engine.make ~jobs ~seed:11 () in
-            let r =
-              Fptras.approx_count ~exec ~engine:Approxcount.Colour_oracle.Generic ~rounds:60 ~eps:0.5
-                ~delta:0.3 q db
-            in
-            Int64.bits_of_float r.Fptras.estimate)
+      let estimate jobs =
+        let exec = Ac_exec.Engine.make ~jobs ~seed:11 () in
+        let r =
+          Fptras.approx_count ~exec ~engine:Approxcount.Colour_oracle.Generic ~rounds:60 ~eps:0.5
+            ~delta:0.3 q db
+        in
+        Int64.bits_of_float r.Fptras.estimate
       in
-      let baseline = estimate Generic_join.Columnar 1 in
-      baseline = estimate Generic_join.Columnar 4
-      && baseline = estimate Generic_join.Trie 1
-      && baseline = estimate Generic_join.Trie 4)
+      estimate 1 = estimate 4)
 
 let tests =
   [
@@ -281,8 +287,6 @@ let tests =
     Alcotest.test_case "gallop search" `Quick test_gallop_search;
     Alcotest.test_case "intersect arrays" `Quick test_intersect_arrays;
     Alcotest.test_case "intersect bounds" `Quick test_intersect_bounds;
-    Alcotest.test_case "selection vector" `Quick test_selvec;
-    QCheck_alcotest.to_alcotest prop_counts_agree;
-    QCheck_alcotest.to_alcotest prop_solutions_identical_sequence;
+    QCheck_alcotest.to_alcotest prop_matches_ordered_brute;
     QCheck_alcotest.to_alcotest prop_estimates_bit_identical;
   ]

@@ -44,7 +44,7 @@ let prop_compare_consistent_with_float =
       (* float conversion is exact for these small rationals' order *)
       (c < 0) = (f < 0) && (c > 0) = (f > 0))
 
-(* exact simplex vs the float solver on small random LPs *)
+(* exact optima and points of known LPs *)
 let test_exact_known_lps () =
   let q n d = Rat.make n d in
   (* max 3x + 5y st x ≤ 4, 2y ≤ 12, 3x + 2y ≤ 18 → exactly 36 *)
@@ -101,58 +101,6 @@ let test_exact_infeasible_unbounded () =
   | Simplex_exact.Unbounded -> ()
   | _ -> Alcotest.fail "expected unbounded"
 
-(* exact and float solvers agree on random bounded LPs *)
-let prop_exact_matches_float =
-  QCheck2.Test.make ~count:60 ~name:"exact simplex = float simplex"
-    QCheck2.Gen.(
-      let dim = 3 in
-      pair
-        (array_size (return dim) (int_range (-3) 3))
-        (list_size (int_range 1 4)
-           (pair (array_size (return dim) (int_range (-2) 3)) (int_range 1 5))))
-    (fun (objective, rows) ->
-      let dim = 3 in
-      (* boxes keep it bounded and feasible at x = 0 *)
-      let float_constraints =
-        List.map
-          (fun (a, b) ->
-            Ac_lp.Simplex.constr (Array.map float_of_int a) Ac_lp.Simplex.Le
-              (float_of_int b))
-          rows
-        @ List.init dim (fun i ->
-              let c = Array.make dim 0.0 in
-              c.(i) <- 1.0;
-              Ac_lp.Simplex.constr c Ac_lp.Simplex.Le 3.0)
-      in
-      let exact_constraints =
-        List.map
-          (fun (a, b) ->
-            Simplex_exact.constr (Array.map Rat.of_int a) Simplex_exact.Le
-              (Rat.of_int b))
-          rows
-        @ List.init dim (fun i ->
-              let c = Array.make dim Rat.zero in
-              c.(i) <- Rat.one;
-              Simplex_exact.constr c Simplex_exact.Le (Rat.of_int 3))
-      in
-      let f =
-        Ac_lp.Simplex.maximize ~num_vars:dim
-          ~objective:(Array.map float_of_int objective)
-          float_constraints
-      in
-      let e =
-        Simplex_exact.maximize ~num_vars:dim
-          ~objective:(Array.map Rat.of_int objective)
-          exact_constraints
-      in
-      match (f, e) with
-      | Ac_lp.Simplex.Optimal { value = fv; _ }, Simplex_exact.Optimal { value = ev; _ }
-        ->
-          Float.abs (fv -. Rat.to_float ev) < 1e-6
-      | Ac_lp.Simplex.Infeasible, Simplex_exact.Infeasible -> true
-      | Ac_lp.Simplex.Unbounded, Simplex_exact.Unbounded -> true
-      | _ -> false)
-
 let test_fcn_rational_triangle () =
   let h = Ac_hypergraph.Hypergraph.cycle 3 in
   match
@@ -174,5 +122,4 @@ let tests =
     Alcotest.test_case "fcn_rational triangle" `Quick test_fcn_rational_triangle;
     QCheck_alcotest.to_alcotest prop_field_laws;
     QCheck_alcotest.to_alcotest prop_compare_consistent_with_float;
-    QCheck_alcotest.to_alcotest prop_exact_matches_float;
   ]
