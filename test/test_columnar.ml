@@ -228,11 +228,33 @@ let gen_atoms =
     in
     return atoms)
 
-(* The join enumerates in lexicographic order of the assignment read
-   along [order], with [diseqs] pruning exactly what a filter in [f]
-   would drop. The reference is [Test_join.brute]'s output, which
-   shares no code with the join, filtered and sorted by the permuted
-   key; the sequences must be identical, not just equal as sets. *)
+(* The solutions in the order a trie over [order] walks them: the
+   lexicographic order of the assignment read along [order]. Built from
+   [Test_join.brute]'s output, which shares no code with the join, so
+   it stands in for the deleted trie backend as the reference below. *)
+let trie_order_reference ~num_vars ~universe_size ?domains ~order atoms =
+  let key a = Array.map (fun v -> a.(v)) order in
+  Test_join.brute ~num_vars ~universe_size ?domains atoms
+  |> List.sort (fun a b -> compare (key a) (key b))
+
+let prop_counts_agree =
+  QCheck2.Test.make ~count:300 ~name:"columnar count = trie count" gen_atoms
+    (fun atoms ->
+      let order = Generic_join.default_order ~num_vars:3 atoms in
+      Generic_join.count ~num_vars:3 ~universe_size:3 atoms
+      = List.length (trie_order_reference ~num_vars:3 ~universe_size:3 ~order atoms))
+
+let prop_solutions_identical_sequence =
+  QCheck2.Test.make ~count:150
+    ~name:"columnar and trie enumerate the same sequence" gen_atoms (fun atoms ->
+      let order = Generic_join.default_order ~num_vars:3 atoms in
+      (* not just equal as sets: identical order, which is what makes
+         bounded-enumeration estimates bit-identical downstream *)
+      Generic_join.solutions ~num_vars:3 ~universe_size:3 atoms
+      = trie_order_reference ~num_vars:3 ~universe_size:3 ~order atoms)
+
+(* The same sequence under a random [order] and [domains], with
+   [diseqs] pruning exactly what a filter on the reference would drop. *)
 let prop_matches_ordered_brute =
   let num_vars = 3 and universe_size = 3 in
   QCheck2.Test.make ~count:300 ~name:"join = ordered brute force"
@@ -253,11 +275,9 @@ let prop_matches_ordered_brute =
         ~f:(fun a ->
           got := a :: !got;
           true);
-      let key a = Array.map (fun v -> a.(v)) order in
       let want =
-        Test_join.brute ~num_vars ~universe_size ~domains atoms
+        trie_order_reference ~num_vars ~universe_size ~domains ~order atoms
         |> List.filter (fun a -> Array.for_all (fun (u, v) -> a.(u) <> a.(v)) diseqs)
-        |> List.sort (fun a b -> compare (key a) (key b))
       in
       List.rev !got = want)
 
@@ -287,6 +307,8 @@ let tests =
     Alcotest.test_case "gallop search" `Quick test_gallop_search;
     Alcotest.test_case "intersect arrays" `Quick test_intersect_arrays;
     Alcotest.test_case "intersect bounds" `Quick test_intersect_bounds;
+    QCheck_alcotest.to_alcotest prop_counts_agree;
+    QCheck_alcotest.to_alcotest prop_solutions_identical_sequence;
     QCheck_alcotest.to_alcotest prop_matches_ordered_brute;
     QCheck_alcotest.to_alcotest prop_estimates_bit_identical;
   ]
