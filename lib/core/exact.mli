@@ -2,10 +2,16 @@
     against, and the "exact counting wall" measured in experiment E3.
 
     - [brute_force]: all [|U|^{|vars|}] assignments (tiny instances).
-    - [by_join_projection]: enumerate all solutions with the generic join
-      (negated predicates materialised as complements), filter
-      disequalities, project to the free variables, deduplicate. Cost is
-      driven by the number of {e solutions}.
+    - [by_join_projection]: enumerate solutions with the generic join
+      (negated predicates as complement filter atoms, disequalities
+      pruned in the search), cut to one solution per distinct assignment
+      of the join-order prefix that ends at the deepest free variable.
+      When the free variables are that prefix, each reported solution is
+      a new answer and is counted without a table; otherwise a table
+      deduplicates the reports' projections. Cost is driven by the
+      number of distinct such {e prefixes}, not of solutions: once a
+      prefix has one extension, its other extensions are never
+      visited.
     - [by_free_enumeration]: for each of the [|U|^ℓ] free tuples decide
       extendability (cost driven by [|U|^ℓ]).
 
@@ -54,8 +60,9 @@ val by_hom_dp :
   Ac_relational.Structure.t ->
   int option
 
-(** The set of answers (projections), via join + projection. Each answer
-    is an array of length [ℓ]. *)
+(** The set of answers (projections), via the same cut enumeration as
+    [by_join_projection], each exactly once. Each answer is an array of
+    length [ℓ]. *)
 val answers :
   ?budget:Ac_runtime.Budget.t ->
   Ac_query.Ecq.t ->

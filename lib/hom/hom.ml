@@ -413,13 +413,15 @@ let solve p ?domains () =
   | None -> None
   | Some merged -> solve_backtracking p merged
 
-let iter_solutions ?domains ?reuse ?diseqs p ~f =
+let iter_solutions ?domains ?reuse ?diseqs ?project p ~f =
   match merged_domains p domains with
   | None -> ()
   | Some merged ->
-      Generic_join.run ?reuse ?diseqs
+      Generic_join.run ?reuse ?diseqs ?project
         ~domains:(Array.map Option.some merged)
         p.full_join ~f
+
+let order p = Generic_join.order p.full_join
 
 let decide_backtracking ?domains inst =
   decide (prepare ~strategy:Backtracking inst) ?domains ()

@@ -62,14 +62,20 @@ val solve : prepared -> ?domains:int array option array -> unit -> int array opt
 
 (** Enumerate all homomorphisms (backtracking order); [f] returning
     [false] stops. [diseqs] prunes disequality-violating assignments
-    inside the search (see {!Ac_join.Generic_join.run}). *)
+    inside the search, and [project] reports one homomorphism per
+    distinct assignment of the order prefix ending at the deepest of
+    the variables [0 .. project-1] (see {!Ac_join.Generic_join.run}). *)
 val iter_solutions :
   ?domains:int array option array ->
   ?reuse:bool ->
   ?diseqs:(int * int) array ->
+  ?project:int ->
   prepared ->
   f:(int array -> bool) ->
   unit
+
+(** The variable order {!iter_solutions} binds in. *)
+val order : prepared -> int array
 
 (** {2 One-shot wrappers} *)
 

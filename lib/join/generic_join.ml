@@ -233,7 +233,7 @@ let rec pool_give pool s =
   let old = Atomic.get pool in
   if not (Atomic.compare_and_set pool old (s :: old)) then pool_give pool s
 
-let run ?domains ?(reuse = false) ?(diseqs = [||]) p ~f =
+let run ?domains ?(reuse = false) ?(diseqs = [||]) ?project p ~f =
   (* canonical per-variable domains (ascending, deduplicated): arrays
      already in canonical order are used as-is, without copying *)
   let domain_arr = Array.make p.num_vars None in
@@ -248,6 +248,17 @@ let run ?domains ?(reuse = false) ?(diseqs = [||]) p ~f =
               let c = Intset.canon a in
               domain_arr.(v) <- (if c == a then dom else Some c))
         ds);
+  (* the order position a reported solution resumes at: the deepest of
+     the projected variables [0 .. k-1] ([-1] when [k = 0], so the first
+     solution ends the run); [max_int], without [project], cuts nothing *)
+  let cut =
+    match project with
+    | None -> max_int
+    | Some k ->
+        let deepest = ref (-1) in
+        Array.iteri (fun i v -> if v < k then deepest := i) p.order;
+        !deepest
+  in
   let cs =
     match pool_take p.pool with Some s -> s | None -> fresh_state p
   in
@@ -277,7 +288,11 @@ let run ?domains ?(reuse = false) ?(diseqs = [||]) p ~f =
         cs.offs.(i) <- 0
   done;
   let assignment = Array.make p.num_vars (-1) in
-  let stop = ref false in
+  (* levels deeper than [!resume] abandon their candidates: a reported
+     solution sets it to [cut] (cleared again once level [cut] regains
+     control), and [f] returning [false] sets it to [-1], which no level
+     clears *)
+  let resume = ref max_int in
   (* [descend]/[filters_pass] live in the [rec] group rather than inside
      [assign], so the hot path allocates no closures per search node
      (the oracle layer runs thousands of these joins per second) *)
@@ -299,14 +314,16 @@ let run ?domains ?(reuse = false) ?(diseqs = [||]) p ~f =
   and descend i v value =
     if diseqs_pass v value then begin
       assignment.(v) <- value;
-      if filters_pass i then assign (i + 1)
+      if filters_pass i then begin
+        assign (i + 1);
+        if !resume = i then resume := max_int
+      end
     end
   and assign i =
     Budget.tick p.budget;
-    if !stop then ()
-    else if i = p.num_vars then begin
+    if i = p.num_vars then begin
       let sol = if reuse then assignment else Array.copy assignment in
-      if not (f sol) then stop := true
+      resume := if f sol then cut else -1
     end
     else begin
       let v = p.order.(i) in
@@ -317,13 +334,13 @@ let run ?domains ?(reuse = false) ?(diseqs = [||]) p ~f =
          | Some arr ->
              let n = Array.length arr in
              let k = ref 0 in
-             while (not !stop) && !k < n do
+             while i <= !resume && !k < n do
                descend i v arr.(!k);
                incr k
              done
          | None ->
              let value = ref 0 in
-             while (not !stop) && !value < p.universe_size do
+             while i <= !resume && !value < p.universe_size do
                descend i v !value;
                incr value
              done
@@ -341,19 +358,20 @@ let run ?domains ?(reuse = false) ?(diseqs = [||]) p ~f =
          done;
          Gallop.intersect_into ~pos:cs.pos.(i) ~bounds:cs.bounds.(i) runs
            (fun value bounds ->
-             if not !stop then begin
-               for j = 0 to nparts - 1 do
-                 let ai, lvl = parts.(j) in
-                 los.(ai).(lvl + 1) <- bounds.(2 * (j + off));
-                 his.(ai).(lvl + 1) <- bounds.((2 * (j + off)) + 1)
-               done;
-               descend i v value
-             end));
+             for j = 0 to nparts - 1 do
+               let ai, lvl = parts.(j) in
+               los.(ai).(lvl + 1) <- bounds.(2 * (j + off));
+               his.(ai).(lvl + 1) <- bounds.((2 * (j + off)) + 1)
+             done;
+             descend i v value;
+             i <= !resume));
       assignment.(v) <- -1
     end
   in
   if List.for_all (filter_ok assignment) p.start_filters then assign 0;
   pool_give p.pool cs
+
+let order p = Array.copy p.order
 
 let iter ~num_vars ~universe_size ?budget ?domains ?order atoms ~f =
   run ?domains (prepare ~num_vars ~universe_size ?budget ?order atoms) ~f

@@ -79,14 +79,31 @@ val prepare :
     indices, [α(a) ≠ α(b)]) into the search: violating subtrees are
     pruned when the second endpoint binds, so [f] sees exactly the
     satisfying solutions, in unchanged (ascending)
-    order — equivalent to filtering in [f], never slower. *)
+    order — equivalent to filtering in [f], never slower.
+
+    [~project:k] asks for the projection onto the variables
+    [0 .. k-1]: once a solution is reported, the search resumes at the
+    order position of the deepest of them, abandoning the rest of that
+    solution's subtree. So each distinct assignment of the order prefix
+    ending there is reported exactly once, with its first extension,
+    and the reports are the unprojected enumeration's subsequence of
+    first solutions per prefix — still ascending. Each projection's
+    first occurrence therefore survives in the same relative order.
+    When that prefix is exactly [0 .. k-1] (see {!order}), reports are
+    distinct projections; otherwise two prefixes may share one.
+    [k = 0] stops after the first solution. The cut visits a subset of
+    the search nodes, so it never ticks [budget] more. *)
 val run :
   ?domains:int array option array ->
   ?reuse:bool ->
   ?diseqs:(int * int) array ->
+  ?project:int ->
   prepared ->
   f:(int array -> bool) ->
   unit
+
+(** The variable order the search binds in (a copy). *)
+val order : prepared -> int array
 
 (** {2 One-shot wrappers} *)
 

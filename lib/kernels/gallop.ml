@@ -40,8 +40,8 @@ type run = { mutable col : Column.t; mutable lo : int; mutable hi : int }
    occurrence of the variable, usually two): a bespoke two-pointer loop
    saves the generic version's per-value head scan. *)
 let intersect2 scratch a b f =
-  let pa = ref a.lo and pb = ref b.lo in
-  while !pa < a.hi && !pb < b.hi do
+  let pa = ref a.lo and pb = ref b.lo and go = ref true in
+  while !go && !pa < a.hi && !pb < b.hi do
     let va = Column.unsafe_get a.col !pa and vb = Column.unsafe_get b.col !pb in
     if va < vb then pa := lower a.col ~lo:(!pa + 1) ~hi:a.hi vb
     else if vb < va then pb := lower b.col ~lo:(!pb + 1) ~hi:b.hi va
@@ -52,7 +52,7 @@ let intersect2 scratch a b f =
       scratch.(1) <- ea;
       scratch.(2) <- !pb;
       scratch.(3) <- eb;
-      f va scratch;
+      go := f va scratch;
       pa := ea;
       pb := eb
     end
@@ -98,7 +98,7 @@ let intersect_into ~pos ~bounds runs f =
           scratch.((2 * i) + 1) <- e;
           pos.(i) <- e
         done;
-        f !v scratch;
+        if not (f !v scratch) then exhausted := true;
         for i = 0 to k - 1 do
           if pos.(i) >= runs.(i).hi then exhausted := true
         done

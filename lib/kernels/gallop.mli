@@ -28,10 +28,12 @@ val equal_range : Column.t -> lo:int -> hi:int -> int -> int * int
 type run = { mutable col : Column.t; mutable lo : int; mutable hi : int }
 
 (** [intersect_into ~pos ~bounds runs f] calls [f v bounds] for every
-    value [v] present in all runs, in ascending order. [bounds] is a flat
-    scratch array [\[lo0; hi0; lo1; hi1; …\]]: [bounds.(2i), bounds.(2i+1))]
-    is the index range of [v] inside [runs.(i)]; [pos] holds the
-    cursors. The caller owns both (lengths ≥ the number of runs and ≥
+    value [v] present in all runs, in ascending order, until [f] returns
+    [false]: the scan stops there, so a caller that needs only the first
+    common value (a decision probe) pays for nothing after it. [bounds]
+    is a flat scratch array [\[lo0; hi0; lo1; hi1; …\]]:
+    [bounds.(2i), bounds.(2i+1))] is the index range of [v] inside
+    [runs.(i)]; [pos] holds the cursors. The caller owns both (lengths ≥ the number of runs and ≥
     twice that), so hot loops running one intersection per search node
     allocate nothing; both are overwritten freely, neither is read on
     entry, and [bounds] is overwritten on the next value — copy what
@@ -41,4 +43,4 @@ type run = { mutable col : Column.t; mutable lo : int; mutable hi : int }
     itself is read once at entry and never mutated. No-op when [runs]
     is empty or any run is empty. *)
 val intersect_into :
-  pos:int array -> bounds:int array -> run array -> (int -> int array -> unit) -> unit
+  pos:int array -> bounds:int array -> run array -> (int -> int array -> bool) -> unit

@@ -11,7 +11,16 @@ type stats = {
 }
 
 module Lru = struct
-  type 'a entry = { value : 'a; mutable last_used : int }
+  (* Recency is an intrusive doubly-linked list through the entries,
+     most recent at [head]: a hit or an add moves its entry to the
+     head, and eviction unlinks [tail] — O(1) each, and the same victim
+     a scan for the oldest use would pick. *)
+  type 'a entry = {
+    key : string;
+    mutable value : 'a;
+    mutable newer : 'a entry option;
+    mutable older : 'a entry option;
+  }
 
   (* Per-instance counters stay exact under the instance mutex (the
      [stats] contract); named caches additionally mirror every event to
@@ -24,16 +33,13 @@ module Lru = struct
     m_entries : Metrics.gauge;
   }
 
-  (* Recency is a monotone stamp per entry; eviction scans for the
-     minimum. O(n) per eviction, but n is the (small) cache capacity
-     and evictions only happen once the cache is full — simple beats
-     clever for a correctness-critical shared structure. *)
   type 'a t = {
     capacity : int;
     table : (string, 'a entry) Hashtbl.t;
     mutex : Mutex.t;
     meters : meters option;
-    mutable clock : int;
+    mutable head : 'a entry option; (* most recently used *)
+    mutable tail : 'a entry option; (* least recently used *)
     mutable hits : int;
     mutable misses : int;
     mutable evictions : int;
@@ -66,7 +72,8 @@ module Lru = struct
       table = Hashtbl.create (max 16 capacity);
       mutex = Mutex.create ();
       meters;
-      clock = 0;
+      head = None;
+      tail = None;
       hits = 0;
       misses = 0;
       evictions = 0;
@@ -78,12 +85,26 @@ module Lru = struct
     Mutex.lock t.mutex;
     Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
+  let unlink t e =
+    (match e.newer with Some n -> n.older <- e.older | None -> t.head <- e.older);
+    (match e.older with Some o -> o.newer <- e.newer | None -> t.tail <- e.newer);
+    e.newer <- None;
+    e.older <- None
+
+  let push_head t e =
+    e.older <- t.head;
+    (match t.head with Some h -> h.newer <- Some e | None -> t.tail <- Some e);
+    t.head <- Some e
+
+  let touch t e =
+    unlink t e;
+    push_head t e
+
   let find t key =
     locked t (fun () ->
         match Hashtbl.find_opt t.table key with
         | Some entry ->
-            t.clock <- t.clock + 1;
-            entry.last_used <- t.clock;
+            touch t entry;
             t.hits <- t.hits + 1;
             meter t (fun m -> Metrics.incr m.m_hits);
             Some entry.value
@@ -92,31 +113,24 @@ module Lru = struct
             meter t (fun m -> Metrics.incr m.m_misses);
             None)
 
-  let evict_lru t =
-    let victim =
-      Hashtbl.fold
-        (fun key entry acc ->
-          match acc with
-          | Some (_, stamp) when stamp <= entry.last_used -> acc
-          | _ -> Some (key, entry.last_used))
-        t.table None
-    in
-    match victim with
-    | Some (key, _) ->
-        Hashtbl.remove t.table key;
-        t.evictions <- t.evictions + 1;
-        meter t (fun m -> Metrics.incr m.m_evictions)
-    | None -> ()
-
   let add t key value =
     if t.capacity > 0 then
       locked t (fun () ->
-          t.clock <- t.clock + 1;
-          (if not (Hashtbl.mem t.table key) then
-             while Hashtbl.length t.table >= t.capacity do
-               evict_lru t
-             done);
-          Hashtbl.replace t.table key { value; last_used = t.clock };
+          (match Hashtbl.find_opt t.table key with
+          | Some entry ->
+              entry.value <- value;
+              touch t entry
+          | None ->
+              (match t.tail with
+              | Some victim when Hashtbl.length t.table >= t.capacity ->
+                  unlink t victim;
+                  Hashtbl.remove t.table victim.key;
+                  t.evictions <- t.evictions + 1;
+                  meter t (fun m -> Metrics.incr m.m_evictions)
+              | _ -> ());
+              let entry = { key; value; newer = None; older = None } in
+              Hashtbl.replace t.table key entry;
+              push_head t entry);
           meter t (fun m -> Metrics.set m.m_entries (Hashtbl.length t.table)))
 
   let stats t =

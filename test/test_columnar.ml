@@ -152,7 +152,9 @@ let test_intersect_arrays () =
         arrays
     in
     let out = ref [] in
-    intersect runs (fun v _ -> out := v :: !out);
+    intersect runs (fun v _ ->
+        out := v :: !out;
+        true);
     Array.of_list (List.rev !out)
   in
   let check name want arrays =
@@ -179,11 +181,31 @@ let test_intersect_bounds () =
   in
   let got = ref [] in
   intersect runs (fun v bounds ->
-      got := (v, Array.to_list bounds) :: !got);
+      got := (v, Array.to_list bounds) :: !got;
+      true);
   Alcotest.(check (list (pair int (list int))))
     "values and ranges"
     [ (2, [ 1; 3; 0; 3 ]); (4, [ 3; 4; 3; 5 ]) ]
     (List.rev !got)
+
+let test_intersect_stops () =
+  (* a callback returning [false] ends the scan: no later common value
+     is visited, on the two-run loop and on the k-run leapfrog alike *)
+  let run a =
+    let col = Column.of_array a in
+    { Gallop.col; lo = 0; hi = Column.length col }
+  in
+  let calls runs =
+    let n = ref 0 in
+    intersect runs (fun _ _ ->
+        incr n;
+        false);
+    !n
+  in
+  Alcotest.(check int) "two runs" 1
+    (calls [| run [| 1; 2; 3; 5 |]; run [| 1; 2; 3; 4; 5 |] |]);
+  Alcotest.(check int) "three runs" 1
+    (calls [| run [| 1; 2; 3 |]; run [| 1; 2; 3 |]; run [| 0; 1; 2; 3 |] |])
 
 (* -- enumeration order against brute force ------------------------ *)
 
@@ -281,6 +303,44 @@ let prop_matches_ordered_brute =
       in
       List.rev !got = want)
 
+(* [~project:k] reports, for each distinct assignment of the order
+   prefix ending at the deepest of the variables [0 .. k-1], the first
+   solution the unprojected enumeration reaches with it — and nothing
+   else, in the same order — and ticks the prepared join's budget no
+   more than the unprojected run does. *)
+let prop_project_keeps_first_per_prefix =
+  let num_vars = 3 and universe_size = 3 in
+  QCheck2.Test.make ~count:300 ~name:"project = first solution per prefix"
+    QCheck2.Gen.(
+      triple gen_atoms
+        (shuffle_a (Array.init num_vars Fun.id))
+        (int_range 0 num_vars))
+    (fun (atoms, order, k) ->
+      let budget = Ac_runtime.Budget.create () in
+      let prepared =
+        Generic_join.prepare ~num_vars ~universe_size ~budget ~order atoms
+      in
+      (* the solutions and the ticks they cost *)
+      let collect ?project () =
+        let got = ref [] and before = Ac_runtime.Budget.ticks budget in
+        Generic_join.run ?project prepared ~f:(fun a ->
+            got := a :: !got;
+            true);
+        (List.rev !got, Ac_runtime.Budget.ticks budget - before)
+      in
+      let deepest = ref (-1) in
+      Array.iteri (fun i v -> if v < k then deepest := i) order;
+      let prefix a = Array.init (!deepest + 1) (fun i -> a.(order.(i))) in
+      let rec firsts seen = function
+        | [] -> []
+        | a :: rest ->
+            if List.mem (prefix a) seen then firsts seen rest
+            else a :: firsts (prefix a :: seen) rest
+      in
+      let all, full_ticks = collect () in
+      let projected, cut_ticks = collect ~project:k () in
+      projected = firsts [] all && cut_ticks <= full_ticks)
+
 let prop_estimates_bit_identical =
   QCheck2.Test.make ~count:15
     ~name:"estimates bit-identical across jobs"
@@ -307,8 +367,10 @@ let tests =
     Alcotest.test_case "gallop search" `Quick test_gallop_search;
     Alcotest.test_case "intersect arrays" `Quick test_intersect_arrays;
     Alcotest.test_case "intersect bounds" `Quick test_intersect_bounds;
+    Alcotest.test_case "intersect stops on false" `Quick test_intersect_stops;
     QCheck_alcotest.to_alcotest prop_counts_agree;
     QCheck_alcotest.to_alcotest prop_solutions_identical_sequence;
     QCheck_alcotest.to_alcotest prop_matches_ordered_brute;
+    QCheck_alcotest.to_alcotest prop_project_keeps_first_per_prefix;
     QCheck_alcotest.to_alcotest prop_estimates_bit_identical;
   ]

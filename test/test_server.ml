@@ -576,6 +576,98 @@ let test_lru_eviction () =
   Alcotest.(check (option int)) "disabled cache stores nothing" None
     (Cache.Lru.find off "a")
 
+(* The policy [Cache.Lru] replaced: a monotone stamp per entry,
+   refreshed on every hit and add, and eviction by a scan for the
+   minimum stamp. Kept here as the reference the O(1) list must match. *)
+module Stamp_lru = struct
+  type t = {
+    capacity : int;
+    table : (string, int * int) Hashtbl.t; (* key -> (value, last use) *)
+    mutable clock : int;
+    mutable hits : int;
+    mutable misses : int;
+    mutable evictions : int;
+  }
+
+  let create capacity =
+    {
+      capacity;
+      table = Hashtbl.create 8;
+      clock = 0;
+      hits = 0;
+      misses = 0;
+      evictions = 0;
+    }
+
+  let find t key =
+    match Hashtbl.find_opt t.table key with
+    | Some (v, _) ->
+        t.clock <- t.clock + 1;
+        Hashtbl.replace t.table key (v, t.clock);
+        t.hits <- t.hits + 1;
+        Some v
+    | None ->
+        t.misses <- t.misses + 1;
+        None
+
+  let add t key v =
+    if t.capacity > 0 then begin
+      t.clock <- t.clock + 1;
+      if (not (Hashtbl.mem t.table key)) && Hashtbl.length t.table >= t.capacity
+      then begin
+        let victim, _ =
+          Hashtbl.fold
+            (fun k (_, stamp) (best, s) -> if stamp < s then (k, stamp) else (best, s))
+            t.table ("", max_int)
+        in
+        Hashtbl.remove t.table victim;
+        t.evictions <- t.evictions + 1
+      end;
+      Hashtbl.replace t.table key (v, t.clock)
+    end
+end
+
+let prop_lru_matches_stamp_scan =
+  let open QCheck2.Gen in
+  let op =
+    pair bool (pair (int_range 0 5) (int_range 0 99)) >|= fun (is_find, (k, v)) ->
+    ((if is_find then `Find else `Add), Printf.sprintf "k%d" k, v)
+  in
+  QCheck2.Test.make ~count:300 ~name:"lru: O(1) list = stamp-scan reference"
+    (pair (int_range 0 4) (list_size (int_range 0 60) op))
+    (fun (capacity, ops) ->
+      (* the named counters are process-wide: compare deltas *)
+      let counters () =
+        List.map
+          (fun name ->
+            Ac_obs.Metrics.counter_value
+              (Ac_obs.Metrics.counter Ac_obs.Metrics.global name
+                 ~labels:[ ("cache", "lru_model_test") ]))
+          [ "acq_cache_hits_total"; "acq_cache_misses_total"; "acq_cache_evictions_total" ]
+      in
+      let before = counters () in
+      let lru = Cache.Lru.create ~name:"lru_model_test" ~capacity () in
+      let model = Stamp_lru.create capacity in
+      let same_finds =
+        List.for_all
+          (fun (kind, key, v) ->
+            match kind with
+            | `Find -> Cache.Lru.find lru key = Stamp_lru.find model key
+            | `Add ->
+                Cache.Lru.add lru key v;
+                Stamp_lru.add model key v;
+                true)
+          ops
+      in
+      let s = Cache.Lru.stats lru in
+      let after = counters () in
+      let counts = [ model.hits; model.misses; model.evictions ] in
+      same_finds
+      && s.Cache.length = Hashtbl.length model.table
+      && [ s.Cache.hits; s.Cache.misses; s.Cache.evictions ] = counts
+      && ((not (Ac_obs.Metrics.enabled ()))
+         || List.map2 ( - ) after before = counts))
+
 let tests =
   [
     Alcotest.test_case "wire: requests round-trip" `Quick
@@ -586,6 +678,7 @@ let tests =
       test_wire_refused_codes;
     Alcotest.test_case "lru: eviction order and disabling" `Quick
       test_lru_eviction;
+    QCheck_alcotest.to_alcotest prop_lru_matches_stamp_scan;
     Alcotest.test_case "count = single-shot, bit for bit (jobs 1/2/4)" `Slow
       test_count_matches_single_shot;
     Alcotest.test_case "result cache: hit skips estimation" `Quick
