@@ -38,9 +38,12 @@ type t = {
   component_bounds : bound list;
   bag_bounds : bound list;
   run_bound_log2 : float;
+  free_prefix_log2 : float;
+  extension_log2 : float;
   static_choice : rung;
   is_cq : bool;
   always_empty : bool;
+  num_vars : int;
   treewidth : int;
   star_size : int;
   alternatives : alternative list;
@@ -62,6 +65,12 @@ let fpras_repetitions ~delta =
 let edge_count_repetitions ~delta =
   let m = int_of_float (ceil (2.5 *. Float.log (1.0 /. delta))) in
   (2 * max 2 m) + 1
+
+(* Mirror of [Fpras.sketch_size_for]: κ(ε) = ⌈c/ε²⌉ samples and union
+   rounds per sketch cell, floored at 16. *)
+let fpras_sketch_size ~eps =
+  let k = Float.ceil (0.12 /. (eps *. eps)) in
+  max 16 (int_of_float (Float.min k 1e9))
 
 let output_blowup_threshold = 1e7
 let output_blowup_threshold_log2 = Float.log2 output_blowup_threshold
@@ -182,8 +191,10 @@ let greedy_cover_log2 ~edge_sizes ~edges covered =
 (* Instantiated output bound for the sub-query induced by vertex set
    [vs]: solve the fractional edge cover LP over the coverable vertices
    exactly, price each cover edge at the smallest matching atom
-   projection, and charge [U] per vertex no hyperedge reaches (such a
-   variable — disequality-only — ranges over the whole universe). *)
+   projection, and charge [U] per vertex no hyperedge reaches. An edge
+   no atom matches — the singleton [Ecq.hypergraph] gives a
+   disequality-only variable — is priced at [U^|e|]: its variables range
+   over the whole universe. *)
 let bound_of_vertices ~stats ~universe ~atoms h vs =
   let u_log2 = log2i universe in
   let edges_all = Hypergraph.induced_edges h vs in
@@ -206,7 +217,8 @@ let bound_of_vertices ~stats ~universe ~atoms h vs =
               if Bitset.equal (Bitset.inter a.varset covered) e then
                 Float.min acc (atom_edge_log2 ~stats ~universe a e)
               else acc)
-            Float.infinity atoms)
+            (float_of_int (Bitset.cardinal e) *. u_log2)
+            atoms)
         edges
     in
     let weighted w =
@@ -238,6 +250,103 @@ let bound_of_vertices ~stats ~universe ~atoms h vs =
         }
   end
 
+(* ---------- the exact rung's join order ----------
+
+   Restatement of [Generic_join.default_order] over the catalog (the
+   join sits above this library): variables ascending by the smallest
+   relation of an atom they occur in, ties by index, where a negated
+   atom's relation is its complement view of [U^arity - |R|] rows and a
+   variable in no atom comes last. [test/test_cost.ml] pins it to
+   [Hom.order]. *)
+let join_order ~(stats : Cardinality.t) q =
+  let best = Array.make (Ecq.num_vars q) max_int in
+  let visit rows vars =
+    Array.iter (fun v -> if rows < best.(v) then best.(v) <- rows) vars
+  in
+  let card symbol =
+    Option.map (fun s -> s.Cardinality.cardinality) (Cardinality.find stats symbol)
+  in
+  List.iter
+    (function
+      | Ecq.Atom (symbol, vars) ->
+          visit (Option.value (card symbol) ~default:max_int) vars
+      | Ecq.Neg_atom (symbol, vars) ->
+          let complement r =
+            Ac_relational.Relation.complement_cardinality
+              ~universe_size:stats.Cardinality.universe
+              ~arity:(Array.length vars) r
+          in
+          visit (Option.fold ~none:max_int ~some:complement (card symbol)) vars
+      | Ecq.Diseq _ -> ())
+    (Ecq.atoms q);
+  let vars = List.init (Ecq.num_vars q) Fun.id in
+  Array.of_list (List.stable_sort (fun u v -> Int.compare best.(u) best.(v)) vars)
+
+(* The exact rung's work (Lemma 48's projection as [Exact] runs it):
+   the join reports each distinct assignment of the order prefix ending
+   at the deepest free variable once, then abandons that subtree. So it
+   pays [prefixes × extension]:
+   - [prefixes]: at most the product, over the prefix variables, of the
+     smallest distinct count of a column they occupy ([U] for a
+     variable no positive atom holds);
+   - [extension]: reaching a prefix's first extension scans one
+     candidate list per remaining level. A level's list is priced at the
+     smallest, over the positive atoms holding its variable, of that
+     atom's average fan-out [|R| / distinct] from its largest
+     already-bound column (the variable's own distinct count when none
+     is bound yet).
+   Both come from the catalog alone: no LP, so re-analysing after every
+   live mutation stays cheap. Returns [(log2 prefixes, log2 extension)]. *)
+let projection_log2 ~(stats : Cardinality.t) q =
+  let order = join_order ~stats q in
+  let position = Array.make (Array.length order) 0 in
+  Array.iteri (fun i v -> position.(v) <- i) order;
+  let depth =
+    List.fold_left
+      (fun acc v -> max acc (position.(v) + 1))
+      0
+      (List.init (Ecq.num_free q) Fun.id)
+  in
+  let positives =
+    List.filter_map
+      (function
+        | Ecq.Atom (symbol, vars) -> (
+            match Cardinality.find stats symbol with
+            | Some s when s.Cardinality.arity = Array.length vars -> Some (s, vars)
+            | _ -> None)
+        | Ecq.Neg_atom _ | Ecq.Diseq _ -> None)
+      (Ecq.atoms q)
+  in
+  (* candidates for [v] once the variables [bound] accepts are bound *)
+  let candidates ~bound v =
+    List.fold_left
+      (fun acc ((s : Cardinality.relation_stats), vars) ->
+        let own = ref Float.infinity and key = ref 0 in
+        Array.iteri
+          (fun j w ->
+            let d = s.Cardinality.distinct.(j) in
+            if w = v then own := Float.min !own (float_of_int d)
+            else if bound w then key := max !key d)
+          vars;
+        if !own = Float.infinity then acc
+        else if !key = 0 then Float.min acc !own
+        else
+          Float.min acc
+            (Float.min !own
+               (Float.max 1.0
+                  (float_of_int s.Cardinality.cardinality /. float_of_int !key))))
+      (float_of_int stats.Cardinality.universe)
+      positives
+  in
+  let prefixes = ref 0.0 and scans = ref 0.0 in
+  Array.iteri
+    (fun i v ->
+      if i < depth then
+        prefixes := !prefixes +. Float.log2 (candidates ~bound:(fun _ -> false) v)
+      else scans := !scans +. candidates ~bound:(fun w -> position.(w) < i) v)
+    order;
+  (!prefixes, Float.log2 (Float.max 1.0 !scans))
+
 (* ---------- per-rung work predictions ---------- *)
 
 let log2_inv_eps2 eps =
@@ -268,22 +377,29 @@ let rank ~eps ~delta t =
     }
   in
   let exact_alt =
-    mk Exact ~applicable:true ~guaranteed:true ~probes:0.0
-      ~probe_cost:
-        (if t.always_empty then Float.neg_infinity
-         else Float.max t.query_bound.log2 t.run_bound_log2)
-      (if t.always_empty then "statically empty: exact count 0"
-       else "join + projection, bounded by the instantiated cover bound")
+    let join = Float.max t.query_bound.log2 t.run_bound_log2 in
+    if t.always_empty then
+      mk Exact ~applicable:true ~guaranteed:true ~probes:0.0
+        ~probe_cost:Float.neg_infinity "statically empty: exact count 0"
+    else if t.free_prefix_log2 +. t.extension_log2 < join then
+      mk Exact ~applicable:true ~guaranteed:true ~probes:t.free_prefix_log2
+        ~probe_cost:t.extension_log2
+        "one descent per distinct free prefix of the join order, to its \
+         first extension"
+    else
+      mk Exact ~applicable:true ~guaranteed:true ~probes:0.0 ~probe_cost:join
+        "join + projection, bounded by the instantiated cover bound"
   in
   let fpras_alt =
     mk Fpras ~applicable:t.is_cq ~guaranteed:true
       ~probes:
         (Float.log2 (float_of_int (fpras_repetitions ~delta))
-        +. log2_inv_eps2 eps)
-      ~probe_cost:(clamp0 t.run_bound_log2)
+        +. Float.log2 (float_of_int (fpras_sketch_size ~eps)))
+      ~probe_cost:
+        (clamp0 t.run_bound_log2 +. Float.log2 (float_of_int ((2 * t.num_vars) + 1)))
       (if t.is_cq then
-         "Theorem 16 sketch pipeline; probe cost is the max instantiated \
-          bag bound"
+         "Theorem 16 sketch pipeline: reps x kappa(eps) samples per cell; \
+          cells are 2|vars|+1 shape nodes x the max instantiated bag bound"
        else "requires a CQ (Observation 10)")
   in
   let ec_reps = edge_count_repetitions ~delta in
@@ -373,6 +489,7 @@ let analyze ?(eps = 0.25) ?(delta = 0.1) ~stats q (c : Classification.t) =
         c.Classification.fhw *. log2i max_card
     | bs -> List.fold_left (fun acc b -> Float.max acc b.log2) 0.0 bs
   in
+  let free_prefix_log2, extension_log2 = projection_log2 ~stats q in
   let t =
     {
       eps;
@@ -382,9 +499,12 @@ let analyze ?(eps = 0.25) ?(delta = 0.1) ~stats q (c : Classification.t) =
       component_bounds;
       bag_bounds;
       run_bound_log2;
+      free_prefix_log2;
+      extension_log2;
       static_choice = static_choice_of c;
       is_cq = c.Classification.query_class = Classification.Cq;
       always_empty = c.Classification.always_empty <> None;
+      num_vars = Ecq.num_vars q;
       treewidth = c.Classification.treewidth;
       star_size = c.Classification.star_size;
       alternatives = [];
@@ -398,12 +518,17 @@ let analyze ?(eps = 0.25) ?(delta = 0.1) ~stats q (c : Classification.t) =
 let bound_value b = if Float.is_finite b.log2 then Float.pow 2.0 b.log2 else
     if b.log2 = Float.neg_infinity then 0.0 else Float.infinity
 
+(* A log2 quantity: [-1e9] for log2 0 (provably empty: no work), [null]
+   for +inf (unbounded). *)
+let log2_to_json x =
+  if Float.is_finite x then Json.Float x
+  else if x = Float.neg_infinity then Json.Float (-1e9)
+  else Json.Null
+
 let bound_to_json b =
   Json.Obj
     [
-      ("log2", if Float.is_finite b.log2 then Json.Float b.log2
-               else if b.log2 = Float.neg_infinity then Json.Float (-1e9)
-               else Json.Null);
+      ("log2", log2_to_json b.log2);
       ("value", if Float.is_finite (bound_value b) then Json.Float (bound_value b) else Json.Null);
       ("exact_lp", Json.Bool b.exact_lp);
       ( "degraded",
@@ -423,13 +548,9 @@ let alternative_to_json a =
       ("rung", Json.String (rung_name a.rung));
       ("applicable", Json.Bool a.applicable);
       ("guaranteed", Json.Bool a.guaranteed);
-      ("log2_probes", Json.Float a.log2_probes);
-      ( "log2_probe_cost",
-        if Float.is_finite a.log2_probe_cost then Json.Float a.log2_probe_cost
-        else Json.Float (-1e9) );
-      ( "log2_cost",
-        if Float.is_finite a.log2_cost then Json.Float a.log2_cost
-        else Json.Float (-1e9) );
+      ("log2_probes", log2_to_json a.log2_probes);
+      ("log2_probe_cost", log2_to_json a.log2_probe_cost);
+      ("log2_cost", log2_to_json a.log2_cost);
       ("note", Json.String a.note);
     ]
 
@@ -442,7 +563,9 @@ let to_json t =
       ("query_bound", bound_to_json t.query_bound);
       ("component_bounds", Json.List (List.map bound_to_json t.component_bounds));
       ("bag_bounds", Json.List (List.map bound_to_json t.bag_bounds));
-      ("run_bound_log2", Json.Float t.run_bound_log2);
+      ("run_bound_log2", log2_to_json t.run_bound_log2);
+      ("free_prefix_log2", log2_to_json t.free_prefix_log2);
+      ("extension_log2", log2_to_json t.extension_log2);
       ("static_choice", Json.String (rung_name t.static_choice));
       ("chosen", Json.String (rung_name (chosen t)));
       ("alternatives", Json.List (List.map alternative_to_json t.alternatives));
@@ -467,9 +590,7 @@ let pp fmt t =
     (fun a ->
       Format.fprintf fmt "%-14s %-10s %-10s %-10s %s@,"
         (rung_name a.rung)
-        (if Float.is_finite a.log2_cost then
-           Printf.sprintf "%.1f" a.log2_cost
-         else "0")
+        (Printf.sprintf "%.1f" a.log2_cost)
         (Printf.sprintf "%.1f" a.log2_probes)
         (if not a.applicable then "n/a"
          else if a.guaranteed then "yes"

@@ -11,13 +11,22 @@
     matching atom projection — the classical AGM bound, computed in
     log2 space so a blow-up never overflows. Negated atoms are priced
     at their complement cardinality ([U^arity - |R|], Definition 20);
-    variables no hyperedge reaches cost [U] each.
+    a disequality-only variable (its singleton hyperedge matches no
+    atom) costs [U].
 
-    On top of the bounds sit per-rung work predictions: trial counts
-    from the (ε, δ)-driven batch formulas of the Theorem 16 sketch and
-    the DLM edge-count layer (the ACJR sampling-cost shape), and probe
-    costs from the instantiated bag bounds (Definition 41 applied to
-    the width certificate). {!rank} orders the rungs cheapest-first;
+    On top of the bounds sit per-rung work predictions:
+    - Exact: the join visits one solution per distinct assignment to
+      the join-order prefix ending at the deepest free variable, so it
+      is priced at a bound on those prefixes times a per-prefix scan
+      to the first extension, capped by the full join's cover bound;
+    - Fpras: [reps × κ(ε)] samples and union rounds (the executor's
+      sketch size, floor included) per automaton cell, the cells being
+      the nice decomposition's [2|vars| + 1] shape nodes times the
+      largest instantiated bag bound (Definition 41 applied to the
+      width certificate);
+    - Tree_dp and Generic_join: the DLM edge-count trial formula times
+      the DP table or the instantiated bound per oracle probe.
+    {!rank} orders the rungs cheapest-first;
     the planner starts the governed chain at {!chosen} instead of the
     Figure-1 first match, and [Ladder.build] appends the budget-aware
     ε-degradation steps.
@@ -61,20 +70,30 @@ type t = {
   bag_bounds : bound list;        (** per width-certificate bag (Definition 41) *)
   run_bound_log2 : float;
       (** max instantiated bag bound — the columnar run bound priced
-          into the Fpras and Exact rungs *)
+          into the Fpras rung, and with [query_bound] the cap on Exact *)
+  free_prefix_log2 : float;
+      (** bound on the distinct assignments to the join-order prefix
+          ending at the deepest free variable: the descents Exact makes *)
+  extension_log2 : float;
+      (** predicted scan per descent to its first extension *)
   static_choice : rung;  (** the Figure-1 regime's rung *)
   is_cq : bool;
   always_empty : bool;
+  num_vars : int;
   treewidth : int;
   star_size : int;
   alternatives : alternative list;  (** ranked at [(eps, delta)] *)
 }
 
-(** Restatements of [Fpras.repetitions_for] / [Edge_count.repetitions_for]
-    (those modules sit above this library); pinned to the originals by
-    the test suite. *)
+(** Restatements of [Fpras.repetitions_for], [Fpras.sketch_size_for],
+    [Edge_count.repetitions_for] and [Generic_join.default_order] (those
+    modules sit above this library); pinned to the originals by the test
+    suite. [join_order] is the variable order the exact rung's join
+    binds in, from the catalog cardinalities. *)
 val fpras_repetitions : delta:float -> int
+val fpras_sketch_size : eps:float -> int
 val edge_count_repetitions : delta:float -> int
+val join_order : stats:Cardinality.t -> Ac_query.Ecq.t -> int array
 
 (** QL012 fires when the whole-query bound exceeds this many answers. *)
 val output_blowup_threshold : float

@@ -42,18 +42,21 @@ let pow_saturating base exp =
   in
   if base = 0 then if exp = 0 then 1 else 0 else go 1 exp
 
+let complement_cardinality ~universe_size ~arity rows =
+  let total = pow_saturating universe_size arity in
+  if total = max_int then max_int else total - rows
+
 let cardinality r =
   match r.repr with
   | Building tbl -> Tuple.Table.length tbl
   | Sealed s -> s.primary.rows
   | Complement { base; universe_size } ->
-      let total = pow_saturating universe_size r.arity in
       let b = match base.repr with
         | Sealed s -> s.primary.rows
         | Building tbl -> Tuple.Table.length tbl
         | Complement _ -> 0
       in
-      if total = max_int then max_int else total - b
+      complement_cardinality ~universe_size ~arity:r.arity b
 
 let is_sealed r =
   match r.repr with Building _ -> false | Sealed _ | Complement _ -> true

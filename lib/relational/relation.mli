@@ -34,8 +34,12 @@ val create : arity:int -> t
 val arity : t -> int
 
 (** Builder/sealed: exact tuple count. Complement views:
-    [universe_size^arity - |base|], saturating at [max_int]. *)
+    {!complement_cardinality} of the base's count. *)
 val cardinality : t -> int
+
+(** [universe_size^arity - rows], saturating at [max_int]: the size of
+    the complement of a [rows]-tuple relation. *)
+val complement_cardinality : universe_size:int -> arity:int -> int -> int
 
 (** [add rel tuple] inserts [tuple]; duplicates are ignored. Raises
     [Invalid_argument] if the tuple length differs from the arity, and

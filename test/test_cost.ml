@@ -55,10 +55,11 @@ let test_repetition_formulas () =
         (Cost.edge_count_repetitions ~delta))
     [ 0.49; 0.3; 0.1; 0.05; 0.01; 1e-3; 1e-6; 1e-12 ]
 
-(* [Cost] prices an fpras run at log₂ reps + log₂(1/ε²); the executor
-   runs reps sketches of κ(ε) = ⌈c/ε²⌉ samples. Wherever the floor does
-   not bind, the two differ by the constant log₂ c, up to the ceiling's
-   less-than-one-sample overshoot. *)
+(* [Cost] prices an fpras run at log₂ reps + log₂ κ(ε) probes: the
+   executor runs reps sketches of κ(ε) = max κ_min ⌈c/ε²⌉ samples and
+   union rounds per cell. The restated sketch size is the original at
+   every ε, and the price is its log₂ exactly, including where the floor
+   binds. *)
 let test_fpras_sketch_price () =
   let db =
     Structure.of_facts ~universe_size:3 [ ("E", [| 0; 1 |]); ("E", [| 1; 2 |]) ]
@@ -66,25 +67,23 @@ let test_fpras_sketch_price () =
   let cost = analyze_with db (Ecq.parse "ans(x, y) :- E(x, z), E(z, y)") in
   let delta = 0.1 in
   let log2_reps = Float.log2 (float_of_int (Fpras.repetitions_for ~delta)) in
-  let log2_c = Float.log2 Fpras.sketch_constant in
   List.iter
     (fun eps ->
       let kappa = Fpras.sketch_size_for ~eps in
-      Alcotest.(check bool)
-        (Printf.sprintf "floor does not bind at eps=%g" eps)
-        true (kappa > Fpras.sketch_floor);
+      Alcotest.(check int)
+        (Printf.sprintf "sketch size at eps=%g" eps)
+        kappa (Cost.fpras_sketch_size ~eps);
       let fpras =
         List.find
           (fun a -> a.Cost.rung = Cost.Fpras)
           (Cost.rank ~eps ~delta cost)
       in
-      let gap =
-        Float.log2 (float_of_int kappa) -. (fpras.Cost.log2_probes -. log2_reps)
-      in
-      let overshoot = Float.log2 (float_of_int kappa /. float_of_int (kappa - 1)) in
-      if gap < log2_c -. 1e-9 || gap > log2_c +. overshoot then
-        Alcotest.failf "eps=%g: log2 kappa - price = %g, log2 c = %g" eps gap log2_c)
-    [ 0.01; 0.02; 0.03; 0.05; 0.08 ];
+      (* stated as a sum so float rounding cannot blur "exactly" *)
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "log2 probes = log2 reps + log2 kappa at eps=%g" eps)
+        (log2_reps +. Float.log2 (float_of_int kappa))
+        fpras.Cost.log2_probes)
+    [ 0.01; 0.02; 0.03; 0.05; 0.08; 0.0866; 0.1; 0.25; 0.5; 1.0 ];
   List.iter
     (fun eps ->
       Alcotest.(check int)
@@ -135,6 +134,185 @@ let prop_component_bounds_sound =
               "exact %g > product-of-components bound %g for %s" exact bound
               (Ecq.to_string q)
           else true)
+
+(* A disequality-only variable gets a singleton hyperedge no atom
+   matches; it ranges over the universe, so it costs [U], not +inf. *)
+let prop_bound_finite =
+  QCheck2.Test.make ~count:200
+    ~name:"non-empty positive relations: finite query bound"
+    (Gen.ecq_with_db ~allow_neg:false ~allow_diseq:true)
+    (fun (q, db) ->
+      QCheck2.assume
+        (List.for_all
+           (fun (symbol, _) ->
+             Ac_relational.Relation.cardinality (Structure.relation db symbol) > 0)
+           (Ecq.signature q));
+      let b = (analyze_with db q).Cost.query_bound in
+      if Float.is_finite b.Cost.log2 then true
+      else
+        QCheck2.Test.fail_reportf "bound log2 %g for %s" b.Cost.log2
+          (Ecq.to_string q))
+
+(* Exact's price falls from the full join's cover bound to the distinct
+   free prefixes, capped by the old price; the estimators' prices only
+   rise over their old formulas on the same bounds. The fpras's old
+   log₂(1/ε²) is at most log₂ κ(ε) from ε = 0.25 up, where the floor 16
+   binds; below it the sketch's c = 0.12 < 1 makes κ(ε) the smaller. *)
+let prop_prices_move_one_way =
+  QCheck2.Test.make ~count:200
+    ~name:"exact price <= join bound; estimators >= old formulas"
+    QCheck2.Gen.(
+      triple
+        (Gen.ecq_with_db ~allow_neg:true ~allow_diseq:true)
+        (float_range 0.25 1.0) (float_range 0.01 0.49))
+    (fun ((q, db), eps, delta) ->
+      let t = analyze_with db q in
+      let price rung =
+        (List.find (fun a -> a.Cost.rung = rung) (Cost.rank ~eps ~delta t))
+          .Cost.log2_cost
+      in
+      let clamp0 x = Float.max 0.0 x in
+      let inv_eps2 = -2.0 *. Float.log2 eps in
+      let sampling =
+        Float.log2 (float_of_int (Cost.edge_count_repetitions ~delta))
+        +. inv_eps2
+        +. (2.0 *. float_of_int (min t.Cost.star_size 24))
+      in
+      let old =
+        [
+          ( Cost.Fpras,
+            Float.log2 (float_of_int (Cost.fpras_repetitions ~delta))
+            +. inv_eps2 +. clamp0 t.Cost.run_bound_log2 );
+          ( Cost.Tree_dp,
+            sampling
+            +. float_of_int (t.Cost.treewidth + 1)
+               *. Float.log2 (float_of_int (max 1 (Structure.universe_size db))) );
+          (Cost.Generic_join, sampling +. clamp0 t.Cost.query_bound.Cost.log2);
+        ]
+      in
+      let join =
+        Float.max t.Cost.query_bound.Cost.log2 t.Cost.run_bound_log2
+      in
+      if price Cost.Exact > join then
+        QCheck2.Test.fail_reportf "exact %g > join bound %g for %s"
+          (price Cost.Exact) join (Ecq.to_string q)
+      else
+        List.for_all
+          (fun (rung, was) ->
+            price rung >= was -. 1e-9
+            || QCheck2.Test.fail_reportf "%s %g < old %g at eps %g for %s"
+                 (Cost.rung_name rung) (price rung) was eps (Ecq.to_string q))
+          old)
+
+(* [Cost.join_order] restates [Generic_join.default_order] over the
+   catalog; the exact rung's prefix is read off it, so it must be the
+   order [Hom] binds in. *)
+let hom_order q db =
+  Ac_hom.Hom.order
+    (Ac_hom.Hom.prepare ~strategy:Ac_hom.Hom.Backtracking
+       (Approxcount.Assoc.hom_instance q db))
+
+let corpus () =
+  let dir =
+    if Sys.file_exists "../examples/queries" then "../examples/queries"
+    else "examples/queries"
+  in
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".acq")
+  |> List.sort String.compare
+  |> List.map (fun f ->
+         ( Filename.chop_suffix f ".acq",
+           Ecq.parse
+             (String.trim
+                (In_channel.with_open_bin (Filename.concat dir f)
+                   In_channel.input_all)) ))
+
+let test_join_order_corpus () =
+  let corpus = corpus () in
+  Alcotest.(check bool) "corpus found" true (List.length corpus >= 7);
+  List.iter
+    (fun seed ->
+      let db =
+        Ac_workload.Dbgen.random_structure
+          ~rng:(Random.State.make [| seed |])
+          ~universe_size:40
+          [ ("E", 2, 200); ("R", 2, 200); ("P", 1, 30) ]
+      in
+      List.iter
+        (fun (name, q) ->
+          Alcotest.(check (array int))
+            (Printf.sprintf "%s/%d: Cost.join_order = Hom.order" name seed)
+            (hom_order q db)
+            (Cost.join_order ~stats:(Cardinality.of_structure db) q))
+        corpus)
+    [ 11; 12 ]
+
+let prop_join_order =
+  QCheck2.Test.make ~count:200 ~name:"Cost.join_order = Hom.order"
+    (Gen.ecq_with_db ~allow_neg:true ~allow_diseq:true)
+    (fun (q, db) -> hom_order q db = Cost.join_order ~stats:(Cardinality.of_structure db) q)
+
+(* On a friends graph the 2-path projection has a few thousand answers
+   among |U|² = 14,400 free prefixes: the exact rung answers in tens of
+   milliseconds where the FPRAS takes hundreds, and Auto must pick it. *)
+let test_friends_path_exact () =
+  let q = Ecq.parse "ans(x, y) :- F(x, z), F(z, y)" in
+  List.iter
+    (fun seed ->
+      let db =
+        Ac_workload.Dbgen.friends_database
+          ~rng:(Random.State.make [| seed |])
+          ~n:120 ~avg_degree:6.0
+      in
+      let cost = analyze_with db q in
+      Alcotest.(check string)
+        (Printf.sprintf "friends-120 seed %d: chosen" seed)
+        "exact"
+        (Cost.rung_name (Cost.chosen cost));
+      let exec = Engine.make ~jobs:1 ~seed:3 () in
+      match Planner.count_governed ~exec ~cost ~eps:0.25 ~delta:0.1 q db with
+      | Error e -> Alcotest.failf "governed run failed: %s" (Error.message e)
+      | Ok g ->
+          Alcotest.(check string) "answered by" "exact"
+            (Planner.rung_name g.Planner.rung);
+          Alcotest.(check (float 0.0)) "exact count"
+            (float_of_int (Exact.by_join_projection q db))
+            g.Planner.estimate)
+    [ 1; 2; 3 ]
+
+(* +inf (unbounded) renders as [null] and "inf", never as the cheapest
+   value: [-1e9] and "-inf" stay reserved for log2 0. *)
+let test_non_finite_rendering () =
+  let db =
+    Structure.of_facts ~universe_size:3 [ ("E", [| 0; 1 |]); ("E", [| 1; 2 |]) ]
+  in
+  let cost = analyze_with db (Ecq.parse "ans(x) :- E(x, y)") in
+  let exact = List.find (fun a -> a.Cost.rung = Cost.Exact) cost.Cost.alternatives in
+  let alt log2_cost = { exact with Cost.log2_probe_cost = log2_cost; log2_cost } in
+  let field name a =
+    match Cost.alternative_to_json a with
+    | Ac_analysis.Json.Obj kvs -> List.assoc name kvs
+    | _ -> Alcotest.fail "alternative is not an object"
+  in
+  Alcotest.(check bool) "+inf cost is null" true
+    (field "log2_cost" (alt Float.infinity) = Ac_analysis.Json.Null);
+  Alcotest.(check bool) "+inf probe cost is null" true
+    (field "log2_probe_cost" (alt Float.infinity) = Ac_analysis.Json.Null);
+  Alcotest.(check bool) "-inf cost is -1e9" true
+    (field "log2_cost" (alt Float.neg_infinity) = Ac_analysis.Json.Float (-1e9));
+  let row log2_cost =
+    let text =
+      Format.asprintf "%a" Cost.pp { cost with Cost.alternatives = [ alt log2_cost ] }
+    in
+    List.find
+      (fun l -> String.starts_with ~prefix:"exact" (String.trim l))
+      (String.split_on_char '\n' text)
+    |> String.split_on_char ' '
+    |> List.filter (( <> ) "")
+  in
+  Alcotest.(check string) "pp prints inf" "inf" (List.nth (row Float.infinity) 1);
+  Alcotest.(check string) "pp prints -inf" "-inf"
+    (List.nth (row Float.neg_infinity) 1)
 
 (* ---------- estimate preservation under reordering ----------
 
@@ -342,4 +520,13 @@ let tests =
       test_report_carries_cost;
     Alcotest.test_case "fpras price mirrors the sketch size" `Quick
       test_fpras_sketch_price;
+    QCheck_alcotest.to_alcotest prop_bound_finite;
+    QCheck_alcotest.to_alcotest prop_prices_move_one_way;
+    QCheck_alcotest.to_alcotest prop_join_order;
+    Alcotest.test_case "join order mirrors Hom on the corpus" `Quick
+      test_join_order_corpus;
+    Alcotest.test_case "friends 2-path: Auto answers exactly" `Quick
+      test_friends_path_exact;
+    Alcotest.test_case "non-finite costs: null and inf" `Quick
+      test_non_finite_rendering;
   ]
