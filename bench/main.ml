@@ -400,7 +400,7 @@ let run_chaos () =
         let proxy_path = Filename.temp_file "acq_bench_proxy" ".sock" in
         Sys.remove proxy_path;
         let proxy =
-          Ac_server.Chaos_proxy.start ~path:proxy_path ~plan
+          Ac_test_support.Chaos_proxy.start ~path:proxy_path ~plan
             ~serve:(Server.serve_connection server) ()
         in
         let plain = Client.create (Client.Unix_socket path)
@@ -421,7 +421,7 @@ let run_chaos () =
         Fun.protect
           ~finally:(fun () ->
             List.iter Client.close clients;
-            Ac_server.Chaos_proxy.stop proxy)
+            Ac_test_support.Chaos_proxy.stop proxy)
           (fun () ->
             (* warm-up: fills plan + result caches *)
             List.iter (fun c -> expect_counted c request ()) clients;

@@ -295,6 +295,11 @@ let join_order ~(stats : Cardinality.t) q =
      atom's average fan-out [|R| / distinct] from its largest
      already-bound column (the variable's own distinct count when none
      is bound yet).
+   When the deepest free variable is the last of the order, one positive
+   atom holds it and no negated atom does, the join counts that level in
+   bulk ([Generic_join.count]): one binary search per disequality on the
+   variable, not a scan. The level then leaves the prefix product and is
+   priced at log2 (1 + its disequalities).
    Both come from the catalog alone: no LP, so re-analysing after every
    live mutation stays cheap. Returns [(log2 prefixes, log2 extension)]. *)
 let projection_log2 ~(stats : Cardinality.t) q =
@@ -306,6 +311,24 @@ let projection_log2 ~(stats : Cardinality.t) q =
       (fun acc v -> max acc (position.(v) + 1))
       0
       (List.init (Ecq.num_free q) Fun.id)
+  in
+  let last = Array.length order - 1 in
+  let bulk_diseqs =
+    if last < 0 || depth <> last + 1 then None
+    else
+      let v = order.(last) in
+      let holds vars = Array.mem v vars in
+      let atoms = List.sort_uniq compare (Ecq.atoms q) in
+      let count p = List.length (List.filter p atoms) in
+      if
+        count (function Ecq.Atom (_, vars) -> holds vars | _ -> false) = 1
+        && count (function Ecq.Neg_atom (_, vars) -> holds vars | _ -> false) = 0
+      then
+        Some
+          (count (function
+            | Ecq.Diseq (a, b) -> a = v || b = v
+            | _ -> false))
+      else None
   in
   let positives =
     List.filter_map
@@ -338,14 +361,18 @@ let projection_log2 ~(stats : Cardinality.t) q =
       (float_of_int stats.Cardinality.universe)
       positives
   in
+  let prefix_end = if bulk_diseqs = None then depth else last in
   let prefixes = ref 0.0 and scans = ref 0.0 in
   Array.iteri
     (fun i v ->
-      if i < depth then
+      if i < prefix_end then
         prefixes := !prefixes +. Float.log2 (candidates ~bound:(fun _ -> false) v)
-      else scans := !scans +. candidates ~bound:(fun w -> position.(w) < i) v)
+      else if i >= depth then
+        scans := !scans +. candidates ~bound:(fun w -> position.(w) < i) v)
     order;
-  (!prefixes, Float.log2 (Float.max 1.0 !scans))
+  match bulk_diseqs with
+  | Some d -> (!prefixes, Float.log2 (float_of_int (1 + d)))
+  | None -> (!prefixes, Float.log2 (Float.max 1.0 !scans))
 
 (* ---------- per-rung work predictions ---------- *)
 

@@ -73,9 +73,11 @@ type t = {
           into the Fpras rung, and with [query_bound] the cap on Exact *)
   free_prefix_log2 : float;
       (** bound on the distinct assignments to the join-order prefix
-          ending at the deepest free variable: the descents Exact makes *)
+          ending at the deepest free variable: the descents Exact makes
+          (less that variable when the join counts its level in bulk) *)
   extension_log2 : float;
-      (** predicted scan per descent to its first extension *)
+      (** predicted scan per descent to its first extension; for a
+          bulk-counted last level, log2 (1 + its disequalities) *)
   static_choice : rung;  (** the Figure-1 regime's rung *)
   is_cq : bool;
   always_empty : bool;

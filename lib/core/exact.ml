@@ -44,24 +44,21 @@ let by_hom_dp ?budget q db =
 let enumerate ?budget ~keep ~partial q db =
   let l = Ecq.num_free q in
   let solver = prepared_solver ?budget q db in
+  let diseqs = Array.of_list (Ecq.delta q) in
   let count_only =
     (not keep) && Array.for_all (fun v -> v < l) (Array.sub (Hom.order solver) 0 l)
   in
   let seen = Tuple.Table.create (if count_only then 1 else 256) in
   let n = ref 0 in
-  let f =
-    if count_only then fun _ ->
-      incr n;
-      true
-    else fun sol ->
-      Tuple.Table.replace seen (Array.sub sol 0 l) ();
-      true
-  in
   let completed =
     match
-      Hom.iter_solutions solver ~reuse:true
-        ~diseqs:(Array.of_list (Ecq.delta q))
-        ~project:l ~f
+      if count_only then
+        ignore (Hom.count_solutions solver ~diseqs ~project:l ~tally:n)
+      else
+        Hom.iter_solutions solver ~reuse:true ~diseqs ~project:l
+          ~f:(fun sol ->
+            Tuple.Table.replace seen (Array.sub sol 0 l) ();
+            true)
     with
     | () -> true
     | exception Budget.Budget_exceeded _ when partial -> false

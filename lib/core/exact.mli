@@ -7,7 +7,10 @@
       pruned in the search), cut to one solution per distinct assignment
       of the join-order prefix that ends at the deepest free variable.
       When the free variables are that prefix, each reported solution is
-      a new answer and is counted without a table; otherwise a table
+      a new answer and is counted without a table, by
+      {!Ac_join.Generic_join.count} (a last level with one
+      participating atom is counted from its run's width, without
+      visiting each answer); otherwise a table
       deduplicates the reports' projections. Cost is driven by the
       number of distinct such {e prefixes}, not of solutions: once a
       prefix has one extension, its other extensions are never

@@ -102,6 +102,10 @@ let run ?(budget = Budget.none) t ~trials f =
           failures.(c) <- Some (e, bt);
           cancel_siblings c
       in
+      (* force the metric handles here: two workers forcing one
+         [Lazy.t] at once raise [CamlinternalLazy.Undefined] *)
+      ignore (Lazy.force trials_total);
+      if t.span <> None then ignore (Lazy.force trial_duration);
       Pool.run_tasks (Pool.shared ()) (Array.init jobs task);
       (* every worker has joined: account the children's work, then
          surface the first real failure (cancellations only echo it) *)

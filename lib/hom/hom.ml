@@ -111,16 +111,18 @@ type dp = {
          one [dp], and a fresh 64-bucket table per bag per call would
          be most of the allocation; pooled tables are cleared (bucket
          arrays kept) between calls *)
+  base_domains : int array array option;
+      (* arc-consistent domains the bag joins start from, computed once
+         per prepare ([None]: trivially unsatisfiable). The full join
+         needs none: every positive atom holding a variable takes part
+         at its level, so its candidates already lie in their support *)
 }
 
 type prepared = {
-  instance : instance;
   strat : strategy;
-  num_vars : int;
   universe_size : int;
-  base_domains : int array array option; (* None: trivially unsatisfiable *)
   full_join : Generic_join.prepared;
-  dp : dp option;
+  dp : dp option; (* [Decomposition] over at least one variable *)
   budget : Budget.t;
 }
 
@@ -222,13 +224,13 @@ let build_dp ~budget inst atoms =
     root;
     fast_keys;
     key_pool = Atomic.make [];
+    base_domains = restrict_domains inst;
   }
 
 let prepare ~strategy ?(budget = Budget.none) inst =
   let atoms = to_atoms inst in
   let num_vars = Structure.universe_size inst.source in
   let universe_size = Structure.universe_size inst.target in
-  let base_domains = restrict_domains inst in
   let full_join =
     Generic_join.prepare ~num_vars ~universe_size ~budget atoms
   in
@@ -238,21 +240,12 @@ let prepare ~strategy ?(budget = Budget.none) inst =
     | Decomposition ->
         if num_vars = 0 then None else Some (build_dp ~budget inst atoms)
   in
-  {
-    instance = inst;
-    strat = strategy;
-    num_vars;
-    universe_size;
-    base_domains;
-    full_join;
-    dp;
-    budget;
-  }
+  { strat = strategy; universe_size; full_join; dp; budget }
 
 let strategy p = p.strat
 
-let merged_domains p domains =
-  match p.base_domains with
+let merged_domains dp domains =
+  match dp.base_domains with
   | None -> None
   | Some base ->
       let merged =
@@ -267,16 +260,6 @@ let merged_domains p domains =
               base
       in
       if Array.exists (fun d -> d = [||]) merged then None else Some merged
-
-let solve_backtracking p merged =
-  let result = ref None in
-  Generic_join.run
-    ~domains:(Array.map Option.some merged)
-    p.full_join
-    ~f:(fun a ->
-      result := Some a;
-      false);
-  !result
 
 (* Decision DP over the tree decomposition. Fast path (every shared-var
    projection encodes into one int): each bag keeps only the set of
@@ -398,28 +381,27 @@ let decide_dp ~budget ~universe dp merged =
   if dp.fast_keys then decide_dp_fast ~budget ~universe dp merged
   else decide_dp_exact ~budget dp merged
 
+let solve p ?domains () =
+  let result = ref None in
+  Generic_join.run ?domains p.full_join ~f:(fun a ->
+      result := Some a;
+      false);
+  !result
+
 let decide p ?domains () =
-  match merged_domains p domains with
-  | None -> false
-  | Some merged -> (
-      match (p.strat, p.dp) with
-      | Backtracking, _ | Decomposition, None ->
-          Option.is_some (solve_backtracking p merged)
-      | Decomposition, Some dp ->
+  match p.dp with
+  | None -> Option.is_some (solve p ?domains ())
+  | Some dp -> (
+      match merged_domains dp domains with
+      | None -> false
+      | Some merged ->
           decide_dp ~budget:p.budget ~universe:p.universe_size dp merged)
 
-let solve p ?domains () =
-  match merged_domains p domains with
-  | None -> None
-  | Some merged -> solve_backtracking p merged
-
 let iter_solutions ?domains ?reuse ?diseqs ?project p ~f =
-  match merged_domains p domains with
-  | None -> ()
-  | Some merged ->
-      Generic_join.run ?reuse ?diseqs ?project
-        ~domains:(Array.map Option.some merged)
-        p.full_join ~f
+  Generic_join.run ?domains ?reuse ?diseqs ?project p.full_join ~f
+
+let count_solutions ?diseqs ?project ?tally p =
+  Generic_join.count ?diseqs ?project ?tally p.full_join
 
 let order p = Generic_join.order p.full_join
 

@@ -13,8 +13,8 @@
     Both accept optional per-variable [domains] (used by the colour-coding
     reduction to pin unary constraints cheaply). The colour-coding oracle
     issues thousands of decisions against one instance; {!prepare} once
-    (join indexes, decomposition, arc-consistent base domains) and {!decide}
-    per call. *)
+    (join indexes; for [Decomposition], the decomposition and its
+    arc-consistent base domains) and {!decide} per call. *)
 
 type instance = {
   source : Ac_relational.Structure.t;  (** [A]; its universe elements are the CSP variables *)
@@ -53,8 +53,12 @@ val prepare :
 val strategy : prepared -> strategy
 
 (** [decide p ?domains ()] — is there a homomorphism mapping each
-    variable inside its domain (intersected with the precomputed
-    arc-consistent base domains)? *)
+    variable inside its domain? [Decomposition] intersects [domains]
+    with the arc-consistent base domains computed at {!prepare} (its
+    bag joins start from them); [Backtracking] passes [domains] to the
+    full join as they are, since every positive atom holding a variable
+    already bounds its candidates there, so base domains would never
+    prune. *)
 val decide : prepared -> ?domains:int array option array -> unit -> bool
 
 (** First homomorphism found ([Backtracking] search order). *)
@@ -73,6 +77,17 @@ val iter_solutions :
   prepared ->
   f:(int array -> bool) ->
   unit
+
+(** The number of homomorphisms {!iter_solutions} reports with the
+    same [diseqs] and [project], counted by
+    {!Ac_join.Generic_join.count} (the last join level in bulk where it
+    can be); [tally] as there. *)
+val count_solutions :
+  ?diseqs:(int * int) array ->
+  ?project:int ->
+  ?tally:int ref ->
+  prepared ->
+  int
 
 (** The variable order {!iter_solutions} binds in. *)
 val order : prepared -> int array

@@ -233,7 +233,13 @@ let rec pool_give pool s =
   let old = Atomic.get pool in
   if not (Atomic.compare_and_set pool old (s :: old)) then pool_give pool s
 
-let run ?domains ?(reuse = false) ?(diseqs = [||]) ?project p ~f =
+(* The one search behind {!run} and {!count}. [bulk], when given, takes
+   over the last order position wherever every report resumes there,
+   one atom is the only participant and no domain run or filter atom
+   sits at the level: it is handed the level's leaf count — the run's
+   width less the distinct disequality-partner values inside it — in
+   place of one descent per candidate. *)
+let search ?domains ?(reuse = false) ?(diseqs = [||]) ?project ?bulk p ~f =
   (* canonical per-variable domains (ascending, deduplicated): arrays
      already in canonical order are used as-is, without copying *)
   let domain_arr = Array.make p.num_vars None in
@@ -287,6 +293,26 @@ let run ?domains ?(reuse = false) ?(diseqs = [||]) ?project p ~f =
         cs.sel.(i) <- cs.no_dom.(i);
         cs.offs.(i) <- 0
   done;
+  let last = p.num_vars - 1 in
+  let bulk_last =
+    Option.is_some bulk && last >= 0 && cut >= last
+    && Array.length p.parts_at.(last) = 1
+    && domain_arr.(p.order.(last)) = None
+    && p.filters_at.(last) = []
+  in
+  (* the variables whose values the last variable must avoid (a pair
+     [(v, v)] names [v] itself, still [-1] there, so it removes nothing,
+     as in [diseqs_pass]) *)
+  let partners =
+    if not bulk_last then [||]
+    else
+      let v = p.order.(last) in
+      Array.of_list
+        (Array.fold_right
+           (fun (a, b) acc ->
+             if a = v then b :: acc else if b = v then a :: acc else acc)
+           diseqs [])
+  in
   let assignment = Array.make p.num_vars (-1) in
   (* levels deeper than [!resume] abandon their candidates: a reported
      solution sets it to [cut] (cleared again once level [cut] regains
@@ -319,12 +345,32 @@ let run ?domains ?(reuse = false) ?(diseqs = [||]) ?project p ~f =
         if !resume = i then resume := max_int
       end
     end
+  (* the last variable is the last column of its one atom, so the
+     run's values are distinct and its width counts them *)
+  and count_last i =
+    let ai, lvl = p.parts_at.(i).(0) in
+    let col = p.indexed.(ai).cols.Relation.columns.(lvl) in
+    let lo = cs.los.(ai).(lvl) and hi = cs.his.(ai).(lvl) in
+    let k = ref (hi - lo) in
+    for j = 0 to Array.length partners - 1 do
+      let x = assignment.(partners.(j)) in
+      let fresh = ref true in
+      for j' = 0 to j - 1 do
+        if assignment.(partners.(j')) = x then fresh := false
+      done;
+      if !fresh then begin
+        let at = Gallop.lower col ~lo ~hi x in
+        if at < hi && Column.get col at = x then decr k
+      end
+    done;
+    match bulk with Some leaves -> leaves !k | None -> ()
   and assign i =
     Budget.tick p.budget;
     if i = p.num_vars then begin
       let sol = if reuse then assignment else Array.copy assignment in
       resume := if f sol then cut else -1
     end
+    else if i = last && bulk_last then count_last i
     else begin
       let v = p.order.(i) in
       let parts = p.parts_at.(i) in
@@ -371,6 +417,23 @@ let run ?domains ?(reuse = false) ?(diseqs = [||]) ?project p ~f =
   if List.for_all (filter_ok assignment) p.start_filters then assign 0;
   pool_give p.pool cs
 
+let run ?domains ?reuse ?diseqs ?project p ~f =
+  search ?domains ?reuse ?diseqs ?project p ~f
+
+(* Each counted leaf ticks once, in the order the per-leaf path ticks
+   and reports, so trip points and [tally] at a trip match {!run}'s. *)
+let count ?diseqs ?project ?(tally = ref 0) p =
+  search ~reuse:true ?diseqs ?project p
+    ~bulk:(fun k ->
+      for _ = 1 to k do
+        Budget.tick p.budget;
+        incr tally
+      done)
+    ~f:(fun _ ->
+      incr tally;
+      true);
+  !tally
+
 let order p = Array.copy p.order
 
 let iter ~num_vars ~universe_size ?budget ?domains ?order atoms ~f =
@@ -385,13 +448,6 @@ let find ~num_vars ~universe_size ?budget ?domains ?order atoms =
 
 let exists ~num_vars ~universe_size ?budget ?domains ?order atoms =
   Option.is_some (find ~num_vars ~universe_size ?budget ?domains ?order atoms)
-
-let count ~num_vars ~universe_size ?budget ?domains ?order atoms =
-  let n = ref 0 in
-  iter ~num_vars ~universe_size ?budget ?domains ?order atoms ~f:(fun _ ->
-      incr n;
-      true);
-  !n
 
 let solutions ~num_vars ~universe_size ?budget ?domains ?order atoms =
   let acc = ref [] in

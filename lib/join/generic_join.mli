@@ -102,6 +102,31 @@ val run :
   f:(int array -> bool) ->
   unit
 
+(** [count ?diseqs ?project prepared] is the number of solutions
+    [run ?diseqs ?project prepared] reports, from the same search. Where
+    every report resumes at the last order position (no [project], or
+    one whose deepest variable is last in the order) and that level has
+    a single participating atom, no domain and no filter atom, the
+    level is counted in bulk: the last variable is the last column of
+    that atom, so the values in its current run are distinct, and the
+    leaves are the run's width less the distinct values of the
+    already-bound disequality partners found inside it (one binary
+    search each) — no descent per candidate.
+
+    Ticks are unchanged: a bulk level still ticks [budget] once per
+    counted leaf, interleaved with the count, so {!Ac_runtime.Budget.ticks}
+    and trip points are those of {!run}. [tally] (default a fresh
+    counter) is incremented per counted solution as the search goes;
+    after a [Budget_exceeded] it holds the count reached, as a
+    per-report counter in [run]'s [f] would. The result is its final
+    value. *)
+val count :
+  ?diseqs:(int * int) array ->
+  ?project:int ->
+  ?tally:int ref ->
+  prepared ->
+  int
+
 (** The variable order the search binds in (a copy). *)
 val order : prepared -> int array
 
@@ -134,15 +159,6 @@ val exists :
   ?order:int array ->
   atom list ->
   bool
-
-val count :
-  num_vars:int ->
-  universe_size:int ->
-  ?budget:Ac_runtime.Budget.t ->
-  ?domains:int array option array ->
-  ?order:int array ->
-  atom list ->
-  int
 
 val solutions :
   num_vars:int ->

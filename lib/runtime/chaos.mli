@@ -54,7 +54,7 @@ val wrap_oracle : t -> ?site:string -> ('a -> bool) -> 'a -> bool
 (** {1 Wire-level faults}
 
     The connection-fault vocabulary of the chaos proxy
-    ([Ac_server.Chaos_proxy]): what can happen to one response frame on
+    ([Ac_test_support.Chaos_proxy]): what can happen to one response frame on
     its way back to the client. *)
 
 type wire_fault =

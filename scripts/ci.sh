@@ -34,6 +34,19 @@ scripts/smoke_server.sh --live
 echo "== fleet smoke (2 workers + router, worker loss degrades, restart heals)"
 scripts/smoke_server.sh --fleet
 
+echo "== perfbench smoke (each workload for 1 s: exits 0, answers correct, none failed)"
+for w in estimate_cold serve_hot live_rw fleet_scatter; do
+  python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 --trace 0 \
+    > _build/perfbench_smoke.out
+  tail -n 1 _build/perfbench_smoke.out | python3 -c '
+import json, sys
+r = json.load(sys.stdin)
+if r["correct"] is not True or r["failed"] > 0:
+    sys.exit("perfbench %s: correct %s, %d failed" % (sys.argv[1], r["correct"], r["failed"]))
+print("perfbench %s: correct, %d operations" % (sys.argv[1], r["attempted"]))
+' "$w"
+done
+
 if [ "${1:-}" = "--with-bench" ]; then
   # each mode writes BENCH_<mode>.json and exits 1 if one of its gates fails
   for mode in parallel obs chaos cost conformance; do

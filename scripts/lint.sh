@@ -107,7 +107,6 @@ lib/relational/relation.ml
 lib/runtime/chaos.ml
 lib/server/cache.ml
 lib/server/catalog.ml
-lib/server/chaos_proxy.ml
 lib/server/inflight.ml
 lib/server/router.ml
 lib/server/scheduler.ml

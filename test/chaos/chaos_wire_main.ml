@@ -15,7 +15,7 @@ module Catalog = Ac_server.Catalog
 module Scheduler = Ac_server.Scheduler
 module Server = Ac_server.Server
 module Client = Ac_server.Client
-module Chaos_proxy = Ac_server.Chaos_proxy
+module Chaos_proxy = Ac_test_support.Chaos_proxy
 
 let () =
   try Sys.set_signal Sys.sigpipe Sys.Signal_ignore

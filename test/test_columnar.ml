@@ -10,6 +10,10 @@ module Gallop = Ac_kernels.Gallop
 module Generic_join = Ac_join.Generic_join
 module Ecq = Ac_query.Ecq
 module Fptras = Approxcount.Fptras
+module Exact = Approxcount.Exact
+module Assoc = Approxcount.Assoc
+module Hom = Ac_hom.Hom
+module Budget = Ac_runtime.Budget
 module Error = Ac_runtime.Error
 
 let is_sealed_mutation = function
@@ -263,7 +267,7 @@ let prop_counts_agree =
   QCheck2.Test.make ~count:300 ~name:"columnar count = trie count" gen_atoms
     (fun atoms ->
       let order = Generic_join.default_order ~num_vars:3 atoms in
-      Generic_join.count ~num_vars:3 ~universe_size:3 atoms
+      Generic_join.count (Generic_join.prepare ~num_vars:3 ~universe_size:3 atoms)
       = List.length (trie_order_reference ~num_vars:3 ~universe_size:3 ~order atoms))
 
 let prop_solutions_identical_sequence =
@@ -341,6 +345,199 @@ let prop_project_keeps_first_per_prefix =
       let projected, cut_ticks = collect ~project:k () in
       projected = firsts [] all && cut_ticks <= full_ticks)
 
+(* [count] against [run]'s reports. Half the cases are cut to the shape
+   [count] takes in bulk: the last order variable held by one positive
+   atom and no complement filter. The disequalities tie the last
+   variable to both others (or to one twice), so several partners often
+   hold the same value. Under a tick ceiling both trip at the same tick
+   with the same count so far. *)
+let gen_count_case =
+  let num_vars = 3 and universe_size = 3 in
+  QCheck2.Gen.(
+    let var = int_range 0 (num_vars - 1) in
+    quad gen_atoms
+      (shuffle_a (Array.init num_vars Fun.id))
+      (opt (int_range 0 num_vars))
+      (list_size (int_range 0 4)
+         (pair var var >>= fun (a, b) ->
+          return (a, if a = b then (b + 1) mod num_vars else b)))
+    >>= fun (atoms, order, project, diseqs) ->
+    bool >>= fun bulk_shape ->
+    int_range 0 40 >>= fun ceiling ->
+    let last = order.(num_vars - 1) in
+    let holds_last (a : Generic_join.atom) = Array.mem last a.Generic_join.scope in
+    let atoms =
+      if not bulk_shape then atoms
+      else
+        let first =
+          List.find_opt
+            (fun (a : Generic_join.atom) ->
+              holds_last a && not (Relation.is_complement a.Generic_join.relation))
+            atoms
+        in
+        List.filter
+          (fun a ->
+            (not (holds_last a))
+            || match first with Some f -> a == f | None -> false)
+          atoms
+    in
+    return (atoms, order, project, Array.of_list diseqs, ceiling, universe_size))
+
+let prop_count_matches_run =
+  QCheck2.Test.make ~count:500 ~name:"count = run reports, same ticks"
+    gen_count_case
+    (fun (atoms, order, project, diseqs, ceiling, universe_size) ->
+      let prepare budget =
+        Generic_join.prepare ~num_vars:3 ~universe_size ~budget ~order atoms
+      in
+      let by_run budget =
+        let n = ref 0 in
+        let completed =
+          match
+            Generic_join.run ~diseqs ?project (prepare budget) ~f:(fun _ ->
+                incr n;
+                true)
+          with
+          | () -> true
+          | exception Budget.Budget_exceeded _ -> false
+        in
+        (!n, completed, Budget.ticks budget)
+      in
+      let by_count budget =
+        let tally = ref 0 in
+        let completed =
+          match Generic_join.count ~diseqs ?project ~tally (prepare budget) with
+          | n -> n = !tally
+          | exception Budget.Budget_exceeded _ -> false
+        in
+        (!tally, completed, Budget.ticks budget)
+      in
+      (* one shared budget: each pass ticks it by the same amount *)
+      let shared = Budget.create () in
+      let n_run, _, t_run = by_run shared in
+      let n_count, _, t_both = by_count shared in
+      let squeeze () = Budget.create ~max_ticks:ceiling ~check_every:1 () in
+      n_run = n_count
+      && t_both = 2 * t_run
+      && by_run (squeeze ()) = by_count (squeeze ()))
+
+(* [Exact.partial_count] (the bulk count when the free variables lead
+   the order) against a per-solution count of the same cut enumeration,
+   deduplicated by projection, under the same tick ceiling. *)
+let prop_partial_count_per_leaf =
+  QCheck2.Test.make ~count:300 ~name:"partial_count = per-leaf count"
+    QCheck2.Gen.(
+      pair (Gen.ecq_with_db ~allow_neg:true ~allow_diseq:true) (int_range 0 60))
+    (fun ((q, db), ceiling) ->
+      let squeeze () = Budget.create ~max_ticks:ceiling ~check_every:1 () in
+      let per_leaf =
+        let budget = squeeze () in
+        let solver =
+          Hom.prepare ~strategy:Hom.Backtracking ~budget (Assoc.hom_instance q db)
+        in
+        let l = Ecq.num_free q in
+        let seen = Hashtbl.create 16 in
+        let completed =
+          match
+            Hom.iter_solutions solver ~reuse:true
+              ~diseqs:(Array.of_list (Ecq.delta q))
+              ~project:l
+              ~f:(fun sol ->
+                Hashtbl.replace seen (Array.sub sol 0 l) ();
+                true)
+          with
+          | () -> true
+          | exception Budget.Budget_exceeded _ -> false
+        in
+        ((Hashtbl.length seen, completed), Budget.ticks budget)
+      in
+      let budget = squeeze () in
+      let partial = Exact.partial_count ~budget q db in
+      per_leaf = (partial, Budget.ticks budget))
+
+(* The full join takes no base domains: with [restrict_domains]' output
+   intersected into the caller's domains, [iter_solutions], [solve] and
+   [decide] see the same sequence, solution and answer. *)
+let prop_no_base_domains =
+  QCheck2.Test.make ~count:300 ~name:"full join: base domains never prune"
+    QCheck2.Gen.(
+      Gen.ecq_with_db ~allow_neg:true ~allow_diseq:true >>= fun (q, db) ->
+      let u = Structure.universe_size db in
+      array_size
+        (return (Ecq.num_vars q))
+        (opt (array_size (int_range 0 u) (int_range 0 (u - 1))))
+      >>= fun domains ->
+      bool >>= fun with_domains ->
+      return (q, db, if with_domains then Some domains else None))
+    (fun (q, db, domains) ->
+      let inst = Assoc.hom_instance q db in
+      let p = Hom.prepare ~strategy:Hom.Backtracking inst in
+      let sequence ?domains () =
+        let got = ref [] in
+        Hom.iter_solutions p ?domains
+          ~diseqs:(Array.of_list (Ecq.delta q))
+          ~f:(fun a ->
+            got := a :: !got;
+            true);
+        List.rev !got
+      in
+      let merged =
+        Option.map
+          (fun base ->
+            Array.mapi
+              (fun v b ->
+                match Option.bind domains (fun ds -> ds.(v)) with
+                | None -> Some b
+                | Some d -> Some (Ac_kernels.Intset.inter b (Ac_kernels.Intset.canon d)))
+              base)
+          (Hom.restrict_domains inst)
+      in
+      let with_base f none = match merged with None -> none | Some m -> f m in
+      sequence ?domains ()
+      = with_base (fun m -> sequence ~domains:m ()) []
+      && Hom.solve p ?domains () = with_base (fun m -> Hom.solve p ~domains:m ()) None
+      && Hom.decide p ?domains () = with_base (fun m -> Hom.decide p ~domains:m ()) false)
+
+(* One [Decomposition] prepared decided from 2 and 4 domains at once
+   (its memo tables are pooled across callers) answers every pinned
+   decision as a fresh backtracking solver does. *)
+let test_concurrent_decomposition_decide () =
+  (* a pinned 5-cycle maps into the triangle's component (it has an odd
+     cycle), never into the path's or onto the isolated vertex 6 *)
+  let symmetric edges =
+    List.concat_map (fun (a, b) -> [ ("E", [| a; b |]); ("E", [| b; a |]) ]) edges
+  in
+  let target =
+    Structure.of_facts ~universe_size:7
+      (symmetric [ (0, 1); (1, 2); (2, 0); (3, 4); (4, 5) ])
+  in
+  let inst =
+    {
+      Hom.source =
+        Structure.of_facts ~universe_size:5
+          (List.init 5 (fun i -> ("E", [| i; (i + 1) mod 5 |])));
+      target;
+    }
+  in
+  let p = Hom.prepare ~strategy:Hom.Decomposition inst in
+  (* trial [i] pins source vertex [i mod 5] to target vertex [i / 5] *)
+  let domains i =
+    Array.init 5 (fun v -> if v = i mod 5 then Some [| i / 5 |] else None)
+  in
+  let trials = 35 in
+  let want =
+    Array.init trials (fun i -> Hom.decide_backtracking ~domains:(domains i) inst)
+  in
+  Alcotest.(check (array bool)) "reference" (Array.init trials (fun i -> i < 15)) want;
+  List.iter
+    (fun jobs ->
+      let got =
+        Ac_exec.Engine.run (Ac_exec.Engine.make ~jobs ~seed:1 ()) ~trials
+          (fun ~rng:_ ~budget:_ i -> Hom.decide p ~domains:(domains i) ())
+      in
+      Alcotest.(check (array bool)) (Printf.sprintf "jobs=%d" jobs) want got)
+    [ 2; 4 ]
+
 let prop_estimates_bit_identical =
   QCheck2.Test.make ~count:15
     ~name:"estimates bit-identical across jobs"
@@ -373,4 +570,9 @@ let tests =
     QCheck_alcotest.to_alcotest prop_matches_ordered_brute;
     QCheck_alcotest.to_alcotest prop_project_keeps_first_per_prefix;
     QCheck_alcotest.to_alcotest prop_estimates_bit_identical;
+    QCheck_alcotest.to_alcotest prop_count_matches_run;
+    QCheck_alcotest.to_alcotest prop_partial_count_per_leaf;
+    QCheck_alcotest.to_alcotest prop_no_base_domains;
+    Alcotest.test_case "decomposition decide under jobs=2/4" `Quick
+      test_concurrent_decomposition_decide;
   ]

@@ -18,7 +18,7 @@ module Server = Ac_server.Server
 module Client = Ac_server.Client
 module Inflight = Ac_server.Inflight
 module Manifest = Ac_server.Manifest
-module Chaos_proxy = Ac_server.Chaos_proxy
+module Chaos_proxy = Ac_test_support.Chaos_proxy
 module Live = Ac_live.Live
 module Journal = Ac_live.Journal
 

@@ -80,7 +80,7 @@ let test_empty_relation () =
   let r = Relation.create ~arity:2 in
   let atoms = [ Generic_join.atom [| 0; 1 |] r ] in
   Alcotest.(check int) "no solutions" 0
-    (Generic_join.count ~num_vars:2 ~universe_size:3 atoms)
+    (Generic_join.count (Generic_join.prepare ~num_vars:2 ~universe_size:3 atoms))
 
 let test_early_stop () =
   let r = relation_of_list 1 [ [| 0 |]; [| 1 |]; [| 2 |] ] in
