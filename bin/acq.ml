@@ -29,7 +29,6 @@ module Structure = Ac_relational.Structure
 module Structure_io = Ac_relational.Structure_io
 module Budget = Ac_runtime.Budget
 module Error = Ac_runtime.Error
-module Planner = Approxcount.Planner
 module Api = Approxcount.Api
 module Wire = Ac_server.Wire
 module Client = Ac_server.Client
@@ -433,9 +432,10 @@ let count_cmd =
             in
             let code =
               print_count ~hex o ~details:(fun () ->
-                  (match resp.Api.decision with
-                  | Some d -> Printf.eprintf "plan: %s\n%!" d.Planner.reason
-                  | None -> ());
+                  if resp.Api.rung <> None then
+                    Printf.eprintf "plan: %s\n%!"
+                      (Ac_analysis.Classification.describe
+                         (Ac_analysis.Report.classification_exn resp.Api.report));
                   if verbose then
                     Printf.eprintf
                       "acq: seed %d, jobs %d, %d ticks, %.1f ms (replay with --seed %d --jobs %d)\n%!"
@@ -692,8 +692,8 @@ let explain_cmd =
               Format.printf "%a"
                 (Ac_analysis.Classification.pp ~var_name:(Ecq.var_name q))
                 c;
-              let d = Planner.decision_of_classification c in
-              Format.printf "plan:         %s@." d.Planner.reason;
+              Format.printf "plan:         %s@."
+                (Ac_analysis.Classification.describe c);
               match cost_analysis with
               | None -> ()
               | Some cost -> Format.printf "%a" Ac_analysis.Cost.pp cost

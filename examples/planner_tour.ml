@@ -8,6 +8,8 @@
 module Ecq = Ac_query.Ecq
 module Structure_io = Ac_relational.Structure_io
 module Planner = Approxcount.Planner
+module Report = Ac_analysis.Report
+module Classification = Ac_analysis.Classification
 module Ucq = Approxcount.Ucq
 
 let database_text =
@@ -49,17 +51,20 @@ let () =
       let q = Ecq.parse text in
       let exact = Approxcount.Exact.by_join_projection q db in
       Format.printf "@.%s@." text;
+      let report = Report.analyze ~db q in
+      let c = Report.classification_exn report in
       let exec = Ac_exec.Engine.make ~jobs:1 ~seed:2022 () in
       match
-        Planner.count_governed ~exec ~strict:true ~eps:0.2 ~delta:0.1 q db
+        Planner.count_governed ~exec ~strict:true ~classification:c
+          ~cost:(Option.get report.Report.cost) ~eps:0.2 ~delta:0.1 q db
       with
       | Error e ->
           Format.printf "  failed:   %s@." (Ac_runtime.Error.message e)
-      | Ok { Planner.estimate; decision; _ } ->
-          Format.printf "  plan:     %s@." decision.Planner.reason;
-          Format.printf "  widths:   tw %d, fhw %.2f%s@." decision.treewidth
-            decision.fhw
-            (if decision.exact_widths then "" else " (bounds)");
+      | Ok { Planner.estimate; _ } ->
+          Format.printf "  plan:     %s@." (Classification.describe c);
+          Format.printf "  widths:   tw %d, fhw %.2f%s@." c.Classification.treewidth
+            c.Classification.fhw
+            (if c.Classification.exact_widths then "" else " (bounds)");
           Format.printf "  exact:    %d@." exact;
           Format.printf "  estimate: %.1f@." estimate)
     queries;

@@ -1,10 +1,6 @@
 type query_class = Cq | Dcq | Ecq_full
 
-type regime =
-  | Exact_empty
-  | Fpras_ta
-  | Fptras_tree_dp
-  | Fptras_generic_join
+type regime = Rung.t
 
 type theorem = Thm5 | Thm13 | Thm16 | Obs10 | Footnote4
 
@@ -31,20 +27,21 @@ type t = {
 
 let theorem c =
   match c.regime with
-  | Exact_empty -> None
-  | Fpras_ta -> Some Thm16
-  | Fptras_tree_dp -> Some Thm5
-  | Fptras_generic_join -> Some Thm13
+  | Rung.Exact | Rung.Partial -> None
+  | Rung.Fpras -> Some Thm16
+  | Rung.Tree_dp -> Some Thm5
+  | Rung.Generic_join -> Some Thm13
 
-let no_fpras c = c.query_class <> Cq && c.regime <> Exact_empty
+let no_fpras c = c.query_class <> Cq && c.regime <> Rung.Exact
 
 let class_name = function Cq -> "CQ" | Dcq -> "DCQ" | Ecq_full -> "ECQ"
 
 let regime_name = function
-  | Exact_empty -> "exact-empty"
-  | Fpras_ta -> "fpras-tree-automaton"
-  | Fptras_tree_dp -> "fptras-tree-dp"
-  | Fptras_generic_join -> "fptras-generic-join"
+  | Rung.Exact -> "exact-empty"
+  | Rung.Fpras -> "fpras-tree-automaton"
+  | Rung.Tree_dp -> "fptras-tree-dp"
+  | Rung.Generic_join -> "fptras-generic-join"
+  | Rung.Partial -> "partial"
 
 let theorem_name = function
   | Thm5 -> "Theorem 5"
@@ -55,7 +52,7 @@ let theorem_name = function
 
 let describe c =
   match c.regime with
-  | Exact_empty ->
+  | Rung.Exact ->
       let rel =
         match c.always_empty with Some w -> w.relation | None -> "?"
       in
@@ -63,24 +60,25 @@ let describe c =
         "always empty: negated atom over %s has its positive twin — exact \
          count 0, no counting run needed"
         rel
-  | Fpras_ta ->
+  | Rung.Fpras ->
       Printf.sprintf "CQ with fhw %.2f: Theorem 16 FPRAS (tree-automaton pipeline)"
         c.fhw
-  | Fptras_tree_dp when c.query_class = Dcq ->
+  | Rung.Tree_dp when c.query_class = Dcq ->
       Printf.sprintf
         "DCQ (no FPRAS, Observation 10); arity %d, tw %d: Theorem 5 FPTRAS \
          with the tree-DP engine"
         c.arity c.treewidth
-  | Fptras_tree_dp ->
+  | Rung.Tree_dp ->
       Printf.sprintf
         "ECQ with negations (no FPRAS, Observation 10): Theorem 5 FPTRAS, \
          tw %d, arity %d"
         c.treewidth c.arity
-  | Fptras_generic_join ->
+  | Rung.Generic_join ->
       Printf.sprintf
         "DCQ (no FPRAS, Observation 10) of arity %d: Theorem 13 FPTRAS with \
          the generic-join engine (bounded adaptive width)"
         c.arity
+  | Rung.Partial -> "best-effort partial enumeration, lower bound only"
 
 let equal_invariants a b =
   a.query_class = b.query_class

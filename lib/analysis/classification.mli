@@ -10,12 +10,11 @@
 
 type query_class = Cq | Dcq | Ecq_full
 
-(** The algorithmic regime Figure 1 assigns. *)
-type regime =
-  | Exact_empty          (** statically always empty: exact 0, no counting run *)
-  | Fpras_ta             (** Theorem 16 FPRAS (tree-automaton pipeline) *)
-  | Fptras_tree_dp       (** Theorem 5 FPTRAS (tree-decomposition DP engine) *)
-  | Fptras_generic_join  (** Theorem 13 FPTRAS (generic-join engine) *)
+(** The rung Figure 1 assigns: [Exact] for a statically empty query
+    (exact 0, no counting run), [Fpras] for a CQ (Theorem 16), [Tree_dp]
+    in Theorem 5's bounded-arity regime, [Generic_join] in Theorem 13's
+    unbounded-arity regime. Never [Partial]. *)
+type regime = Rung.t
 
 type theorem = Thm5 | Thm13 | Thm16 | Obs10 | Footnote4
 
@@ -49,8 +48,8 @@ type t = {
   regime : regime;
 }
 
-(** Governing upper-bound theorem; [None] for [Exact_empty] (the count
-    is 0 by §1.1 semantics alone). *)
+(** Governing upper-bound theorem; [None] for the statically empty
+    regime (the count is 0 by §1.1 semantics alone). *)
 val theorem : t -> theorem option
 
 (** Observation 10 applies: no FPRAS unless NP = RP (any disequality or
@@ -61,8 +60,8 @@ val class_name : query_class -> string
 val regime_name : regime -> string
 val theorem_name : theorem -> string
 
-(** The one-line plan reason, derived from the record — the only source
-    of [Planner.decision.reason]. *)
+(** The one-line plan reason, derived from the record — the [plan:]
+    line of [acq count] and [acq explain]. *)
 val describe : t -> string
 
 (** Classification is a function of the query's structure only, so it is

@@ -150,14 +150,14 @@ let classify q =
   let always_empty = empty_witness q in
   let regime =
     match always_empty with
-    | Some _ -> Exact_empty
+    | Some _ -> Rung.Exact
     | None -> (
         match query_class with
-        | Cq -> Fpras_ta
+        | Cq -> Rung.Fpras
         | Dcq ->
-            if arity <= 2 && treewidth <= 3 then Fptras_tree_dp
-            else Fptras_generic_join
-        | Ecq_full -> Fptras_tree_dp)
+            if arity <= 2 && treewidth <= 3 then Rung.Tree_dp
+            else Rung.Generic_join
+        | Ecq_full -> Rung.Tree_dp)
   in
   {
     query_class;

@@ -1,8 +1,8 @@
 (** Computing the {!Classification} of a query.
 
     This is the single place in the system that reads Figure 1: the
-    planner builds its decision from {!classify}'s output instead of
-    re-deriving the regime, and [acq explain]/[acq lint] render the same
+    governed planner's strict mode runs {!classify}'s regime instead of
+    re-deriving it, and [acq explain]/[acq lint] render the same
     record. Widths are exact for queries of ≤ {!exact_width_limit}
     variables (the subset DP), heuristic upper bounds beyond. *)
 

@@ -5,14 +5,9 @@ module Widths = Ac_hypergraph.Widths
 module Rat = Ac_lp.Rat
 module Error = Ac_runtime.Error
 
-type rung = Fpras | Exact | Tree_dp | Generic_join | Partial
+type rung = Rung.t = Fpras | Exact | Tree_dp | Generic_join | Partial
 
-let rung_name = function
-  | Fpras -> "fpras"
-  | Exact -> "exact"
-  | Tree_dp -> "tree-dp"
-  | Generic_join -> "generic-join"
-  | Partial -> "partial"
+let rung_name = Rung.name
 
 type bound = {
   log2 : float;
@@ -448,16 +443,7 @@ let rank ~eps ~delta t =
       ~probe_cost:(clamp0 t.query_bound.log2)
       "best-effort enumeration, lower bound only"
   in
-  let priority a =
-    if a.rung = t.static_choice then -1
-    else
-      match a.rung with
-      | Exact -> 0
-      | Fpras -> 1
-      | Tree_dp -> 2
-      | Generic_join -> 3
-      | Partial -> 4
-  in
+  let priority a = if a.rung = t.static_choice then -1 else Rung.priority a.rung in
   let order a b =
     match (a.applicable && a.guaranteed, b.applicable && b.guaranteed) with
     | true, false -> -1
@@ -472,13 +458,6 @@ let chosen t =
   match List.find_opt (fun a -> a.applicable && a.guaranteed) t.alternatives with
   | Some a -> a.rung
   | None -> Exact
-
-let static_choice_of (c : Classification.t) =
-  match c.Classification.regime with
-  | Classification.Exact_empty -> Exact
-  | Classification.Fpras_ta -> Fpras
-  | Classification.Fptras_tree_dp -> Tree_dp
-  | Classification.Fptras_generic_join -> Generic_join
 
 let analyze ?(eps = 0.25) ?(delta = 0.1) ~stats q (c : Classification.t) =
   let h = Ecq.hypergraph q in
@@ -528,7 +507,7 @@ let analyze ?(eps = 0.25) ?(delta = 0.1) ~stats q (c : Classification.t) =
       run_bound_log2;
       free_prefix_log2;
       extension_log2;
-      static_choice = static_choice_of c;
+      static_choice = c.Classification.regime;
       is_cq = c.Classification.query_class = Classification.Cq;
       always_empty = c.Classification.always_empty <> None;
       num_vars = Ecq.num_vars q;

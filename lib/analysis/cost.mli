@@ -26,10 +26,9 @@
       width certificate);
     - Tree_dp and Generic_join: the DLM edge-count trial formula times
       the DP table or the instantiated bound per oracle probe.
-    {!rank} orders the rungs cheapest-first;
-    the planner starts the governed chain at {!chosen} instead of the
-    Figure-1 first match, and [Ladder.build] appends the budget-aware
-    ε-degradation steps.
+    {!rank} orders the rungs cheapest-first; the governed planner's
+    ladder ([Ladder.build]) starts at {!chosen} and appends the
+    budget-aware ε-degradation steps.
 
     {b Typed degradation.} Instantiating the LP with hostile
     cardinalities can overflow the exact rationals; the analyzer
@@ -37,9 +36,9 @@
     cover — still a sound bound — recording the event as an
     [Ac_runtime.Error.t] in {!bound.degraded} instead of crashing. *)
 
-(** Mirror of [Planner.rung] (which lives above this library). *)
-type rung = Fpras | Exact | Tree_dp | Generic_join | Partial
+type rung = Rung.t = Fpras | Exact | Tree_dp | Generic_join | Partial
 
+(** {!Rung.name}. *)
 val rung_name : rung -> string
 
 (** An instantiated output bound, in log2 space ([neg_infinity]: the

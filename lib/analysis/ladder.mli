@@ -1,7 +1,6 @@
 (** The budget-aware ε-degradation ladder.
 
-    The governed planner used to degrade along a fixed rung order only;
-    with a {!Cost.t} at hand it instead walks a {e ladder}: first every
+    The governed planner degrades along this {e ladder}: first every
     applicable rung with an intact (ε, δ) guarantee, cheapest predicted
     cost first; then (when all of those tripped the budget) the
     cheapest guaranteed sampling rung again at doubled ε — a coarser

@@ -6,6 +6,7 @@ module Chaos = Ac_runtime.Chaos
 module Entropy = Ac_runtime.Entropy
 module Engine = Ac_exec.Engine
 module Report = Ac_analysis.Report
+module Rung = Ac_analysis.Rung
 module Trace = Ac_obs.Trace
 
 type method_ =
@@ -107,7 +108,6 @@ type telemetry = {
 type response = {
   estimate : float;
   exact : bool;
-  decision : Planner.decision option;
   rung : Planner.rung option;
   guarantee : bool;
   degraded : bool;
@@ -202,9 +202,11 @@ let run ?report r =
          analysed this (query, db) pair — e.g. the server's plan cache —
          passes it in. *)
       let report =
-        match report with Some rep -> rep | None -> analyze_traced root r
+        match report with
+        | Some ({ Report.cost = Some _; _ } as rep) -> rep
+        | Some _ | None -> analyze_traced root r
       in
-      let finish ?decision ?rung ?(guarantee = true) ?(degraded = false)
+      let finish ?rung ?(guarantee = true) ?(degraded = false)
           ?(eps_used = r.eps) ?(attempts = []) ~exact estimate =
         if not (Float.is_finite estimate) then
           Error
@@ -216,7 +218,6 @@ let run ?report r =
             {
               estimate;
               exact;
-              decision;
               rung;
               guarantee;
               degraded;
@@ -228,36 +229,37 @@ let run ?report r =
       in
       match r.method_ with
       | Auto -> (
-          let decision =
-            Planner.decision_of_classification
-              (Report.classification_exn report)
-          in
           match
             Planner.count_governed ~budget ~exec ~verbose:r.verbose
-              ~strict:r.strict ?chaos:r.chaos ~decision
-              ?cost:report.Report.cost ~eps:r.eps ~delta:r.delta r.query r.db
+              ~strict:r.strict ?chaos:r.chaos
+              ~classification:(Report.classification_exn report)
+              ~cost:(Option.get report.Report.cost) ~eps:r.eps ~delta:r.delta
+              r.query r.db
           with
           | Error e -> Error e
           | Ok g ->
-              finish ~decision:g.Planner.decision ~rung:g.Planner.rung
-                ~guarantee:g.Planner.guarantee ~degraded:g.Planner.degraded
-                ~eps_used:g.Planner.eps_used ~attempts:g.Planner.attempts
-                ~exact:(g.Planner.rung = Planner.Exact_rung)
+              finish ~rung:g.Planner.rung ~guarantee:g.Planner.guarantee
+                ~degraded:g.Planner.degraded ~eps_used:g.Planner.eps_used
+                ~attempts:g.Planner.attempts
+                ~exact:(g.Planner.rung = Rung.Exact)
                 g.Planner.estimate)
       | Fpras when not (Ecq.is_cq r.query) ->
           Error (Error.Signature_mismatch fpras_requires_cq)
       | Fpras | Fptras _ | Exact ->
-          let algorithm =
+          let rung, engine =
             match r.method_ with
-            | Fpras -> Planner.Use_fpras
-            | Fptras engine -> Planner.Use_fptras engine
-            | Auto | Exact | Brute -> Planner.Use_exact
+            | Fpras -> (Rung.Fpras, None)
+            | Fptras Colour_oracle.Tree_dp -> (Rung.Tree_dp, None)
+            | Fptras Colour_oracle.Generic -> (Rung.Generic_join, None)
+            | Fptras Colour_oracle.Direct ->
+                (Rung.Generic_join, Some Colour_oracle.Direct)
+            | Auto | Exact | Brute -> (Rung.Exact, None)
           in
           (* the request's own engine, not a rung's split of it *)
           Result.bind
             (Error.guard (fun () ->
-                 Planner.run_algorithm ~budget ~exec ~eps:r.eps ~delta:r.delta
-                   algorithm r.query r.db))
+                 Planner.run_rung ~budget ~exec ?engine ~eps:r.eps
+                   ~delta:r.delta rung r.query r.db))
             (fun (estimate, exact) -> finish ~exact estimate)
       | Brute ->
           Result.bind

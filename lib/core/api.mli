@@ -101,7 +101,6 @@ type telemetry = {
 type response = {
   estimate : float;
   exact : bool;                        (** the value is an exact count *)
-  decision : Planner.decision option;  (** the plan ([Auto] only) *)
   rung : Planner.rung option;          (** producing rung ([Auto] only) *)
   guarantee : bool;   (** the (ε, δ) guarantee (or exactness) holds *)
   degraded : bool;    (** a fallback rung produced the value *)
@@ -112,8 +111,8 @@ type response = {
   report : Ac_analysis.Report.t;
       (** the static analysis (classification + lint diagnostics, with
           the database-aware checks, and the instantiated cost model —
-          [report.cost] drives the [Auto] rung order); on the [Auto]
-          path the plan is read off this report's classification *)
+          [report.cost] drives the [Auto] rung order; the [Auto] path's
+          plan line is [Classification.describe] of its classification) *)
   telemetry : telemetry;
 }
 
@@ -125,7 +124,8 @@ type response = {
     [Ac_analysis.Report.analyze ~db r.query] — callers that analyse
     once and serve many requests (the [acqd] plan cache) pass it to
     skip the static analysis, including the width computations; the
-    response is identical either way. *)
+    response is identical either way. A report without a cost analysis
+    (analysed without a db) is not reused. *)
 val run :
   ?report:Ac_analysis.Report.t ->
   request ->

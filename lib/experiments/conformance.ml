@@ -3,14 +3,14 @@ module Structure = Ac_relational.Structure
 module Planner = Approxcount.Planner
 module Fpras = Approxcount.Fpras
 module Exact = Approxcount.Exact
-module Colour_oracle = Approxcount.Colour_oracle
+module Rung = Ac_analysis.Rung
 module Engine = Ac_exec.Engine
 module Budget = Ac_runtime.Budget
 
 type case = {
   name : string;
   query : string;
-  algorithm : Planner.algorithm;
+  rung : Rung.t;
   db : Structure.t Lazy.t;
 }
 
@@ -29,7 +29,7 @@ let path4 = "ans(x, y, w) :- E(x, z), E(z, y), E(y, v), E(v, w)"
 
 let fpras_cases =
   List.map
-    (fun (name, query, db) -> { name; query; algorithm = Planner.Use_fpras; db })
+    (fun (name, query, db) -> { name; query; rung = Rung.Fpras; db })
     [
       ("path2", path2, gnp_14);
       ("path3", "ans(x, y) :- E(x, z), E(z, w), E(w, y)", gnp_14);
@@ -40,17 +40,13 @@ let fpras_cases =
 
 let fptras_cases =
   List.map
-    (fun (name, query, engine, db) ->
-      { name; query; algorithm = Planner.Use_fptras engine; db })
+    (fun (name, query, rung, db) -> { name; query; rung; db })
     [
-      ("tree-dp/path4", path4, Colour_oracle.Tree_dp, gnp_14);
-      ( "tree-dp/unguarded",
-        "ans(x, y) :- E(x, z), y != z",
-        Colour_oracle.Tree_dp,
-        dbgen_20 );
+      ("tree-dp/path4", path4, Rung.Tree_dp, gnp_14);
+      ("tree-dp/unguarded", "ans(x, y) :- E(x, z), y != z", Rung.Tree_dp, dbgen_20);
       ( "generic/star3-diseq",
         "ans(x, y, z) :- E(c, x), E(c, y), E(c, z), x != y",
-        Colour_oracle.Generic,
+        Rung.Generic_join,
         gnp_14 );
     ]
 
@@ -98,8 +94,8 @@ let run ?kappa ~eps ~delta ~trials case =
   let exact = float_of_int (Exact.by_join_projection q db) in
   let estimate seed =
     let exec = Engine.make ~jobs:1 ~seed () in
-    match (kappa, case.algorithm) with
-    | Some k, Planner.Use_fpras ->
+    match (kappa, case.rung) with
+    | Some k, Rung.Fpras ->
         let config =
           {
             Ac_automata.Acjr.sketch_size = k;
@@ -112,8 +108,7 @@ let run ?kappa ~eps ~delta ~trials case =
             ~repetitions:(Fpras.repetitions_for ~delta) ~eps q db,
           false )
     | _ ->
-        Planner.run_algorithm ~budget:Budget.none ~exec ~eps ~delta case.algorithm
-          q db
+        Planner.run_rung ~budget:Budget.none ~exec ~eps ~delta case.rung q db
   in
   let runs = List.init trials (fun i -> estimate (i + 1)) in
   let errs =
@@ -125,8 +120,8 @@ let run ?kappa ~eps ~delta ~trials case =
     eps;
     delta;
     kappa =
-      (match case.algorithm with
-      | Planner.Use_fpras ->
+      (match case.rung with
+      | Rung.Fpras ->
           Some (Option.value kappa ~default:(Fpras.sketch_size_for ~eps))
       | _ -> None);
     trials;

@@ -6,7 +6,7 @@
     [Exact.by_join_projection] and counts the violations; the promise is
     refuted when the one-sided Clopper–Pearson lower bound on the
     violation rate exceeds [δ]. Runs go through
-    [Planner.run_algorithm], the estimator dispatch of the request path.
+    [Planner.run_rung], the estimator dispatch of the request path.
 
     The corpus is the one the FPRAS sketch size κ(ε) is calibrated on
     ([Fpras.sketch_size_for]): 2-, 3- and 4-path and 3-star CQs on
@@ -17,11 +17,11 @@
 type case = {
   name : string;
   query : string;
-  algorithm : Approxcount.Planner.algorithm;
+  rung : Ac_analysis.Rung.t;
   db : Ac_relational.Structure.t Lazy.t;
 }
 
-(** The FPRAS cases (every [algorithm] is [Use_fpras]). *)
+(** The FPRAS cases (every [rung] is [Fpras]). *)
 val fpras_cases : case list
 
 (** Tree-DP and generic-join FPTRAS cases. *)

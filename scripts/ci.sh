@@ -13,6 +13,11 @@ cd "$(dirname "$0")/.."
 echo "== source lint"
 scripts/lint.sh
 
+echo "== line counts (.ml + .mli)"
+for d in lib bin bench; do
+  echo "$d $(find "$d" \( -name '*.ml' -o -name '*.mli' \) -exec cat {} + | wc -l)"
+done
+
 echo "== dune build"
 dune build
 

@@ -28,7 +28,7 @@ let run_once ~seed =
   let chaos = Chaos.create ~p_fail:0.35 ~p_delay:0.0 ~budget ~seed () in
   let exec = Ac_exec.Engine.make ~jobs:1 ~seed () in
   match
-    Planner.count_governed ~exec ~chaos ~budget ~eps:0.3 ~delta:0.2
+    Ac_test_support.Governed.count ~exec ~chaos ~budget ~eps:0.3 ~delta:0.2
       (query ()) (db ())
   with
   | Ok g ->
@@ -76,7 +76,7 @@ let test_delays_only_slow_down () =
   let chaos = Chaos.create ~p_fail:0.0 ~p_delay:0.5 ~delay_ms:1 ~seed:7 () in
   let exec = Ac_exec.Engine.make ~jobs:1 ~seed:7 () in
   match
-    Planner.count_governed ~exec ~chaos ~eps:0.3 ~delta:0.2 (query ())
+    Ac_test_support.Governed.count ~exec ~chaos ~eps:0.3 ~delta:0.2 (query ())
       (db ())
   with
   | Ok g -> Alcotest.(check bool) "not degraded" false g.Planner.degraded

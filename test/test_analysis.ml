@@ -108,7 +108,7 @@ let test_ql005_negated_twin () =
       Alcotest.(check int) "negated atom index" 1 w.Classification.neg_index
   | None -> Alcotest.fail "classification lost the emptiness witness");
   Alcotest.(check bool) "regime is exact-empty" true
-    (c.Classification.regime = Classification.Exact_empty);
+    (c.Classification.regime = Ac_analysis.Rung.Exact);
   check_lacks "ql005-neg" Diagnostic.Negated_twin "ans(x) :- E(x, y), !E(y, x)"
 
 let mini_db () =
@@ -267,27 +267,6 @@ let test_parse_error_positions () =
         (contains_sub ~sub:"offset 14" msg)
   | _ -> Alcotest.fail "expected Failure"
 
-(* ---------- classification / planner agreement ---------- *)
-
-let test_decision_from_classification () =
-  List.iter
-    (fun text ->
-      let q = Ecq.parse text in
-      let d = Planner.plan q in
-      Alcotest.(check string) "reason = describe"
-        (Classification.describe d.Planner.classification)
-        d.Planner.reason)
-    [
-      "ans(x) :- E(x, y), E(y, z)";
-      "ans(x) :- F(x, y), F(x, z), y != z";
-      "ans(x) :- E(x, y), !E(y, x)";
-      "ans(x) :- E(x, y), !E(x, y)";
-    ];
-  (* the statically-empty query plans straight to the exact engine *)
-  let d = Planner.plan (Ecq.parse "ans(x) :- E(x, y), !E(x, y)") in
-  Alcotest.(check bool) "empty -> Use_exact" true
-    (d.Planner.algorithm = Planner.Use_exact)
-
 let test_json_smoke () =
   let report = Analysis.analyze_text "ans(x) :- E(x, y), E(y, z)" in
   let s = Ac_analysis.Json.to_string (Analysis.to_json report) in
@@ -305,15 +284,13 @@ let prop_clean_never_raises =
     (Gen.ecq_with_db ~allow_neg:true ~allow_diseq:true)
     (fun (q, db) ->
       let report = Analysis.analyze ~db q in
-      (match Planner.plan q with
-      | _ -> ()
-      | exception e ->
-          QCheck2.Test.fail_reportf "plan raised %s" (Printexc.to_string e));
       if not (Analysis.has_errors report) then (
         let budget = Budget.create ~label:"prop" ~max_ticks:200_000 () in
         let exec = Ac_exec.Engine.make ~jobs:1 ~seed:11 () in
         match
-          Planner.count_governed ~budget ~exec ~eps:0.9 ~delta:0.4 q db
+          Planner.count_governed ~budget ~exec
+            ~classification:(Analysis.classification_exn report)
+            ~cost:(Option.get report.Analysis.cost) ~eps:0.9 ~delta:0.4 q db
         with
         | Ok _ | Error _ -> true
         | exception e ->
@@ -342,11 +319,8 @@ let prop_always_empty_counts_zero =
           if not (has Diagnostic.Negated_twin report) then
             QCheck2.Test.fail_reportf "QL005 missing on a twinned query";
           let c = Analysis.classification_exn report in
-          if c.Classification.regime <> Classification.Exact_empty then
-            QCheck2.Test.fail_reportf "twinned query not classified Exact_empty";
-          (match (Planner.plan twin).Planner.algorithm with
-          | Planner.Use_exact -> ()
-          | _ -> QCheck2.Test.fail_reportf "planner ignored the emptiness");
+          if c.Classification.regime <> Ac_analysis.Rung.Exact then
+            QCheck2.Test.fail_reportf "twinned query not classified exact-empty";
           Exact.by_join_projection twin db = 0
       | Some _ -> QCheck2.assume_fail ())
 
@@ -504,7 +478,6 @@ let tests =
     Alcotest.test_case "QL013 complement cap" `Quick test_ql013_complement_blowup;
     Alcotest.test_case "atom spans align with source" `Quick test_spans_align;
     Alcotest.test_case "parse errors carry positions" `Quick test_parse_error_positions;
-    Alcotest.test_case "decision = f(classification)" `Quick test_decision_from_classification;
     Alcotest.test_case "report JSON smoke" `Quick test_json_smoke;
     Alcotest.test_case "Json.parse: values" `Quick test_json_parse_values;
     Alcotest.test_case "Json.parse: error offsets" `Quick

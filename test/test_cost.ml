@@ -270,7 +270,10 @@ let test_friends_path_exact () =
         "exact"
         (Cost.rung_name (Cost.chosen cost));
       let exec = Engine.make ~jobs:1 ~seed:3 () in
-      match Planner.count_governed ~exec ~cost ~eps:0.25 ~delta:0.1 q db with
+      match
+        Planner.count_governed ~exec ~classification:(Classify.classify q) ~cost
+          ~eps:0.25 ~delta:0.1 q db
+      with
       | Error e -> Alcotest.failf "governed run failed: %s" (Error.message e)
       | Ok g ->
           Alcotest.(check string) "answered by" "exact"
@@ -301,7 +304,10 @@ let test_fleet_graph_bulk_exact () =
   Alcotest.(check (float 1e-9)) "last level: log2 (1 + one diseq)" 1.0
     cost.Cost.extension_log2;
   let exec = Engine.make ~jobs:1 ~seed:3 () in
-  match Planner.count_governed ~exec ~cost ~eps:0.4 ~delta:0.1 q db with
+  match
+    Planner.count_governed ~exec ~classification:(Classify.classify q) ~cost
+      ~eps:0.4 ~delta:0.1 q db
+  with
   | Error e -> Alcotest.failf "governed run failed: %s" (Error.message e)
   | Ok g ->
       Alcotest.(check string) "answered by" "exact"
@@ -347,10 +353,10 @@ let test_non_finite_rendering () =
 (* ---------- estimate preservation under reordering ----------
 
    An estimate depends only on (rung, seed, eps, delta) — the engine
-   seed is split by rung ordinal — so reaching the same rung through
-   the costed ladder and through the static chain must produce
-   bit-identical values. Chaos-fail every step before the generic-join
-   rung in both chains and compare. *)
+   seed is split by rung ordinal — so reaching the generic-join rung
+   through the ladder must produce the value the dispatch gives when run
+   directly on generic-join's ordinal split, bit for bit. Chaos-fail
+   every ladder step before the generic-join rung and compare. *)
 
 let reorder_db () =
   let u = 30 in
@@ -383,35 +389,33 @@ let test_estimate_preserving_reorder () =
   match costed_prefix with
   | None -> Alcotest.fail "ladder lost the generic-join rung"
   | Some k ->
-      let run ~cost ~fail_first =
-        let chaos =
-          Chaos.create
-            ~plan:(List.init fail_first (fun i -> (i + 1, Chaos.Fail "forced")))
-            ~seed:1 ()
-        in
-        let exec = Engine.make ~jobs:1 ~seed:42 () in
+      let chaos =
+        Chaos.create
+          ~plan:(List.init k (fun i -> (i + 1, Chaos.Fail "forced")))
+          ~seed:1 ()
+      in
+      let exec = Engine.make ~jobs:1 ~seed:42 () in
+      let g =
         match
-          Planner.count_governed ~exec ~chaos ?cost ~eps ~delta q db
+          Planner.count_governed ~exec ~chaos ~classification:(Classify.classify q)
+            ~cost ~eps ~delta q db
         with
         | Ok g -> g
         | Error e -> Alcotest.failf "governed run failed: %s" (Error.message e)
       in
-      (* static chain for this ECQ: tree-dp, exact, generic, partial *)
-      let g_static = run ~cost:None ~fail_first:2 in
-      let g_costed = run ~cost:(Some cost) ~fail_first:k in
+      let direct, _ =
+        Planner.run_rung ~budget:Ac_runtime.Budget.none
+          ~exec:(Engine.split exec (Ac_analysis.Rung.ordinal Cost.Generic_join))
+          ~eps ~delta Cost.Generic_join q db
+      in
       Alcotest.(check string)
-        "static chain reached generic-join" "generic-join"
-        (Planner.rung_name g_static.Planner.rung);
-      Alcotest.(check string)
-        "costed ladder reached generic-join" "generic-join"
-        (Planner.rung_name g_costed.Planner.rung);
+        "ladder reached generic-join" "generic-join"
+        (Planner.rung_name g.Planner.rung);
       Alcotest.(check bool)
-        "bit-identical estimates across chain orders" true
-        (Int64.equal
-           (Int64.bits_of_float g_static.Planner.estimate)
-           (Int64.bits_of_float g_costed.Planner.estimate));
-      Alcotest.(check (float 1e-12))
-        "eps not relaxed" eps g_costed.Planner.eps_used
+        "bit-identical estimates: ladder step vs direct dispatch" true
+        (Int64.equal (Int64.bits_of_float direct)
+           (Int64.bits_of_float g.Planner.estimate));
+      Alcotest.(check (float 1e-12)) "eps not relaxed" eps g.Planner.eps_used
 
 (* ---------- the ε-degradation ladder ---------- *)
 
@@ -452,7 +456,10 @@ let test_ladder_shape () =
       ~seed:1 ()
   in
   let exec = Engine.make ~jobs:1 ~seed:7 () in
-  match Planner.count_governed ~exec ~chaos ~cost ~eps ~delta q db with
+  match
+    Planner.count_governed ~exec ~chaos ~classification:(Classify.classify q)
+      ~cost ~eps ~delta q db
+  with
   | Error e -> Alcotest.failf "relaxed run failed: %s" (Error.message e)
   | Ok g ->
       Alcotest.(check bool) "relaxed eps reported" true
@@ -460,6 +467,54 @@ let test_ladder_shape () =
       Alcotest.(check bool) "guarantee intact at relaxed eps" true
         g.Planner.guarantee;
       Alcotest.(check bool) "marked degraded" true g.Planner.degraded
+
+(* ---------- the governed chain is the ladder ----------
+
+   With chaos failing the first i rung guards, ladder step i answers, at
+   that step's eps; with every step failed, the last (injected) error
+   surfaces; with no faults, the cost model's chosen rung answers. *)
+
+let prop_chain_is_ladder =
+  QCheck2.Test.make ~count:40 ~name:"the governed chain is the ladder"
+    (Gen.ecq_with_db ~allow_neg:true ~allow_diseq:true)
+    (fun (q, db) ->
+      let eps = 0.25 and delta = 0.1 in
+      let report = Report.analyze ~db q in
+      let cost = Option.get report.Report.cost in
+      let ladder = Ladder.build ~eps ~delta cost in
+      let run i =
+        let chaos =
+          Chaos.create
+            ~plan:(List.init i (fun k -> (k + 1, Chaos.Fail "forced")))
+            ~seed:1 ()
+        in
+        Planner.count_governed ~exec:(Engine.make ~jobs:1 ~seed:5 ()) ~chaos
+          ~classification:(Report.classification_exn report) ~cost ~eps ~delta
+          q db
+      in
+      List.iteri
+        (fun i (step : Ladder.step) ->
+          match run i with
+          | Error e ->
+              QCheck2.Test.fail_reportf "step %d (%s) failed: %s" i
+                (Cost.rung_name step.Ladder.rung) (Error.message e)
+          | Ok g ->
+              if g.Planner.rung <> step.Ladder.rung
+                 || g.Planner.eps_used <> step.Ladder.eps
+              then
+                QCheck2.Test.fail_reportf "after %d faults: %s@eps=%g, not %s@eps=%g" i
+                  (Planner.rung_name g.Planner.rung) g.Planner.eps_used
+                  (Cost.rung_name step.Ladder.rung) step.Ladder.eps)
+        ladder;
+      (match run (List.length ladder) with
+      | Error (Error.Fault _) -> ()
+      | Error e ->
+          QCheck2.Test.fail_reportf "exhausted ladder: wrong error class %s"
+            (Error.class_name e)
+      | Ok _ -> QCheck2.Test.fail_reportf "exhausted ladder answered");
+      match run 0 with
+      | Ok g -> g.Planner.rung = Cost.chosen cost
+      | Error e -> QCheck2.Test.fail_reportf "no faults: %s" (Error.message e))
 
 (* ---------- costed rung choice ---------- *)
 
@@ -535,6 +590,7 @@ let tests =
       test_repetition_formulas;
     QCheck_alcotest.to_alcotest prop_bound_sound;
     QCheck_alcotest.to_alcotest prop_component_bounds_sound;
+    QCheck_alcotest.to_alcotest prop_chain_is_ladder;
     Alcotest.test_case "reordering is estimate-preserving" `Quick
       test_estimate_preserving_reorder;
     Alcotest.test_case "ladder: shape and relaxed completion" `Quick

@@ -322,12 +322,12 @@ let estimate_lines () =
         let exec = Engine.make ~jobs:1 ~seed () in
         let row =
           match
-            Planner.count_governed ~exec ~strict:true ~eps:0.3 ~delta:0.2
-              (Ecq.parse text) db
+            Ac_test_support.Governed.count ~exec ~strict:true ~eps:0.3
+              ~delta:0.2 (Ecq.parse text) db
           with
           | Ok g ->
               estimate_row ~estimate:g.Planner.estimate
-                ~exact:(g.Planner.rung = Planner.Exact_rung)
+                ~exact:(g.Planner.rung = Ac_analysis.Rung.Exact)
                 ~rung:(Planner.rung_name g.Planner.rung)
                 ~degraded:g.Planner.degraded
           | Error e -> error_row e

@@ -82,7 +82,7 @@ let prop_planner_correct =
       let exact = float_of_int (Exact.by_join_projection q db) in
       let v =
         match
-          Approxcount.Planner.count_governed
+          Ac_test_support.Governed.count
             ~exec:(Ac_exec.Engine.make ~jobs:1 ~seed ())
             ~strict:true ~eps:0.3 ~delta:0.2 q db
         with

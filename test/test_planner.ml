@@ -4,31 +4,26 @@ module Planner = Approxcount.Planner
 module Ucq = Approxcount.Ucq
 module Exact = Approxcount.Exact
 module Hom = Ac_hom.Hom
+module Classify = Ac_analysis.Classify
+module Classification = Ac_analysis.Classification
+module Rung = Ac_analysis.Rung
 
 (* ---------- planner ---------- *)
 
+let regime text = (Classify.classify (Ecq.parse text)).Classification.regime
+
 let test_plan_classification () =
   let check name text expected =
-    let d = Planner.plan (Ecq.parse text) in
-    let got =
-      match d.Planner.algorithm with
-      | Planner.Use_fpras -> `Fpras
-      | Planner.Use_fptras Approxcount.Colour_oracle.Tree_dp -> `Tree_dp
-      | Planner.Use_fptras Approxcount.Colour_oracle.Generic -> `Generic
-      | Planner.Use_fptras Approxcount.Colour_oracle.Direct -> `Direct
-      | Planner.Use_exact -> `Exact
-    in
-    if got <> expected then Alcotest.fail name
+    if regime text <> expected then Alcotest.fail name
   in
-  check "CQ -> FPRAS" "ans(x) :- E(x, y), E(y, z)" `Fpras;
-  check "DCQ small arity -> tree-dp" "ans(x) :- E(x, y), E(x, z), y != z" `Tree_dp;
-  check "ECQ -> tree-dp" "ans(x) :- E(x, y), !E(y, x)" `Tree_dp
+  check "CQ -> FPRAS" "ans(x) :- E(x, y), E(y, z)" Rung.Fpras;
+  check "DCQ small arity -> tree-dp" "ans(x) :- E(x, y), E(x, z), y != z" Rung.Tree_dp;
+  check "ECQ -> tree-dp" "ans(x) :- E(x, y), !E(y, x)" Rung.Tree_dp
 
 let test_plan_wide_dcq_generic () =
   let q = Ac_workload.Query_families.wide_path ~k:3 ~arity:5 () in
-  match (Planner.plan q).Planner.algorithm with
-  | Planner.Use_fptras Approxcount.Colour_oracle.Generic -> ()
-  | _ -> Alcotest.fail "high-arity DCQ should use the generic engine"
+  if (Classify.classify q).Classification.regime <> Rung.Generic_join then
+    Alcotest.fail "high-arity DCQ should use the generic engine"
 
 let test_planner_count_dispatch () =
   let db =
@@ -37,7 +32,7 @@ let test_planner_count_dispatch () =
   in
   let count q =
     match
-      Planner.count_governed
+      Ac_test_support.Governed.count
         ~exec:(Ac_exec.Engine.make ~jobs:1 ~seed:3 ())
         ~strict:true ~eps:0.3 ~delta:0.2 q db
     with
@@ -48,7 +43,7 @@ let test_planner_count_dispatch () =
   let cq = Ecq.parse "ans(x) :- E(x, y), E(y, z)" in
   let g = count cq in
   Alcotest.(check bool) "fpras path" true
-    (g.Planner.decision.Planner.algorithm = Planner.Use_fpras);
+    ((Classify.classify cq).Classification.regime = Rung.Fpras);
   Alcotest.(check string) "fpras rung" "fpras" (Planner.rung_name g.Planner.rung);
   let exact = float_of_int (Exact.by_join_projection cq db) in
   Alcotest.(check bool) "fpras close" true

@@ -5,6 +5,11 @@ module Ecq = Ac_query.Ecq
 module Structure = Ac_relational.Structure
 module Planner = Approxcount.Planner
 module Exact = Approxcount.Exact
+module Cost = Ac_analysis.Cost
+module Cardinality = Ac_analysis.Cardinality
+module Classify = Ac_analysis.Classify
+module Ladder = Ac_analysis.Ladder
+module Governed = Ac_test_support.Governed
 
 (* ---------- budgets ---------- *)
 
@@ -202,9 +207,7 @@ let test_chaos_exhaust () =
 
 (* ---------- governed execution ---------- *)
 
-(* small DCQ instance where every rung terminates fast; the planner picks
-   the tree-DP FPTRAS, so the chain is
-   tree-dp -> exact -> generic-join -> partial *)
+(* small DCQ instance where every rung terminates fast *)
 let little_query () = Ecq.parse "ans(x) :- E(x, y), E(x, z), y != z"
 
 let little_db () =
@@ -215,10 +218,17 @@ let little_db () =
       ("E", [| 5; 6 |]); ("E", [| 6; 7 |]); ("E", [| 6; 0 |]);
     ]
 
-let governed ?chaos ?budget ?(strict = false) ?(seed = 11) () =
+let governed ?chaos ?budget ?strict ?(seed = 11) () =
   let exec = Ac_exec.Engine.make ~jobs:1 ~seed () in
-  Planner.count_governed ~exec ~strict ?chaos ?budget ~eps:0.3 ~delta:0.2
+  Governed.count ~exec ?strict ?chaos ?budget ~eps:0.3 ~delta:0.2
     (little_query ()) (little_db ())
+
+(* the cost analysis priced at the governed runs' targets: its chosen
+   rung heads their ladder *)
+let little_cost () =
+  let q = little_query () and db = little_db () in
+  Cost.analyze ~eps:0.3 ~delta:0.2 ~stats:(Cardinality.of_structure db) q
+    (Classify.classify q)
 
 let ok = function
   | Ok g -> g
@@ -226,39 +236,42 @@ let ok = function
 
 let test_governed_no_faults () =
   let g = ok (governed ()) in
-  Alcotest.(check string) "planned rung" "tree-dp" (Planner.rung_name g.Planner.rung);
+  Alcotest.(check string) "chosen rung"
+    (Cost.rung_name (Cost.chosen (little_cost ())))
+    (Planner.rung_name g.Planner.rung);
   Alcotest.(check bool) "not degraded" false g.Planner.degraded;
   Alcotest.(check bool) "guarantee holds" true g.Planner.guarantee
 
-(* every fallback rung fires, driven by positional fault plans *)
+(* every ladder step fires, driven by positional fault plans: after i
+   injected failures ladder step i answers *)
 let test_governed_every_rung () =
   let exact = Exact.by_join_projection (little_query ()) (little_db ()) in
+  let ladder = Ladder.build ~eps:0.3 ~delta:0.2 (little_cost ()) in
   let fail_first n =
     List.init n (fun i -> (i + 1, Chaos.Fail "injected"))
   in
-  let expect plan_len rung_name_ guarantee_ =
-    let chaos = Chaos.create ~plan:(fail_first plan_len) ~seed:5 () in
-    let g = ok (governed ~chaos ()) in
-    Alcotest.(check string)
-      (Printf.sprintf "rung after %d failures" plan_len)
-      rung_name_
-      (Planner.rung_name g.Planner.rung);
-    Alcotest.(check bool) "degraded" (plan_len > 0) g.Planner.degraded;
-    Alcotest.(check int) "attempts recorded" plan_len
-      (List.length g.Planner.attempts);
-    Alcotest.(check bool) "guarantee" guarantee_ g.Planner.guarantee;
-    g
-  in
-  ignore (expect 0 "tree-dp" true);
-  ignore (expect 1 "exact" true);
-  ignore (expect 2 "generic-join" true);
-  (* the partial rung has no budget pressure here, so it completes the
-     enumeration and the count is exact *)
-  let g = expect 3 "partial" true in
-  Alcotest.(check (float 0.0)) "partial completed exactly" (float_of_int exact)
-    g.Planner.estimate;
-  (* all four rungs down -> the error surfaces *)
-  let chaos = Chaos.create ~plan:(fail_first 4) ~seed:5 () in
+  List.iteri
+    (fun i (step : Ladder.step) ->
+      let chaos = Chaos.create ~plan:(fail_first i) ~seed:5 () in
+      let g = ok (governed ~chaos ()) in
+      Alcotest.(check string)
+        (Printf.sprintf "rung after %d failures" i)
+        (Cost.rung_name step.Ladder.rung)
+        (Planner.rung_name g.Planner.rung);
+      Alcotest.(check (float 1e-12)) "step eps" step.Ladder.eps
+        g.Planner.eps_used;
+      Alcotest.(check bool) "degraded" (i > 0) g.Planner.degraded;
+      Alcotest.(check int) "attempts recorded" i
+        (List.length g.Planner.attempts);
+      (* the partial rung has no budget pressure here, so it completes
+         the enumeration: the count is exact and the guarantee holds *)
+      Alcotest.(check bool) "guarantee" true g.Planner.guarantee;
+      if step.Ladder.rung = Cost.Partial then
+        Alcotest.(check (float 0.0)) "partial completed exactly"
+          (float_of_int exact) g.Planner.estimate)
+    ladder;
+  (* every step down -> the error surfaces *)
+  let chaos = Chaos.create ~plan:(fail_first (List.length ladder)) ~seed:5 () in
   match governed ~chaos () with
   | Error (Error.Fault _) -> ()
   | Error e -> Alcotest.failf "wrong error class: %s" (Error.class_name e)
@@ -310,12 +323,12 @@ let test_count_result_signature () =
   let bad_db = Structure.of_facts ~universe_size:4 [ ("F", [| 0; 1 |]) ] in
   let exec = Ac_exec.Engine.make ~jobs:1 ~seed:1 () in
   (match
-     Planner.count_governed ~exec ~strict:true ~eps:0.3 ~delta:0.2 q bad_db
+     Governed.count ~exec ~strict:true ~eps:0.3 ~delta:0.2 q bad_db
    with
   | Error (Error.Signature_mismatch _) -> ()
   | Error e -> Alcotest.failf "wrong error class: %s" (Error.class_name e)
   | Ok _ -> Alcotest.fail "incompatible signature accepted");
-  match Planner.count_governed ~exec ~eps:0.3 ~delta:0.2 q bad_db with
+  match Governed.count ~exec ~eps:0.3 ~delta:0.2 q bad_db with
   | Error (Error.Signature_mismatch _) -> ()
   | _ -> Alcotest.fail "governed must reject an incompatible signature too"
 
