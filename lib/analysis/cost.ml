@@ -183,65 +183,97 @@ let greedy_cover_log2 ~edge_sizes ~edges covered =
   done;
   !chosen
 
-(* Instantiated output bound for the sub-query induced by vertex set
-   [vs]: solve the fractional edge cover LP over the coverable vertices
-   exactly, price each cover edge at the smallest matching atom
-   projection, and charge [U] per vertex no hyperedge reaches. An edge
-   no atom matches — the singleton [Ecq.hypergraph] gives a
-   disequality-only variable — is priced at [U^|e|]: its variables range
-   over the whole universe. *)
-let bound_of_vertices ~stats ~universe ~atoms h vs =
-  let u_log2 = log2i universe in
-  let edges_all = Hypergraph.induced_edges h vs in
+(* The query-only half of an instantiated bound, for the sub-query
+   induced by vertex set [vs]: the vertices some hyperedge reaches
+   ([covered]), the hyperedges induced on them, per edge the atoms whose
+   variables meet [covered] in exactly that edge, and the outcome of the
+   exact fractional edge cover LP over [covered]. None of it reads the
+   database, so one query's vertex sets are solved once and priced per
+   database version by [bound_of_vertices]. *)
+type vertex_set = {
+  uncovered : int;  (* vertices of [vs] no hyperedge reaches *)
+  covered : Bitset.t;
+  edges : Bitset.t list;
+  edge_atoms : pred_atom list list;  (* per edge, in [edges] order *)
+  cover : ((int * float) list, Error.t) result;
+      (* the nonzero optimal weights by edge index, or why the LP gave
+         none (the bound then degrades to a greedy cover) *)
+}
+
+let prepare_vertices ~atoms h vs =
   let covered =
     List.fold_left Bitset.union
       (Bitset.create ~capacity:(Bitset.capacity vs))
-      edges_all
+      (Hypergraph.induced_edges h vs)
   in
   let covered = Bitset.inter covered vs in
-  let base = float_of_int (Bitset.cardinal (Bitset.diff vs covered)) *. u_log2 in
+  let uncovered = Bitset.cardinal (Bitset.diff vs covered) in
   if Bitset.is_empty covered then
-    { log2 = base; exact_lp = true; degraded = None }
+    { uncovered; covered; edges = []; edge_atoms = []; cover = Ok [] }
   else begin
     let edges = Hypergraph.induced_edges h covered in
-    let edge_sizes =
+    let edge_atoms =
       List.map
         (fun e ->
-          List.fold_left
-            (fun acc a ->
-              if Bitset.equal (Bitset.inter a.varset covered) e then
-                Float.min acc (atom_edge_log2 ~stats ~universe a e)
-              else acc)
-            (float_of_int (Bitset.cardinal e) *. u_log2)
+          List.filter
+            (fun a -> Bitset.equal (Bitset.inter a.varset covered) e)
             atoms)
         edges
     in
-    let weighted w =
-      List.fold_left2
-        (fun acc w size ->
-          if Rat.sign w = 0 then acc else acc +. (Rat.to_float w *. size))
-        0.0 (Array.to_list w) edge_sizes
+    let cover =
+      match Widths.fcn_rational h covered with
+      | Some (_, w) when Array.length w = List.length edges ->
+          Ok
+            (List.filter_map Fun.id
+               (List.mapi
+                  (fun i w ->
+                    if Rat.sign w = 0 then None else Some (i, Rat.to_float w))
+                  (Array.to_list w)))
+      | Some _ | None ->
+          (* uncoverable vertices were removed above; treat defensively *)
+          Error (Error.Internal "edge-cover LP returned no certificate")
+      | exception Rat.Overflow ->
+          Error
+            (Error.Numeric_overflow
+               "rational edge-cover LP overflowed; bound degraded to a \
+                greedy integral cover")
     in
-    match Widths.fcn_rational h covered with
-    | Some (_, w) when Array.length w = List.length edges ->
-        { log2 = base +. weighted w; exact_lp = true; degraded = None }
-    | Some _ | None ->
-        (* uncoverable vertices were removed above; treat defensively *)
+    { uncovered; covered; edges; edge_atoms; cover }
+  end
+
+(* Instantiated output bound for a prepared vertex set: price each cover
+   edge at the smallest matching atom projection, weigh it by the LP's
+   optimal cover, and charge [U] per vertex no hyperedge reaches. An
+   edge no atom matches — the singleton [Ecq.hypergraph] gives a
+   disequality-only variable — is priced at [U^|e|]: its variables range
+   over the whole universe. *)
+let bound_of_vertices ~stats ~universe vs =
+  let u_log2 = log2i universe in
+  let base = float_of_int vs.uncovered *. u_log2 in
+  if Bitset.is_empty vs.covered then
+    { log2 = base; exact_lp = true; degraded = None }
+  else begin
+    let edge_sizes =
+      List.map2
+        (fun e atoms ->
+          List.fold_left
+            (fun acc a -> Float.min acc (atom_edge_log2 ~stats ~universe a e))
+            (float_of_int (Bitset.cardinal e) *. u_log2)
+            atoms)
+        vs.edges vs.edge_atoms
+    in
+    match vs.cover with
+    | Ok weights ->
+        let sizes = Array.of_list edge_sizes in
+        let weighted =
+          List.fold_left (fun acc (i, w) -> acc +. (w *. sizes.(i))) 0.0 weights
+        in
+        { log2 = base +. weighted; exact_lp = true; degraded = None }
+    | Error e ->
         {
-          log2 = base +. greedy_cover_log2 ~edge_sizes ~edges covered;
+          log2 = base +. greedy_cover_log2 ~edge_sizes ~edges:vs.edges vs.covered;
           exact_lp = false;
-          degraded =
-            Some (Error.Internal "edge-cover LP returned no certificate");
-        }
-    | exception Rat.Overflow ->
-        {
-          log2 = base +. greedy_cover_log2 ~edge_sizes ~edges covered;
-          exact_lp = false;
-          degraded =
-            Some
-              (Error.Numeric_overflow
-                 "rational edge-cover LP overflowed; bound degraded to a \
-                  greedy integral cover");
+          degraded = Some e;
         }
   end
 
@@ -459,28 +491,42 @@ let chosen t =
   | Some a -> a.rung
   | None -> Exact
 
-let analyze ?(eps = 0.25) ?(delta = 0.1) ~stats q (c : Classification.t) =
+(* ---------- prepare once per query, instantiate per database ---------- *)
+
+type prepared = {
+  query : Ecq.t;
+  classification : Classification.t;
+  query_set : vertex_set option;  (* [None]: statically empty *)
+  component_sets : vertex_set list;
+  bag_sets : vertex_set list;
+}
+
+let prepare q (c : Classification.t) =
   let h = Ecq.hypergraph q in
   let capacity = Hypergraph.num_vertices h in
-  let universe = stats.Cardinality.universe in
   let atoms = pred_atoms ~capacity q in
-  let bound_of vs = bound_of_vertices ~stats ~universe ~atoms h vs in
-  let full = Bitset.full ~capacity in
+  let prepare_list vs = prepare_vertices ~atoms h (Bitset.of_list ~capacity vs) in
+  {
+    query = q;
+    classification = c;
+    query_set =
+      (if c.Classification.always_empty <> None then None
+       else Some (prepare_vertices ~atoms h (Bitset.full ~capacity)));
+    component_sets = List.map prepare_list c.Classification.components;
+    bag_sets = List.map prepare_list c.Classification.width_certificate;
+  }
+
+let instantiate ?(eps = 0.25) ?(delta = 0.1) ~stats p =
+  let q = p.query and c = p.classification in
+  let universe = stats.Cardinality.universe in
+  let bound_of = bound_of_vertices ~stats ~universe in
   let query_bound =
-    if c.Classification.always_empty <> None then
-      { log2 = Float.neg_infinity; exact_lp = true; degraded = None }
-    else bound_of full
+    match p.query_set with
+    | None -> { log2 = Float.neg_infinity; exact_lp = true; degraded = None }
+    | Some vs -> bound_of vs
   in
-  let component_bounds =
-    List.map
-      (fun comp -> bound_of (Bitset.of_list ~capacity comp))
-      c.Classification.components
-  in
-  let bag_bounds =
-    List.map
-      (fun bag -> bound_of (Bitset.of_list ~capacity bag))
-      c.Classification.width_certificate
-  in
+  let component_bounds = List.map bound_of p.component_sets in
+  let bag_bounds = List.map bound_of p.bag_sets in
   let run_bound_log2 =
     match bag_bounds with
     | [] ->
@@ -517,6 +563,8 @@ let analyze ?(eps = 0.25) ?(delta = 0.1) ~stats q (c : Classification.t) =
     }
   in
   { t with alternatives = rank ~eps ~delta t }
+
+let analyze ?eps ?delta ~stats q c = instantiate ?eps ?delta ~stats (prepare q c)
 
 (* ---------- rendering ---------- *)
 

@@ -101,10 +101,28 @@ val output_blowup_threshold : float
 
 val output_blowup_threshold_log2 : float
 
-(** Full analysis of a query against measured (or {!Cardinality.nominal})
-    statistics. [eps]/[delta] default to the API defaults (0.25, 0.1);
-    {!rank} re-prices the alternatives for other targets without
-    re-solving any LP. *)
+(** The query-only half of the analysis: for the whole query, each
+    connected component and each width-certificate bag, the vertices
+    some hyperedge covers, the induced edges with their matching atoms,
+    and the exact edge-cover LP's outcome (optimal weights, no
+    certificate, or [Ac_lp.Rat.Overflow]). It reads no database, so it
+    can be computed once per query and instantiated per database
+    version ([Report.analyze] memoises it). *)
+type prepared
+
+val prepare : Ac_query.Ecq.t -> Classification.t -> prepared
+
+(** Price a prepared query against measured (or {!Cardinality.nominal})
+    statistics: each cover edge at its smallest matching atom
+    projection, summed under the prepared LP weights — or the weight-1
+    greedy cover where the LP degraded. [eps]/[delta] default to the API
+    defaults (0.25, 0.1); {!rank} re-prices the alternatives for other
+    targets without re-solving any LP. *)
+val instantiate :
+  ?eps:float -> ?delta:float -> stats:Cardinality.t -> prepared -> t
+
+(** [instantiate ?eps ?delta ~stats (prepare q c)]: the full analysis
+    with nothing memoised. *)
 val analyze :
   ?eps:float ->
   ?delta:float ->

@@ -8,13 +8,45 @@ type t = {
   cost : Cost.t option;
 }
 
+(* The query-only analysis — the Figure-1 classification (treewidth
+   and fhw LPs, the width certificate) and the cost model's edge-cover
+   LPs — depends on nothing but the canonical query key, so it is
+   computed once per key and only instantiated against each database
+   version's stats. A live database changes version on every write, so
+   the plan cache misses on the next COUNT; the memo keeps that miss
+   from re-solving every LP. The memo is shared by server threads (hence the mutex) and bounded: at
+   [memo_capacity] keys it is emptied before the next insert. The
+   skeleton is built outside the lock; two threads racing on one key
+   compute the same value. *)
+let memo_capacity = 256
+let memo : (string, Classification.t * Cost.prepared) Hashtbl.t =
+  Hashtbl.create 64
+let memo_lock = Mutex.create ()
+
+let with_memo f =
+  Mutex.lock memo_lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock memo_lock) f
+
+let memo_length () = with_memo (fun () -> Hashtbl.length memo)
+
+let skeleton q =
+  let key = Ecq.key q in
+  match with_memo (fun () -> Hashtbl.find_opt memo key) with
+  | Some s -> s
+  | None ->
+      let c = Classify.classify q in
+      let s = (c, Cost.prepare q c) in
+      with_memo (fun () ->
+          if Hashtbl.length memo >= memo_capacity then Hashtbl.reset memo;
+          Hashtbl.replace memo key s);
+      s
+
 let analyze ?db ?spans q =
-  let c = Classify.classify q in
+  let c, prepared = skeleton q in
   let cost =
-    match db with
-    | Some db ->
-        Some (Cost.analyze ~stats:(Cardinality.of_structure db) q c)
-    | None -> None
+    Option.map
+      (fun db -> Cost.instantiate ~stats:(Cardinality.of_structure db) prepared)
+      db
   in
   {
     query = Some q;

@@ -18,11 +18,22 @@ type t = {
           database fingerprint) invalidates it for free. *)
 }
 
+(** Classify [q], instantiate the cost model against [db]'s stats when
+    given, and run the lints. The query-only part — {!Classify.classify}
+    and {!Cost.prepare} — is memoised per [Ac_query.Ecq.key] (thread-
+    safe, at most {!memo_capacity} keys), so a re-analysis after a
+    database write pays only {!Cost.instantiate} and the lints. The
+    result equals [Classify.classify] + [Cost.analyze] + [Lints.run]. *)
 val analyze :
   ?db:Ac_relational.Structure.t ->
   ?spans:(int * int) array ->
   Ac_query.Ecq.t ->
   t
+
+(** The memo's bound (distinct query keys), and its current size. *)
+val memo_capacity : int
+
+val memo_length : unit -> int
 
 val analyze_text : ?db:Ac_relational.Structure.t -> string -> t
 

@@ -81,8 +81,3 @@ let count_slice a n =
     (fun acc shape -> acc + count_fixed_shape a shape)
     0
     (Ltree.shapes_with_size n)
-
-let count_fixed_shape_brute a shape =
-  Ltree.labelings ~alphabet:(Tree_automaton.num_symbols a) shape
-  |> List.filter (Tree_automaton.accepts a)
-  |> List.length

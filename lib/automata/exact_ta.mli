@@ -8,11 +8,7 @@
     worst case, but exact — usable for small automata.
 
     [count_slice] is the paper's [#TA]: it sums [count_fixed_shape] over
-    all ordered binary tree shapes with exactly [n] nodes.
-
-    [count_fixed_shape_brute] enumerates all [|Σ|^n] labelings; the
-    ultimate ground truth for tiny instances. *)
+    all ordered binary tree shapes with exactly [n] nodes. *)
 
 val count_fixed_shape : Tree_automaton.t -> Ltree.shape -> int
 val count_slice : Tree_automaton.t -> int -> int
-val count_fixed_shape_brute : Tree_automaton.t -> Ltree.shape -> int

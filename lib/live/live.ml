@@ -20,11 +20,6 @@ let m_merge_duration =
     (Metrics.histogram Metrics.global "acq_live_merge_duration_ms"
        ~help:"Merge compaction pause (milliseconds)")
 
-(* Budget-governed scans poll every [tick_stride] rows: cheap enough to
-   be invisible, frequent enough that a deadline interrupts a merge of
-   any realistic size promptly. *)
-let tick_stride = 256
-
 module Relation = struct
   (* The main+delta layout. [main] is an immutable sealed relation (the
      columnar segment queries scan); [inserts] holds tuples present in
@@ -107,58 +102,20 @@ module Relation = struct
     end
     else false
 
-  let sorted_inserts t =
-    let n = Tuple.Table.length t.inserts in
-    let rows = Array.make n [||] in
-    let i = ref 0 in
-    Tuple.Table.iter
-      (fun tuple () ->
-        rows.(!i) <- tuple;
-        incr i)
-      t.inserts;
-    Array.sort Tuple.compare rows;
-    rows
-
   (* The pinned-order contract: the view enumerates in ascending
      lexicographic order — bit-identical to a freshly rebuilt sealed
-     relation holding the same live set — by a linear merge of main's
-     canonical iteration with the sorted insert run, dropping
-     tombstones. The delta invariants guarantee the merge never sees
-     equal keys, so no dedup pass is needed. *)
+     relation holding the same live set — by one linear merge of main's
+     columns with the sorted insert run, dropping the sorted tombstones.
+     The delta invariants guarantee the merge never sees equal keys, so
+     no dedup pass is needed. A budget is polled every 256 rows: cheap
+     enough to be invisible, frequent enough that a deadline interrupts
+     a merge of any realistic size promptly. *)
   let build_view ?budget t =
-    let ins = sorted_inserts t in
-    let ni = Array.length ins in
-    let n_out = cardinality t in
-    let out = Array.make n_out [||] in
-    let k = ref 0 and ins_i = ref 0 in
     let tick =
-      match budget with
-      | None -> fun () -> ()
-      | Some b ->
-          fun () ->
-            if !k land (tick_stride - 1) = 0 then begin
-              Budget.tick b;
-              Budget.check b
-            end
+      Option.map (fun b () -> Budget.tick b; Budget.check b) budget
     in
-    let emit tuple =
-      out.(!k) <- tuple;
-      incr k;
-      tick ()
-    in
-    R.iter
-      (fun tuple ->
-        while !ins_i < ni && Tuple.compare ins.(!ins_i) tuple < 0 do
-          emit ins.(!ins_i);
-          incr ins_i
-        done;
-        if not (Tuple.Table.mem t.deletes tuple) then emit tuple)
-      t.main;
-    while !ins_i < ni do
-      emit ins.(!ins_i);
-      incr ins_i
-    done;
-    R.of_sorted ~arity:t.arity out
+    R.of_merge ?tick ~main:t.main ~inserts:(Tuple.sorted_keys t.inserts)
+      ~deletes:(Tuple.sorted_keys t.deletes) ()
 
   let view ?budget t =
     if delta_rows t = 0 then t.main

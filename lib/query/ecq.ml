@@ -156,6 +156,20 @@ let pp fmt q =
 
 let to_string q = Format.asprintf "%a" pp q
 
+let key q =
+  let buf = Buffer.create 64 in
+  Printf.bprintf buf "%d/%d" q.num_free q.num_vars;
+  let var_list vs =
+    String.concat "," (List.map string_of_int (Array.to_list vs))
+  in
+  List.iter
+    (function
+      | Atom (r, vs) -> Printf.bprintf buf ";+%s(%s)" r (var_list vs)
+      | Neg_atom (r, vs) -> Printf.bprintf buf ";-%s(%s)" r (var_list vs)
+      | Diseq (i, j) -> Printf.bprintf buf ";%d!=%d" i j)
+    q.atoms;
+  Buffer.contents buf
+
 let add_diseqs q pairs =
   let atoms = q.atoms @ List.map (fun (i, j) -> Diseq (i, j)) pairs in
   make ~var_names:q.var_names ~num_free:q.num_free ~num_vars:q.num_vars atoms

@@ -66,6 +66,13 @@ val var_name : t -> int -> string
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
+(** The canonical key of a query: free/total variable counts plus the
+    atom list over variable {e indices}. Variable names do not enter, so
+    α-renamed queries share it. Everything the static analysis computes
+    is a function of the key; the daemon's caches and the analysis memo
+    are keyed by it. *)
+val key : t -> string
+
 (** {2 Construction helpers} *)
 
 (** Add disequalities [x_i ≠ x_j] for all given pairs. *)

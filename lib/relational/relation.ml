@@ -83,17 +83,34 @@ let add r tuple =
 
 (* --- sealing: builder table -> columnar --- *)
 
-let sorted_tuples_of_table tbl =
-  let n = Tuple.Table.length tbl in
-  let rows = Array.make n [||] in
-  let i = ref 0 in
-  Tuple.Table.iter
-    (fun t () ->
-      rows.(!i) <- t;
-      incr i)
-    tbl;
-  Array.sort Tuple.compare rows;
-  rows
+(* Column access the compiler inlines: the row loops below touch every
+   cell of a seal, and [Column]'s accessors are calls when the library
+   is built opaque. Reads are unchecked (every index is bracketed by its
+   loop); writes stay checked. *)
+let uget (c : Column.t) i = Bigarray.Array1.unsafe_get c i
+let set (c : Column.t) i v = Bigarray.Array1.set c i v
+
+(* Columns holding [n] lex-sorted, deduplicated rows -> the CSR index
+   over column 0. *)
+let cols_of_columns columns n =
+  let first i = uget columns.(0) i in
+  let starts i = i = 0 || first i <> first (i - 1) in
+  let distinct0 = ref 0 in
+  for i = 0 to n - 1 do
+    if starts i then incr distinct0
+  done;
+  let dict0 = Column.create !distinct0 in
+  let offsets0 = Column.create (!distinct0 + 1) in
+  let k = ref 0 in
+  for i = 0 to n - 1 do
+    if starts i then begin
+      Column.set dict0 !k (first i);
+      Column.set offsets0 !k i;
+      incr k
+    end
+  done;
+  Column.set offsets0 !distinct0 n;
+  { columns; rows = n; dict0; offsets0 }
 
 (* Lex-sorted, deduplicated rows -> columns + CSR over column 0. *)
 let cols_of_sorted_rows ~arity rows =
@@ -102,54 +119,51 @@ let cols_of_sorted_rows ~arity rows =
   Array.iteri
     (fun i t -> Array.iteri (fun j v -> Column.set columns.(j) i v) t)
     rows;
-  let distinct0 = ref 0 in
+  cols_of_columns columns n
+
+(* A column's sorted distinct values. Universe elements are dense
+   non-negative integers, so when the values span at most
+   [presence_span] times the row count a presence pass over
+   [min, max] lists them in linear time; otherwise (negative values, a
+   sparse span) they are sorted. *)
+let presence_span = 8
+
+let dict_of_column col n =
+  let lo = ref max_int and hi = ref min_int in
   for i = 0 to n - 1 do
-    if i = 0 || rows.(i).(0) <> rows.(i - 1).(0) then incr distinct0
+    let v = uget col i in
+    if v < !lo then lo := v;
+    if v > !hi then hi := v
   done;
-  let dict0 = Column.create !distinct0 in
-  let offsets0 = Column.create (!distinct0 + 1) in
-  let k = ref 0 in
-  for i = 0 to n - 1 do
-    if i = 0 || rows.(i).(0) <> rows.(i - 1).(0) then begin
-      Column.set dict0 !k rows.(i).(0);
-      Column.set offsets0 !k i;
-      incr k
-    end
-  done;
-  Column.set offsets0 !distinct0 n;
-  { columns; rows = n; dict0; offsets0 }
+  let lo = !lo and hi = !hi in
+  if n > 0 && lo >= 0 && hi - lo < presence_span * n then begin
+    let seen = Bytes.make (hi - lo + 1) '\000' in
+    for i = 0 to n - 1 do
+      Bytes.set seen (uget col i - lo) '\001'
+    done;
+    let distinct = ref [] in
+    for o = hi - lo downto 0 do
+      if Bytes.get seen o <> '\000' then distinct := (lo + o) :: !distinct
+    done;
+    Column.of_array (Array.of_list !distinct)
+  end
+  else Column.of_array (Array.of_list (List.sort_uniq Int.compare (List.init n (uget col))))
 
 let dicts_of_cols ~arity primary =
   Array.init arity (fun j ->
       if j = 0 then primary.dict0
-      else begin
-        let n = primary.rows in
-        let vals = Array.init n (Column.get primary.columns.(j)) in
-        Array.sort Int.compare vals;
-        let distinct = ref 0 in
-        Array.iteri
-          (fun i v -> if i = 0 || v <> vals.(i - 1) then incr distinct)
-          vals;
-        let d = Column.create !distinct in
-        let k = ref 0 in
-        Array.iteri
-          (fun i v ->
-            if i = 0 || v <> vals.(i - 1) then begin
-              Column.set d !k v;
-              incr k
-            end)
-          vals;
-        d
-      end)
+      else dict_of_column primary.columns.(j) primary.rows)
 
-let sealed_of_rows ~arity rows =
-  let primary = cols_of_sorted_rows ~arity rows in
+let sealed_of_cols ~arity primary =
   {
     primary;
     dicts = dicts_of_cols ~arity primary;
     projections = Hashtbl.create 4;
     lock = Mutex.create ();
   }
+
+let sealed_of_rows ~arity rows =
+  sealed_of_cols ~arity (cols_of_sorted_rows ~arity rows)
 
 let of_sorted ~arity rows =
   if arity < 1 then invalid_arg "Relation.of_sorted: arity must be positive";
@@ -172,7 +186,7 @@ let seal r =
       match r.repr with
       | Sealed _ | Complement _ -> ()
       | Building tbl ->
-          r.repr <- Sealed (sealed_of_rows ~arity:r.arity (sorted_tuples_of_table tbl)))
+          r.repr <- Sealed (sealed_of_rows ~arity:r.arity (Tuple.sorted_keys tbl)))
 
 let sealed_exn r =
   match r.repr with
@@ -185,6 +199,86 @@ let sealed_cols r =
   match r.repr with Sealed s -> Some s.primary | _ -> None
 
 let dict r j = (sealed_exn r).dicts.(j)
+
+(* One cursor over main's rows, one over the sorted inserts, one over
+   the sorted tombstones: a tombstone matching main's row drops it,
+   otherwise the smaller of main's row and the next insert is written
+   straight into the output columns. Main's rows are strictly ascending,
+   so the output is too exactly when the inserts are strictly ascending
+   and none equals a row of main — both checked as the merge meets
+   them. *)
+let of_merge ?(tick = ignore) ~main ~inserts ~deletes () =
+  let s = sealed_exn main in
+  let arity = main.arity in
+  let src = s.primary.columns and n_main = s.primary.rows in
+  let ni = Array.length inserts and nd = Array.length deletes in
+  let fail msg = invalid_arg ("Relation.of_merge: " ^ msg) in
+  let n_out = n_main - nd + ni in
+  (* writes are bounds-checked: a tombstone missing from main raises *)
+  let columns = Array.init arity (fun _ -> Column.create n_out) in
+  (* main's row [i] against a tuple, lexicographically *)
+  let compare_main i (t : Tuple.t) =
+    let rec go j =
+      if j = arity then 0
+      else
+        let c = Int.compare (uget src.(j) i) t.(j) in
+        if c <> 0 then c else go (j + 1)
+    in
+    go 0
+  in
+  let k = ref 0 in
+  let emitted () =
+    incr k;
+    if !k land 255 = 0 then tick ()
+  in
+  let emit_main i =
+    for j = 0 to arity - 1 do
+      set columns.(j) !k (uget src.(j) i)
+    done;
+    emitted ()
+  in
+  let emit_insert a =
+    let t = inserts.(a) in
+    if Array.length t <> arity then fail "tuple length does not match arity";
+    if a > 0 && Tuple.compare inserts.(a - 1) t >= 0 then
+      fail "inserts must be strictly ascending";
+    Array.iteri (fun j v -> set columns.(j) !k v) t;
+    emitted ()
+  in
+  let i = ref 0 and a = ref 0 and d = ref 0 in
+  while !i < n_main do
+    let deleted =
+      !d < nd
+      &&
+      let c = compare_main !i deletes.(!d) in
+      if c > 0 then fail "tombstones must be sorted rows of main";
+      c = 0
+    in
+    if deleted then begin
+      incr i;
+      incr d
+    end
+    else if
+      !a < ni
+      &&
+      let c = compare_main !i inserts.(!a) in
+      if c = 0 then fail "an insert is a row of main";
+      c > 0
+    then begin
+      emit_insert !a;
+      incr a
+    end
+    else begin
+      emit_main !i;
+      incr i
+    end
+  done;
+  while !a < ni do
+    emit_insert !a;
+    incr a
+  done;
+  if !d < nd then fail "tombstones must be sorted rows of main";
+  { arity; repr = Sealed (sealed_of_cols ~arity (cols_of_columns columns n_out)) }
 
 (* --- membership --- *)
 
@@ -233,7 +327,7 @@ let iter_universal ~universe_size ~arity f =
 
 let iter f r =
   match r.repr with
-  | Building tbl -> Array.iter f (sorted_tuples_of_table tbl)
+  | Building tbl -> Array.iter f (Tuple.sorted_keys tbl)
   | Sealed s ->
       let arity = Array.length s.primary.columns in
       for i = 0 to s.primary.rows - 1 do

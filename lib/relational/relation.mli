@@ -59,6 +59,22 @@ val seal : t -> unit
     the wrong length or the order is not strictly ascending. *)
 val of_sorted : arity:int -> Tuple.t array -> t
 
+(** [of_merge ~main ~inserts ~deletes ()] is the sealed relation
+    [(main \ deletes) ∪ inserts], built in one linear pass that writes
+    the output columns directly. [main] must be sealed; [inserts] and
+    [deletes] must be lex-sorted and deduplicated, every tombstone a row
+    of [main] and no insert a row of [main]. [tick] runs once per 256
+    rows written. Raises [Invalid_argument] when a precondition fails —
+    in particular, like {!of_sorted}, when the rows would not be strictly
+    ascending. *)
+val of_merge :
+  ?tick:(unit -> unit) ->
+  main:t ->
+  inserts:Tuple.t array ->
+  deletes:Tuple.t array ->
+  unit ->
+  t
+
 val is_sealed : t -> bool
 
 val mem : t -> Tuple.t -> bool

@@ -40,3 +40,14 @@ module Table = Hashtbl.Make (struct
   let equal = equal
   let hash = hash
 end)
+
+let sorted_keys tbl =
+  let rows = Array.make (Table.length tbl) [||] in
+  let i = ref 0 in
+  Table.iter
+    (fun t _ ->
+      rows.(!i) <- t;
+      incr i)
+    tbl;
+  Array.sort compare rows;
+  rows

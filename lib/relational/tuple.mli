@@ -14,3 +14,6 @@ val pp : Format.formatter -> t -> unit
 
 (** Hash table keyed by tuples. *)
 module Table : Hashtbl.S with type key = t
+
+(** The table's keys in ascending {!compare} order. *)
+val sorted_keys : 'a Table.t -> t array

@@ -154,21 +154,6 @@ let stats_to_json s =
       ("evictions", Json.Int s.evictions);
     ]
 
-let query_key q =
-  let buf = Buffer.create 64 in
-  Printf.bprintf buf "%d/%d" (Ecq.num_free q) (Ecq.num_vars q);
-  let var_list vs =
-    String.concat "," (List.map string_of_int (Array.to_list vs))
-  in
-  List.iter
-    (fun atom ->
-      match atom with
-      | Ecq.Atom (r, vs) -> Printf.bprintf buf ";+%s(%s)" r (var_list vs)
-      | Ecq.Neg_atom (r, vs) -> Printf.bprintf buf ";-%s(%s)" r (var_list vs)
-      | Ecq.Diseq (i, j) -> Printf.bprintf buf ";%d!=%d" i j)
-    (Ecq.atoms q);
-  Buffer.contents buf
-
 (* Version-precise invalidation: the db component of every cache key is
    (rolling fingerprint @ version). A mutation bumps both, so entries
    cached against the old state simply stop being referenced — no
@@ -177,10 +162,10 @@ let query_key q =
 let db_key ~fingerprint ~version = Printf.sprintf "%s@%d" fingerprint version
 
 let plan_key ~db_fingerprint q =
-  Printf.sprintf "plan|%s|%s" db_fingerprint (query_key q)
+  Printf.sprintf "plan|%s|%s" db_fingerprint (Ecq.key q)
 
 let result_key ~db_fingerprint ~eps ~delta ~method_name ~seed q =
   (* floats in hex: the key must distinguish every representable
      accuracy target, not just six significant digits *)
   Printf.sprintf "result|%s|%h|%h|%s|%d|%s" db_fingerprint eps delta
-    method_name seed (query_key q)
+    method_name seed (Ecq.key q)

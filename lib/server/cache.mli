@@ -41,11 +41,6 @@ end
 
 val stats_to_json : stats -> Ac_analysis.Json.t
 
-(** Canonical classification input of a query: free/total variable
-    counts plus the atom list over variable {e indices} — variable
-    names do not enter the key, so α-renamed queries share a plan. *)
-val query_key : Ac_query.Ecq.t -> string
-
 (** The database component of {!plan_key}/{!result_key} for a live
     (mutable) database: rolling fingerprint [@] version. A mutation
     changes both, so cached plans and results invalidate {e precisely}
@@ -54,7 +49,7 @@ val query_key : Ac_query.Ecq.t -> string
     passes the bare content fingerprint (version 0 semantics). *)
 val db_key : fingerprint:string -> version:int -> string
 
-(** Plan-cache key: {!query_key} plus the database fingerprint (the
+(** Plan-cache key: [Ac_query.Ecq.key] plus the database fingerprint (the
     cached report carries database-aware diagnostics). *)
 val plan_key : db_fingerprint:string -> Ac_query.Ecq.t -> string
 

@@ -79,7 +79,7 @@ let test_exact_vs_brute_fixed_shapes () =
       List.iter
         (fun shape ->
           let dp = Exact_ta.count_fixed_shape a shape in
-          let brute = Exact_ta.count_fixed_shape_brute a shape in
+          let brute = Ac_test_support.Brute_ta.count_fixed_shape a shape in
           Alcotest.(check int) (name ^ " dp=brute") brute dp)
         shapes)
     automata
@@ -122,7 +122,7 @@ let prop_dp_matches_brute =
     (fun (a, n) ->
       List.for_all
         (fun shape ->
-          Exact_ta.count_fixed_shape a shape = Exact_ta.count_fixed_shape_brute a shape)
+          Exact_ta.count_fixed_shape a shape = Ac_test_support.Brute_ta.count_fixed_shape a shape)
         (Ltree.shapes_with_size n))
 
 let prop_acjr_close_on_random =

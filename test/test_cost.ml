@@ -583,6 +583,158 @@ let test_report_carries_cost () =
   Alcotest.(check bool) "without db: no cost" true
     ((Report.analyze q).Report.cost = None)
 
+(* ---------- the memoised report equals a memo-free analysis ----------
+
+   [Report.analyze] memoises the query-only analysis per canonical
+   query key and only instantiates it per database. Against each db
+   along a live mutation sequence, the memoised report — first call and
+   memo hit alike — must equal [Classify.classify] + [Cost.analyze] +
+   [Lints.run] computed from scratch: every float bit for bit, the rest
+   structurally. *)
+
+module Classification = Ac_analysis.Classification
+module Lints = Ac_analysis.Lints
+module Live = Ac_live.Live
+
+let bits = Int64.bits_of_float
+
+let bound_bits (b : Cost.bound) = (bits b.Cost.log2, b.Cost.exact_lp, b.Cost.degraded)
+
+let alternative_bits (a : Cost.alternative) =
+  ( a.Cost.rung,
+    a.Cost.applicable,
+    a.Cost.guaranteed,
+    bits a.Cost.log2_probes,
+    bits a.Cost.log2_probe_cost,
+    bits a.Cost.log2_cost,
+    a.Cost.note )
+
+let cost_bits (t : Cost.t) =
+  ( (bits t.Cost.eps, bits t.Cost.delta, t.Cost.stats),
+    ( bound_bits t.Cost.query_bound,
+      List.map bound_bits t.Cost.component_bounds,
+      List.map bound_bits t.Cost.bag_bounds ),
+    (bits t.Cost.run_bound_log2, bits t.Cost.free_prefix_log2, bits t.Cost.extension_log2),
+    ( t.Cost.static_choice,
+      t.Cost.is_cq,
+      t.Cost.always_empty,
+      t.Cost.num_vars,
+      t.Cost.treewidth,
+      t.Cost.star_size ),
+    List.map alternative_bits t.Cost.alternatives )
+
+let classification_bits (c : Classification.t) =
+  (bits c.Classification.fhw, { c with Classification.fhw = 0.0 })
+
+let report_bits (r : Report.t) =
+  ( Option.map classification_bits r.Report.classification,
+    r.Report.diagnostics,
+    Option.map cost_bits r.Report.cost )
+
+let memo_free db q =
+  let c = Classify.classify q in
+  let cost = Cost.analyze ~stats:(Cardinality.of_structure db) q c in
+  ( Some (classification_bits c),
+    Lints.run ~db ~cost q c,
+    Some (cost_bits cost) )
+
+let memo_agrees db q =
+  let expected = memo_free db q in
+  report_bits (Report.analyze ~db q) = expected
+  && report_bits (Report.analyze ~db q) = expected
+
+(* Insert/delete batches over every relation of the db; returns the
+   snapshot after each batch. *)
+let mutated_snapshots ~rng ~batches db =
+  let live = Live.Db.of_structure db in
+  let u = Structure.universe_size db in
+  let rels =
+    List.map
+      (fun name -> (name, Ac_relational.Relation.arity (Structure.relation db name)))
+      (Structure.symbols db)
+  in
+  List.init batches (fun _ ->
+      let ops =
+        List.init (1 + Random.State.int rng 6) (fun _ ->
+            let rel, arity = List.nth rels (Random.State.int rng (List.length rels)) in
+            let tuple = Array.init arity (fun _ -> Random.State.int rng u) in
+            if Random.State.bool rng then Live.Db.Insert { rel; tuple }
+            else Live.Db.Delete { rel; tuple })
+      in
+      (match Live.Db.apply live ops with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "mutation refused: %s" (Error.message e));
+      Live.Db.snapshot live)
+
+let test_memo_corpus () =
+  let corpus = corpus () in
+  List.iter
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let db =
+        Ac_workload.Dbgen.random_structure ~rng ~universe_size:12
+          [ ("E", 2, 40); ("R", 2, 30); ("P", 1, 6) ]
+      in
+      List.iteri
+        (fun version db ->
+          List.iter
+            (fun (name, q) ->
+              if not (memo_agrees db q) then
+                Alcotest.failf "%s, seed %d, version %d: memoised report differs"
+                  name seed version)
+            corpus)
+        (db :: mutated_snapshots ~rng ~batches:6 db))
+    [ 3; 4 ]
+
+let prop_memo_agrees =
+  QCheck2.Test.make ~count:60 ~name:"memoised Report.analyze = memo-free analysis"
+    QCheck2.Gen.(pair (Gen.ecq_with_db ~allow_neg:true ~allow_diseq:true) int)
+    (fun ((q, db), seed) ->
+      let rng = Random.State.make [| seed |] in
+      List.for_all
+        (fun db -> memo_agrees db q)
+        (db :: mutated_snapshots ~rng ~batches:4 db))
+
+(* More distinct queries than the memo holds: it stays bounded, and a
+   query analysed again after its entry was dropped is still right. *)
+let test_memo_bounded () =
+  let db =
+    Ac_workload.Dbgen.random_structure ~rng:(Random.State.make [| 5 |])
+      ~universe_size:10 [ ("E", 2, 30) ]
+  in
+  let query i =
+    Ecq.parse (Printf.sprintf "ans(x) :- E(x, y), E(y, z), x != z, R%d(z, x)" i)
+  in
+  for i = 0 to Report.memo_capacity + 40 do
+    ignore (Report.analyze ~db (query i));
+    if Report.memo_length () > Report.memo_capacity then
+      Alcotest.failf "memo holds %d keys, capacity %d" (Report.memo_length ())
+        Report.memo_capacity
+  done;
+  Alcotest.(check bool) "an evicted query re-analyses correctly" true
+    (memo_agrees db (query 0))
+
+(* Four domains analyse the corpus at once, against the sequential
+   reference. *)
+let test_memo_concurrent () =
+  let db =
+    Ac_workload.Dbgen.random_structure ~rng:(Random.State.make [| 6 |])
+      ~universe_size:12 [ ("E", 2, 40); ("R", 2, 30); ("P", 1, 6) ]
+  in
+  let corpus = List.map snd (corpus ()) in
+  let expected = List.map (memo_free db) corpus in
+  let worker () =
+    List.for_all
+      (fun _ ->
+        List.for_all2
+          (fun q e -> report_bits (Report.analyze ~db q) = e)
+          corpus expected)
+      (List.init 25 Fun.id)
+  in
+  let domains = List.init 4 (fun _ -> Domain.spawn worker) in
+  Alcotest.(check (list bool)) "every domain agrees" [ true; true; true; true ]
+    (List.map Domain.join domains)
+
 let tests =
   [
     Alcotest.test_case "rat: overflow is typed" `Quick test_rat_overflow;
@@ -617,4 +769,10 @@ let tests =
       test_friends_path_exact;
     Alcotest.test_case "non-finite costs: null and inf" `Quick
       test_non_finite_rendering;
+    Alcotest.test_case "report memo = memo-free on the corpus" `Quick
+      test_memo_corpus;
+    QCheck_alcotest.to_alcotest prop_memo_agrees;
+    Alcotest.test_case "report memo stays bounded" `Quick test_memo_bounded;
+    Alcotest.test_case "report memo under 4 domains" `Quick
+      test_memo_concurrent;
   ]

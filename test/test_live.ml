@@ -200,6 +200,146 @@ let prop_merge_preserves_view =
       && Live.Relation.cardinality a = Live.Relation.cardinality b
       && Live.Relation.delta_rows b = 0)
 
+(* ---------- the columnar view = a rebuilt sealed relation ----------
+
+   [Live.Relation.view] merges main's columns with the sorted delta
+   straight into new columns. Field by field — the columns, the CSR
+   index over column 0 and every column's dictionary — it must equal
+   [Relation.of_sorted] of the live set. *)
+
+module Column = Ac_relational.Column
+
+let sealed_fields r =
+  match Relation.sealed_cols r with
+  | None -> Alcotest.fail "view is not sealed"
+  | Some c ->
+      ( Array.map Column.to_array c.Relation.columns,
+        c.Relation.rows,
+        Column.to_array c.Relation.dict0,
+        Column.to_array c.Relation.offsets0,
+        Array.init (Relation.arity r) (fun j -> Column.to_array (Relation.dict r j)) )
+
+(* The CSR index over column 0, read off the sorted rows directly. *)
+let csr_of_rows rows =
+  let n = Array.length rows in
+  let starts =
+    List.filter (fun i -> i = 0 || rows.(i).(0) <> rows.(i - 1).(0)) (List.init n Fun.id)
+  in
+  ( Array.of_list (List.map (fun i -> rows.(i).(0)) starts),
+    Array.of_list (starts @ [ n ]) )
+
+let view_matches_rebuild ~arity live set =
+  let rows =
+    Hashtbl.fold (fun t () acc -> t :: acc) set [] |> List.sort compare |> Array.of_list
+  in
+  let ((_, _, dict0, offsets0, _) as view) = sealed_fields (Live.Relation.view live) in
+  view = sealed_fields (Relation.of_sorted ~arity rows)
+  && (dict0, offsets0) = csr_of_rows rows
+
+(* One op: insert, delete, or merge the delta into main. *)
+let prop_view_columnar =
+  let gen =
+    QCheck2.Gen.(
+      int_range 1 3 >>= fun arity ->
+      int_range 1 5 >>= fun u ->
+      pair (return arity)
+        (list_size (int_range 0 80)
+           (pair (int_range 0 9) (array_size (return arity) (int_range 0 (u - 1))))))
+  in
+  QCheck2.Test.make ~count:300 ~name:"columnar view = of_sorted of the live set"
+    gen
+    (fun (arity, ops) ->
+      let live = Live.Relation.create ~arity and set = Hashtbl.create 16 in
+      List.for_all
+        (fun (kind, t) ->
+          (if kind = 0 then ignore (Live.Relation.merge live)
+           else if kind <= 6 then begin
+             ignore (Live.Relation.insert live t);
+             Hashtbl.replace set t ()
+           end
+           else begin
+             ignore (Live.Relation.delete live t);
+             Hashtbl.remove set t
+           end);
+          view_matches_rebuild ~arity live set)
+        ops)
+
+let test_view_columnar_edges () =
+  let rng = Random.State.make [| 91 |] in
+  List.iter
+    (fun arity ->
+      let tuple () = Array.init arity (fun _ -> Random.State.int rng 6) in
+      let set = Hashtbl.create 64 in
+      (* delta only, over an empty main *)
+      let live = Live.Relation.create ~arity in
+      Alcotest.(check bool) "empty main, empty delta" true
+        (view_matches_rebuild ~arity live set);
+      for _ = 1 to 40 do
+        let t = tuple () in
+        ignore (Live.Relation.insert live t);
+        Hashtbl.replace set t ()
+      done;
+      Alcotest.(check bool) (Printf.sprintf "arity %d: delta only" arity) true
+        (view_matches_rebuild ~arity live set);
+      (* everything deleted: tombstones cover all of main *)
+      ignore (Live.Relation.merge live);
+      Hashtbl.iter (fun t () -> ignore (Live.Relation.delete live t)) set;
+      Hashtbl.reset set;
+      Alcotest.(check int) "all tombstoned" 0 (Live.Relation.cardinality live);
+      Alcotest.(check bool) (Printf.sprintf "arity %d: all deleted" arity) true
+        (view_matches_rebuild ~arity live set))
+    [ 1; 2; 3 ]
+
+(* The dictionaries: a presence pass over dense spans, a sort for
+   negative values and wide spans — both give the sorted distinct
+   values. *)
+let prop_dicts =
+  let value =
+    QCheck2.Gen.(
+      oneof
+        [
+          int_range 0 20;
+          int_range (-50) 50;
+          map (fun v -> v * 1_000_003) (int_range (-3) 40);
+          int_range (-1000) 1_000_000_000;
+        ])
+  in
+  QCheck2.Test.make ~count:300 ~name:"dictionaries = sorted distinct column values"
+    QCheck2.Gen.(
+      int_range 1 3 >>= fun arity ->
+      pair (return arity) (list_size (int_range 0 60) (array_size (return arity) value)))
+    (fun (arity, tuples) ->
+      let r = Relation.of_list ~arity tuples in
+      Relation.seal r;
+      List.for_all
+        (fun j ->
+          Column.to_array (Relation.dict r j)
+          = Array.of_list (List.sort_uniq compare (List.map (fun t -> t.(j)) tuples)))
+        (List.init arity Fun.id))
+
+(* [view ~budget] ticks once per 256 rows it writes. *)
+let test_view_ticks () =
+  List.iter
+    (fun (main_rows, inserts, deletes) ->
+      let main =
+        Relation.of_sorted ~arity:2
+          (Array.init main_rows (fun i -> [| i / 50; i mod 50 |]))
+      in
+      let live = Live.Relation.of_sealed main in
+      for i = 0 to inserts - 1 do
+        ignore (Live.Relation.insert live [| 1000 + (i / 50); i mod 50 |])
+      done;
+      for i = 0 to deletes - 1 do
+        ignore (Live.Relation.delete live [| i / 50; i mod 50 |])
+      done;
+      let budget = Ac_runtime.Budget.create () in
+      let rows = Relation.cardinality (Live.Relation.view ~budget live) in
+      Alcotest.(check int)
+        (Printf.sprintf "%d rows: one tick per 256" rows)
+        (rows / 256)
+        (Ac_runtime.Budget.ticks budget))
+    [ (700, 300, 0); (600, 100, 444); (0, 255, 0); (256, 1, 1); (1000, 24, 0) ]
+
 (* ---------- versions, fingerprints, exactly-once ---------- *)
 
 let test_db_versioning_and_replay () =
@@ -878,6 +1018,11 @@ let tests =
     Alcotest.test_case "relation: view = rebuild, merge compacts" `Quick
       test_view_matches_rebuild_and_merge;
     QCheck_alcotest.to_alcotest prop_merge_preserves_view;
+    QCheck_alcotest.to_alcotest prop_view_columnar;
+    Alcotest.test_case "columnar view: empty main, all deleted" `Quick
+      test_view_columnar_edges;
+    QCheck_alcotest.to_alcotest prop_dicts;
+    Alcotest.test_case "view ticks once per 256 rows" `Quick test_view_ticks;
     Alcotest.test_case "db: versions, fingerprints, exactly-once" `Quick
       test_db_versioning_and_replay;
     Alcotest.test_case "differential: live vs rebuild, bit-identical" `Slow
