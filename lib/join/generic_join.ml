@@ -26,8 +26,8 @@ type indexed = {
 (* Complement views never get an index: materializing or even
    enumerating [U^k \ R] is exactly the blow-up the lazy views exist to
    avoid. They join as {e filter atoms}: once the last of their
-   variables binds, one O(k log n) membership probe on the base decides
-   the whole atom. *)
+   variables binds, a range check and one O(k log n) membership probe
+   on the base's sealed columns decide the whole atom. *)
 type filter = {
   f_scope : int array;
   f_relation : Relation.t;
@@ -178,9 +178,18 @@ let prepare ~num_vars ~universe_size ?(budget = Budget.none) ?order atoms =
     pool = Atomic.make [];
   }
 
+(* Column reads through the [Bigarray] primitive, which the compiler
+   inlines even where [Column]'s accessors are opaque calls. *)
+let uget (c : Column.t) i = Bigarray.Array1.unsafe_get c i
+
+(* Read in place from [assignment]: no tuple per probe, and no shared
+   scratch, so pooled states stay domain-safe. *)
 let filter_ok assignment flt =
-  Relation.mem flt.f_relation
-    (Array.map (fun v -> assignment.(v)) flt.f_scope)
+  Relation.mem_at flt.f_relation flt.f_scope assignment
+
+let rec filters_ok assignment = function
+  | [] -> true
+  | flt :: rest -> filter_ok assignment flt && filters_ok assignment rest
 
 let fresh_state p =
   let acols = Array.map (fun idx -> idx.cols) p.indexed in
@@ -281,7 +290,7 @@ let search ?domains ?(reuse = false) ?(diseqs = [||]) ?project ?bulk p ~f =
               c
         in
         for k = 0 to len - 1 do
-          Column.set dcol k arr.(k)
+          Bigarray.Array1.set dcol k arr.(k)
         done;
         let r0 = cs.with_dom.(i).(0) in
         r0.Gallop.col <- dcol;
@@ -322,10 +331,7 @@ let search ?domains ?(reuse = false) ?(diseqs = [||]) ?project ?bulk p ~f =
   (* [descend]/[filters_pass] live in the [rec] group rather than inside
      [assign], so the hot path allocates no closures per search node
      (the oracle layer runs thousands of these joins per second) *)
-  let rec filters_pass i =
-    match p.filters_at.(i) with
-    | [] -> true
-    | fs -> List.for_all (fun flt -> filter_ok assignment flt) fs
+  let rec filters_pass i = filters_ok assignment p.filters_at.(i)
   (* a pair (a, b) prunes at whichever endpoint binds second (the other
      still holds the [-1] sentinel before that, which can never collide
      with a candidate value) *)
@@ -360,7 +366,7 @@ let search ?domains ?(reuse = false) ?(diseqs = [||]) ?project ?bulk p ~f =
       done;
       if !fresh then begin
         let at = Gallop.lower col ~lo ~hi x in
-        if at < hi && Column.get col at = x then decr k
+        if at < hi && uget col at = x then decr k
       end
     done;
     match bulk with Some leaves -> leaves !k | None -> ()
@@ -414,21 +420,25 @@ let search ?domains ?(reuse = false) ?(diseqs = [||]) ?project ?bulk p ~f =
       assignment.(v) <- -1
     end
   in
-  if List.for_all (filter_ok assignment) p.start_filters then assign 0;
+  if filters_ok assignment p.start_filters then assign 0;
   pool_give p.pool cs
 
 let run ?domains ?reuse ?diseqs ?project p ~f =
   search ?domains ?reuse ?diseqs ?project p ~f
 
-(* Each counted leaf ticks once, in the order the per-leaf path ticks
-   and reports, so trip points and [tally] at a trip match {!run}'s. *)
+(* A bulk level charges its [k] leaves in one call, which is exactly [k]
+   ticks. The per-leaf path ticks each leaf before counting it, so a
+   trip at tick [c0 + m] leaves the [m - 1] leaves before it counted:
+   trip points and [tally] at a trip match {!run}'s. *)
 let count ?diseqs ?project ?(tally = ref 0) p =
   search ~reuse:true ?diseqs ?project p
     ~bulk:(fun k ->
-      for _ = 1 to k do
-        Budget.tick p.budget;
-        incr tally
-      done)
+      let c0 = Budget.ticks p.budget in
+      match Budget.charge p.budget k with
+      | () -> tally := !tally + k
+      | exception (Budget.Budget_exceeded _ as e) ->
+          tally := !tally + Budget.ticks p.budget - c0 - 1;
+          raise e)
     ~f:(fun _ ->
       incr tally;
       true);

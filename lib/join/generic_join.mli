@@ -26,8 +26,9 @@
 
     Atoms over {!Ac_relational.Relation.complement_view}s are never
     indexed (that would materialize the blow-up the views avoid): they
-    join as filter atoms, decided by one membership probe when the last
-    of their variables binds.
+    join as filter atoms, decided when the last of their variables
+    binds by a range check and one membership probe on the base's
+    sealed columns, which allocates nothing.
 
     Variables contained in no candidate-providing atom range over their
     [domains] entry (or the full universe).
@@ -113,13 +114,13 @@ val run :
     already-bound disequality partners found inside it (one binary
     search each) — no descent per candidate.
 
-    Ticks are unchanged: a bulk level still ticks [budget] once per
-    counted leaf, interleaved with the count, so {!Ac_runtime.Budget.ticks}
-    and trip points are those of {!run}. [tally] (default a fresh
-    counter) is incremented per counted solution as the search goes;
-    after a [Budget_exceeded] it holds the count reached, as a
-    per-report counter in [run]'s [f] would. The result is its final
-    value. *)
+    Ticks are unchanged: a bulk level charges [budget] its [k] leaves
+    in one {!Ac_runtime.Budget.charge}, which is exactly [k] ticks, so
+    {!Ac_runtime.Budget.ticks} and trip points are those of {!run}.
+    [tally] (default a fresh counter) is incremented per counted
+    solution as the search goes; after a [Budget_exceeded] it holds the
+    count reached, as a per-report counter in [run]'s [f] would. The
+    result is its final value. *)
 val count :
   ?diseqs:(int * int) array ->
   ?project:int ->

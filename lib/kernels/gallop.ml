@@ -1,14 +1,21 @@
 module Column = Ac_relational.Column
 
+(* Column reads go through the [Bigarray] primitive, not [Column]'s
+   accessors: the dev profile compiles every library [-opaque], so a
+   call into [Column] is never inlined, while the primitive on the
+   statically known element kind always compiles to a load. Reads are
+   unchecked: every index below is bracketed by a [lo, hi) run. *)
+let uget (c : Column.t) i = Bigarray.Array1.unsafe_get c i
+
 (* Galloping (exponential) search: the join kernels advance cursors that
    usually move a short distance, so probe 1, 2, 4, … steps from [lo]
    before handing the bracketed range to plain binary search. *)
 
 let lower col ~lo ~hi x =
-  if lo >= hi || Column.unsafe_get col lo >= x then lo
+  if lo >= hi || uget col lo >= x then lo
   else begin
     let prev = ref lo and cur = ref (lo + 1) and step = ref 1 in
-    while !cur < hi && Column.unsafe_get col !cur < x do
+    while !cur < hi && uget col !cur < x do
       prev := !cur;
       step := !step * 2;
       cur := !cur + !step
@@ -17,10 +24,10 @@ let lower col ~lo ~hi x =
   end
 
 let upper col ~lo ~hi x =
-  if lo >= hi || Column.unsafe_get col lo > x then lo
+  if lo >= hi || uget col lo > x then lo
   else begin
     let prev = ref lo and cur = ref (lo + 1) and step = ref 1 in
-    while !cur < hi && Column.unsafe_get col !cur <= x do
+    while !cur < hi && uget col !cur <= x do
       prev := !cur;
       step := !step * 2;
       cur := !cur + !step
@@ -28,13 +35,22 @@ let upper col ~lo ~hi x =
     Column.upper_bound col ~lo:(!prev + 1) ~hi:(min (!cur + 1) hi) x
   end
 
-let equal_range col ~lo ~hi x =
-  let l = lower col ~lo ~hi x in
-  (l, upper col ~lo:l ~hi x)
-
 (* Mutable bounds so callers can keep one cursor array per join level
    and rewrite [lo]/[hi] per search node instead of allocating. *)
 type run = { mutable col : Column.t; mutable lo : int; mutable hi : int }
+
+(* A level with one participant: its run's distinct values are the
+   common values, so walk them directly — no head scan, no seek. *)
+let intersect1 scratch a f =
+  let p = ref a.lo and go = ref true in
+  while !go && !p < a.hi do
+    let v = uget a.col !p in
+    let e = upper a.col ~lo:!p ~hi:a.hi v in
+    scratch.(0) <- !p;
+    scratch.(1) <- e;
+    go := f v scratch;
+    p := e
+  done
 
 (* The two-run case dominates real joins (one run per already-visited
    occurrence of the variable, usually two): a bespoke two-pointer loop
@@ -42,7 +58,7 @@ type run = { mutable col : Column.t; mutable lo : int; mutable hi : int }
 let intersect2 scratch a b f =
   let pa = ref a.lo and pb = ref b.lo and go = ref true in
   while !go && !pa < a.hi && !pb < b.hi do
-    let va = Column.unsafe_get a.col !pa and vb = Column.unsafe_get b.col !pb in
+    let va = uget a.col !pa and vb = uget b.col !pb in
     if va < vb then pa := lower a.col ~lo:(!pa + 1) ~hi:a.hi vb
     else if vb < va then pb := lower b.col ~lo:(!pb + 1) ~hi:b.hi va
     else begin
@@ -60,7 +76,8 @@ let intersect2 scratch a b f =
 
 let intersect_into ~pos ~bounds runs f =
   let k = Array.length runs in
-  if k = 2 then intersect2 bounds runs.(0) runs.(1) f
+  if k = 1 then intersect1 bounds runs.(0) f
+  else if k = 2 then intersect2 bounds runs.(0) runs.(1) f
   else if k > 0 && Array.for_all (fun r -> r.lo < r.hi) runs then begin
     (* cursor per run; [runs] itself is never mutated here, so the
        caller may reuse the same array across nested nodes *)
@@ -76,7 +93,7 @@ let intersect_into ~pos ~bounds runs f =
          they all land on it exactly when it is a common value *)
       let v = ref min_int in
       for i = 0 to k - 1 do
-        let x = Column.unsafe_get runs.(i).col pos.(i) in
+        let x = uget runs.(i).col pos.(i) in
         if x > !v then v := x
       done;
       let all_match = ref true in
@@ -88,7 +105,7 @@ let intersect_into ~pos ~bounds runs f =
           exhausted := true;
           all_match := false
         end
-        else if Column.unsafe_get r.col p <> !v then all_match := false
+        else if uget r.col p <> !v then all_match := false
       done;
       if (not !exhausted) && !all_match then begin
         for i = 0 to k - 1 do

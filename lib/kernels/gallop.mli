@@ -1,6 +1,10 @@
 (** Galloping search and leapfrog intersection over sorted column runs —
     the vectorized core of the columnar join path.
 
+    Columns are read through the [Bigarray] primitive, which compiles
+    to a load in every build profile; [Column]'s accessors are calls
+    wherever the library is compiled [-opaque] (dune's dev profile).
+
     A {e run} is a slice [\[lo, hi)] of a sorted {!Ac_relational.Column.t}
     (duplicates allowed — a run is typically one column of a sorted
     projection restricted to the rows matching the bindings so far).
@@ -18,9 +22,6 @@ val lower : Column.t -> lo:int -> hi:int -> int -> int
 
 (** First element [> x]; same contract as {!lower}. *)
 val upper : Column.t -> lo:int -> hi:int -> int -> int
-
-(** [(lower, upper)] in one call. *)
-val equal_range : Column.t -> lo:int -> hi:int -> int -> int * int
 
 (** All fields are mutable so a caller can keep one cursor array per
     join level and rewrite the bounds — or repoint [col] at a reused
@@ -41,6 +42,8 @@ type run = { mutable col : Column.t; mutable lo : int; mutable hi : int }
     [intersect_into] calls over {e other} run arrays with {e different}
     scratch arrays (the nested-loop join does exactly this); [runs]
     itself is read once at entry and never mutated. No-op when [runs]
-    is empty or any run is empty. *)
+    is empty or any run is empty. One run walks its distinct values
+    directly and two runs take a two-pointer loop; only three or more
+    pay the leapfrog's per-value head scan. *)
 val intersect_into :
   pos:int array -> bounds:int array -> run array -> (int -> int array -> bool) -> unit

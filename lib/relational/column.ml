@@ -5,10 +5,6 @@ let length (c : t) = Bigarray.Array1.dim c
 let get (c : t) i = Bigarray.Array1.get c i
 let set (c : t) i v = Bigarray.Array1.set c i v
 
-(* No bounds check: the kernels' inner loops call this with indices
-   already bracketed by a [lo, hi) run. *)
-let unsafe_get (c : t) i = Bigarray.Array1.unsafe_get c i
-
 let of_array a =
   let c = create (Array.length a) in
   Array.iteri (fun i v -> set c i v) a;
@@ -21,12 +17,14 @@ let blit ~src ~src_pos ~dst ~dst_pos ~len =
     (Bigarray.Array1.sub src src_pos len)
     (Bigarray.Array1.sub dst dst_pos len)
 
-(* First index in [lo, hi) whose value is >= v; [hi] when none. *)
+(* First index in [lo, hi) whose value is >= v; [hi] when none. Reads
+   through the [Bigarray] primitive, so the loop is a plain load in
+   every build profile; only the call itself may be out of line. *)
 let lower_bound (c : t) ~lo ~hi v =
   let lo = ref lo and hi = ref hi in
   while !lo < !hi do
     let mid = !lo + ((!hi - !lo) / 2) in
-    if unsafe_get c mid < v then lo := mid + 1 else hi := mid
+    if Bigarray.Array1.unsafe_get c mid < v then lo := mid + 1 else hi := mid
   done;
   !lo
 
@@ -35,12 +33,6 @@ let upper_bound (c : t) ~lo ~hi v =
   let lo = ref lo and hi = ref hi in
   while !lo < !hi do
     let mid = !lo + ((!hi - !lo) / 2) in
-    if unsafe_get c mid <= v then lo := mid + 1 else hi := mid
+    if Bigarray.Array1.unsafe_get c mid <= v then lo := mid + 1 else hi := mid
   done;
   !lo
-
-(* Both bounds of the run of [v] inside [lo, hi): an empty range
-   (lo', lo') when [v] is absent. *)
-let equal_range c ~lo ~hi v =
-  let l = lower_bound c ~lo ~hi v in
-  if l >= hi || get c l <> v then (l, l) else (l, upper_bound c ~lo:l ~hi v)

@@ -282,25 +282,40 @@ let of_merge ?(tick = ignore) ~main ~inserts ~deletes () =
 
 (* --- membership --- *)
 
-let mem_sealed s tuple =
-  let lo = ref 0 and hi = ref s.primary.rows in
-  let arity = Array.length s.primary.columns in
-  let j = ref 0 in
-  while !j < arity && !lo < !hi do
-    let l, h = Column.equal_range s.primary.columns.(!j) ~lo:!lo ~hi:!hi tuple.(!j) in
-    lo := l;
-    hi := h;
-    incr j
-  done;
-  !lo < !hi
-
-let rec mem r tuple =
+(* Is the tuple [assignment.(scope.(0)), …] in [r]? On sealed columns,
+   [lo, hi) narrows column by column to the run of the tuple's value;
+   nothing is allocated outside a builder, so concurrent probes share
+   no scratch. *)
+let rec mem_at r scope assignment =
   match r.repr with
-  | Building tbl -> Tuple.Table.mem tbl tuple
-  | Sealed s -> mem_sealed s tuple
+  | Building tbl -> Tuple.Table.mem tbl (Array.map (fun v -> assignment.(v)) scope)
+  | Sealed s ->
+      let lo = ref 0 and hi = ref s.primary.rows and j = ref 0 in
+      while !j < Array.length scope && !lo < !hi do
+        let col = s.primary.columns.(!j) and v = assignment.(scope.(!j)) in
+        lo := Column.lower_bound col ~lo:!lo ~hi:!hi v;
+        hi := Column.upper_bound col ~lo:!lo ~hi:!hi v;
+        incr j
+      done;
+      !lo < !hi
   | Complement { base; universe_size } ->
-      Array.for_all (fun v -> v >= 0 && v < universe_size) tuple
-      && not (mem base tuple)
+      let inside = ref true and j = ref 0 in
+      while !inside && !j < Array.length scope do
+        let v = assignment.(scope.(!j)) in
+        inside := v >= 0 && v < universe_size;
+        incr j
+      done;
+      !inside && not (mem_at base scope assignment)
+
+(* Identity scopes for [mem], shared and never written. *)
+let identity_scopes = Array.init 9 (fun k -> Array.init k Fun.id)
+
+let mem r tuple =
+  let scope =
+    if r.arity < Array.length identity_scopes then identity_scopes.(r.arity)
+    else Array.init r.arity Fun.id
+  in
+  mem_at r scope tuple
 
 (* --- canonical iteration: ascending lexicographic order in every phase,
    so enumeration sequences (and everything downstream: atom lists,
@@ -410,27 +425,56 @@ let is_identity_projection r ~positions ~equalities =
   && Array.length positions = r.arity
   && Array.for_all Fun.id (Array.mapi (fun i p -> i = p) positions)
 
+let rec satisfies cols equalities i e =
+  e = Array.length equalities
+  || (let p, q = equalities.(e) in
+      uget cols.(p) i = uget cols.(q) i)
+     && satisfies cols equalities i (e + 1)
+
+(* Rows [r] and [r'] of [src] compared on [positions], lexicographically. *)
+let rec compare_projection src positions r r' c =
+  if c = Array.length positions then 0
+  else
+    let col = src.(positions.(c)) in
+    let d = Int.compare (uget col r) (uget col r') in
+    if d <> 0 then d else compare_projection src positions r r' (c + 1)
+
+(* The kept rows' indices are sorted into lexicographic order of their
+   projection, then each index whose projection equals the last one kept
+   is dropped, in place, and the columns are written straight from the
+   source: no tuple per row. *)
 let build_projection s ~positions ~equalities =
-  let keep i =
-    Array.for_all
-      (fun (p, q) ->
-        Column.get s.primary.columns.(p) i = Column.get s.primary.columns.(q) i)
-      equalities
+  let src = s.primary.columns in
+  let kept =
+    let out = Array.make s.primary.rows 0 and n = ref 0 in
+    for i = 0 to s.primary.rows - 1 do
+      if satisfies src equalities i 0 then begin
+        out.(!n) <- i;
+        incr n
+      end
+    done;
+    Array.sub out 0 !n
   in
-  let out = ref [] in
-  for i = s.primary.rows - 1 downto 0 do
-    if keep i then
-      out := Array.map (fun p -> Column.get s.primary.columns.(p) i) positions :: !out
+  Array.sort (fun r r' -> compare_projection src positions r r' 0) kept;
+  let k = ref 0 in
+  for i = 0 to Array.length kept - 1 do
+    let r = kept.(i) in
+    if !k = 0 || compare_projection src positions r kept.(!k - 1) 0 <> 0 then begin
+      kept.(!k) <- r;
+      incr k
+    end
   done;
-  let rows = Array.of_list !out in
-  Array.sort Tuple.compare rows;
-  (* deduplicate: projections of distinct rows can collide *)
-  let dedup = ref [] in
-  for i = Array.length rows - 1 downto 0 do
-    if i = 0 || Tuple.compare rows.(i) rows.(i - 1) <> 0 then
-      dedup := rows.(i) :: !dedup
-  done;
-  cols_of_sorted_rows ~arity:(Array.length positions) (Array.of_list !dedup)
+  let columns =
+    Array.map
+      (fun p ->
+        let c = Column.create !k in
+        for i = 0 to !k - 1 do
+          set c i (uget src.(p) kept.(i))
+        done;
+        c)
+      positions
+  in
+  cols_of_columns columns !k
 
 let projection r ~positions ~equalities =
   let s = sealed_exn r in

@@ -79,6 +79,13 @@ val is_sealed : t -> bool
 
 val mem : t -> Tuple.t -> bool
 
+(** [mem_at r scope assignment] is [mem r] of the tuple
+    [assignment.(scope.(0)), …, assignment.(scope.(arity - 1))], read in
+    place: on sealed relations and complement views over them it
+    allocates nothing (a builder copies the tuple out). {!mem} is its
+    identity-scope case. *)
+val mem_at : t -> int array -> int array -> bool
+
 (** Ascending lexicographic order in every phase. On a complement view
     this sweeps [U^arity] lazily (never materializing), skipping base
     tuples — callers iterating complements pay the universe cost. *)

@@ -129,6 +129,29 @@ let tick t =
     (t.armed && t.count land t.mask = 0) || t.forced <> None || t.trip <> None
   then check t
 
+(* [k] ticks in one call. Only the ticks landing on a multiple of the
+   period can check an unforced budget, so the count jumps from one such
+   boundary to the next and checks there — the checks, and so any trip
+   and its [ticks], are those of [k] calls to {!tick}. A forced or
+   tripped budget checks on the first tick, as {!tick} does. *)
+let charge t k =
+  if k > 0 then begin
+    let target = t.count + k in
+    if t.forced <> None || t.trip <> None then begin
+      t.count <- t.count + 1;
+      check t
+    end
+    else begin
+      let boundary = ref ((t.count lor t.mask) + 1) in
+      while !boundary <= target do
+        t.count <- !boundary;
+        if t.armed || t.forced <> None then check t;
+        boundary := !boundary + t.mask + 1
+      done;
+      t.count <- target
+    end
+  end
+
 let force t limit note =
   if t == none then
     invalid_arg "Budget: Budget.none is shared and cannot be cancelled";

@@ -55,6 +55,16 @@ val limited : t -> bool
     failed check. *)
 val tick : t -> unit
 
+(** [charge t k] is exactly [k] calls to {!tick} ([k <= 0] does
+    nothing), in one call: the count ends [k] higher, and the checks
+    run at every multiple of the tick period in [(c, c + k\]], so a
+    trip raises at the same tick, with the same [trip.ticks] and
+    [ticks t], as the [k] ticks would. A forced or tripped budget
+    raises at [c + 1], as {!tick} does. A {!cancel} from another domain
+    that arrives during the charge is noticed at the next period
+    boundary. *)
+val charge : t -> int -> unit
+
 (** Full check now, regardless of the tick period. *)
 val check : t -> unit
 

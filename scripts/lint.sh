@@ -33,6 +33,15 @@
 #      Planner.run_algorithm: Fpras.approx_count, Fptras.approx_count
 #      and Exact.by_join_projection never appear in lib/core/api.ml,
 #      lib/server/ or bin/.
+#   8. Kernel access — the join kernels (lib/kernels/*.ml,
+#      lib/join/*.ml) read column elements through the Bigarray
+#      primitive, never through Column.get/unsafe_get. dune's dev profile
+#      compiles every library -opaque, so a call into Column is never
+#      inlined across the library boundary: each element read in an inner
+#      loop would be an out-of-line call, while Bigarray.Array1.unsafe_get
+#      on the known element kind compiles to a load in every profile.
+#      Column.lower_bound/upper_bound stay allowed: each search is one
+#      call, and its loop reads through the primitive inside Column.
 set -u
 
 cd "$(dirname "$0")/.."
@@ -130,6 +139,15 @@ direct_estimators=$(grep -rn \
 if [ -n "$direct_estimators" ]; then
   echo "$direct_estimators" >&2
   complain "estimator called outside Planner.run_algorithm on the request path (dispatch through the planner)"
+fi
+
+# --- 8. kernel access ---------------------------------------------------------
+column_calls=$(grep -nE \
+  "Column\.(get|unsafe_get)\b" \
+  lib/kernels/*.ml lib/join/*.ml 2>/dev/null || true)
+if [ -n "$column_calls" ]; then
+  echo "$column_calls" >&2
+  complain "Column element read in a join kernel (read through Bigarray.Array1.unsafe_get: Column's accessors are opaque calls in the dev profile)"
 fi
 
 if [ "$fail" -ne 0 ]; then

@@ -81,9 +81,11 @@ let prop_hom_equals_solutions =
 
 (* Lemma 30 on concrete instances: the hat-structure Hom instance agrees
    with direct answer-in-box checking, when quantifying over colourings.
-   We check both directions statistically: if an answer exists in the box,
-   some random colouring admits a hom (with many trials); if none exists,
-   no colouring ever does (64 trials). *)
+   If an answer lies in the box, the colouring the lemma's proof builds
+   from a solution σ extending it — f_η(σ(x_i)) red, f_η(σ(x_j)) blue
+   for each η = {x_i, x_j} — must admit a hom (deterministic; a random
+   colouring would miss it with probability up to 1 - 2^-|Δ| per try).
+   If none does, no colouring may ever admit one (64 random trials). *)
 let prop_lemma30 =
   QCheck2.Test.make ~count:30 ~name:"Lemma 30: hat structures vs direct check"
     QCheck2.Gen.(
@@ -110,22 +112,49 @@ let prop_lemma30 =
             Ac_hom.Hom.decide_backtracking
               { Ac_hom.Hom.source = hat_a; target = hat_b }
           in
+          let in_box i v = Array.exists (( = ) v) parts.(i) in
           (* ground truth: any answer with free values inside the box? *)
           let expected =
             Exact.answers q db
-            |> List.exists (fun tau ->
-                   Array.for_all Fun.id
-                     (Array.mapi (fun i v -> Array.exists (( = ) v) parts.(i)) tau))
+            |> List.exists (fun tau -> Array.for_all Fun.id (Array.mapi in_box tau))
           in
-          let trials = 64 in
-          let found = ref false in
-          for _ = 1 to trials do
-            if not !found then
-              if hom_for_colouring (Assoc.random_colouring ~rng q ~universe_size:u)
-              then found := true
-          done;
-          if expected then !found (* may flake with prob (3/4)^64 at |Δ|=1 per missing pair *)
-          else not !found
+          (* a solution whose free values lie in the box, by brute force *)
+          let witness =
+            let n = Ecq.num_vars q in
+            let sigma = Array.make n 0 in
+            let rec go i =
+              if i = n then
+                if Ecq.satisfied_by q db sigma then Some (Array.copy sigma) else None
+              else
+                let rec try_value v =
+                  if v = u then None
+                  else if i < l && not (in_box i v) then try_value (v + 1)
+                  else begin
+                    sigma.(i) <- v;
+                    match go (i + 1) with Some _ as w -> w | None -> try_value (v + 1)
+                  end
+                in
+                try_value 0
+            in
+            go 0
+          in
+          match witness with
+          | Some sigma ->
+              let proof_colouring =
+                List.map
+                  (fun (i, j) ->
+                    let f = Array.make u true in
+                    f.(sigma.(j)) <- false;
+                    ((i, j), f))
+                  (Ecq.delta q)
+              in
+              expected && hom_for_colouring proof_colouring
+          | None ->
+              (not expected)
+              && not
+                   (List.exists hom_for_colouring
+                      (List.init 64 (fun _ ->
+                           Assoc.random_colouring ~rng q ~universe_size:u)))
         end
       end)
 

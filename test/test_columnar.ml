@@ -133,10 +133,12 @@ let test_gallop_search () =
   Alcotest.(check int) "lower absent" 1 (Gallop.lower col ~lo:0 ~hi 2);
   Alcotest.(check int) "lower run start" 1 (Gallop.lower col ~lo:0 ~hi 3);
   Alcotest.(check int) "upper run end" 4 (Gallop.upper col ~lo:0 ~hi 3);
-  Alcotest.(check (pair int int)) "equal_range present" (1, 4)
-    (Gallop.equal_range col ~lo:0 ~hi 3);
-  Alcotest.(check (pair int int)) "equal_range absent" (4, 4)
-    (Gallop.equal_range col ~lo:0 ~hi 5);
+  let range x =
+    let l = Gallop.lower col ~lo:0 ~hi x in
+    (l, Gallop.upper col ~lo:l ~hi x)
+  in
+  Alcotest.(check (pair int int)) "equal_range present" (1, 4) (range 3);
+  Alcotest.(check (pair int int)) "equal_range absent" (4, 4) (range 5);
   Alcotest.(check int) "beyond end" hi (Gallop.lower col ~lo:0 ~hi 100);
   Alcotest.(check int) "restricted lo" 4 (Gallop.lower col ~lo:4 ~hi 3)
 
@@ -171,7 +173,8 @@ let test_intersect_arrays () =
   check "one empty" [||] [| [| 1; 2 |]; [||]; [| 1 |] |];
   check "no runs" [||] [||];
   check "singletons" [| 7 |] [| [| 7 |]; [| 7 |]; [| 7 |] |];
-  check "single run dedups" [| 1; 2 |] [| [| 1; 1; 2 |] |]
+  check "single run dedups" [| 1; 2 |] [| [| 1; 1; 2 |] |];
+  check "single run" [| 0; 3; 8 |] [| [| 0; 3; 3; 3; 8 |] |]
 
 let test_intersect_bounds () =
   (* the scratch ranges handed to the callback bracket exactly the
@@ -190,6 +193,15 @@ let test_intersect_bounds () =
   Alcotest.(check (list (pair int (list int))))
     "values and ranges"
     [ (2, [ 1; 3; 0; 3 ]); (4, [ 3; 4; 3; 5 ]) ]
+    (List.rev !got);
+  (* one run, from an inner slice: each distinct value's own range *)
+  let got = ref [] in
+  intersect [| { Gallop.col = b; lo = 1; hi = 4 } |] (fun v bounds ->
+      got := (v, [ bounds.(0); bounds.(1) ]) :: !got;
+      true);
+  Alcotest.(check (list (pair int (list int))))
+    "single-run ranges"
+    [ (2, [ 1; 3 ]); (4, [ 3; 4 ]) ]
     (List.rev !got)
 
 let test_intersect_stops () =
@@ -206,15 +218,85 @@ let test_intersect_stops () =
         false);
     !n
   in
+  Alcotest.(check int) "one run" 1 (calls [| run [| 1; 2; 3 |] |]);
   Alcotest.(check int) "two runs" 1
     (calls [| run [| 1; 2; 3; 5 |]; run [| 1; 2; 3; 4; 5 |] |]);
   Alcotest.(check int) "three runs" 1
     (calls [| run [| 1; 2; 3 |]; run [| 1; 2; 3 |]; run [| 0; 1; 2; 3 |] |])
 
+(* -- membership ------------------------------------------------------- *)
+
+(* [Relation.mem_at] reads its tuple through a scope, in place. The join
+   kernels' reference ([Test_join.brute]) decides membership through the
+   same code, so this pins it against list membership over the tuples the
+   relation was built from, on a builder, a sealed relation and a
+   complement view, whose universe check must reject values outside
+   [0, u). [Relation.mem] of the read tuple must agree. *)
+let prop_mem_at_matches_list =
+  QCheck2.Test.make ~count:400 ~name:"mem_at = list membership"
+    QCheck2.Gen.(
+      pair (int_range 1 3) (int_range 1 4) >>= fun (arity, u) ->
+      quad (int_range 0 2)
+        (list_size (int_range 0 8) (array_repeat arity (int_range 0 (u - 1))))
+        (array_repeat arity (int_range 0 3))
+        (array_repeat 4 (int_range (-1) (u + 1)))
+      >|= fun (kind, tuples, scope, assignment) ->
+      (arity, u, kind, tuples, scope, assignment))
+    (fun (arity, u, kind, tuples, scope, assignment) ->
+      let base = Relation.of_list ~arity tuples in
+      let r =
+        match kind with
+        | 0 -> base
+        | 1 ->
+            Relation.seal base;
+            base
+        | _ -> Relation.complement_view ~universe_size:u base
+      in
+      let t = Array.map (fun v -> assignment.(v)) scope in
+      let in_base = List.exists (fun b -> b = t) tuples in
+      let want =
+        if kind < 2 then in_base
+        else Array.for_all (fun v -> v >= 0 && v < u) t && not in_base
+      in
+      Relation.mem_at r scope assignment = want && Relation.mem r t = want)
+
+(* -- sorted projections ---------------------------------------------- *)
+
+(* [Relation.projection] (an index sort with in-place dedup) against the
+   tuple-sorting reference build, field by field. Values are small and
+   dense, straddle zero, or span far more than the row count. *)
+let prop_projection_matches_sorted =
+  QCheck2.Test.make ~count:400 ~name:"projection = sorted-tuple build"
+    QCheck2.Gen.(
+      int_range 1 3 >>= fun arity ->
+      let pos = int_range 0 (arity - 1) in
+      quad
+        (oneof
+           [ return (0, 6); return (3, 12); return (-5, 5); return (0, 1_000_000) ])
+        (int_range 0 40)
+        (list_size (int_range 1 3) pos)
+        (list_size (int_range 0 2) (pair pos pos))
+      >>= fun ((lo, hi), rows, positions, equalities) ->
+      list_repeat rows (array_repeat arity (int_range lo hi))
+      >>= fun tuples ->
+      return (arity, tuples, Array.of_list positions, Array.of_list equalities))
+    (fun (arity, tuples, positions, equalities) ->
+      let r = Relation.of_list ~arity tuples in
+      Relation.seal r;
+      let got = Relation.projection r ~positions ~equalities in
+      let want = Ac_test_support.Sorted_projection.build r ~positions ~equalities in
+      let cells (c : Relation.cols) = Array.map Column.to_array c.columns in
+      cells got = cells want
+      && got.rows = want.rows
+      && Column.to_array got.dict0 = Column.to_array want.dict0
+      && Column.to_array got.offsets0 = Column.to_array want.offsets0)
+
 (* -- enumeration order against brute force ------------------------ *)
 
 (* Random atom sets in the style of test_join, including a complement
-   view so the filter-atom path is exercised. *)
+   view so the filter-atom path is exercised. The view's universe is
+   sometimes smaller than the join's, so a candidate outside it must be
+   rejected as [Relation.mem] rejects it. *)
 let gen_atoms =
   QCheck2.Gen.(
     let num_vars = 3 and universe = 3 in
@@ -225,6 +307,7 @@ let gen_atoms =
             (list_size (int_range 1 2) (int_range 0 (universe - 1)))))
     >>= fun raw_atoms ->
     bool >>= fun with_neg ->
+    int_range 2 universe >>= fun view_universe ->
     list_size (int_range 0 4)
       (pair (int_range 0 (universe - 1)) (int_range 0 (universe - 1)))
     >>= fun neg_tuples ->
@@ -248,7 +331,7 @@ let gen_atoms =
         let base = Relation.create ~arity:2 in
         List.iter (fun (a, b) -> Relation.add base [| a; b |]) neg_tuples;
         Generic_join.atom [| 0; 1 |]
-          (Relation.complement_view ~universe_size:universe base)
+          (Relation.complement_view ~universe_size:view_universe base)
         :: atoms
       else atoms
     in
@@ -349,8 +432,9 @@ let prop_project_keeps_first_per_prefix =
    [count] takes in bulk: the last order variable held by one positive
    atom and no complement filter. The disequalities tie the last
    variable to both others (or to one twice), so several partners often
-   hold the same value. Under a tick ceiling both trip at the same tick
-   with the same count so far. *)
+   hold the same value. Under a tick ceiling, checked every 1, 4 or 16
+   ticks (so a bulk level's charge can cross a check or fall between
+   two), both trip at the same tick with the same count so far. *)
 let gen_count_case =
   let num_vars = 3 and universe_size = 3 in
   QCheck2.Gen.(
@@ -385,8 +469,8 @@ let gen_count_case =
 
 let prop_count_matches_run =
   QCheck2.Test.make ~count:500 ~name:"count = run reports, same ticks"
-    gen_count_case
-    (fun (atoms, order, project, diseqs, ceiling, universe_size) ->
+    QCheck2.Gen.(pair gen_count_case (oneofl [ 1; 4; 16 ]))
+    (fun ((atoms, order, project, diseqs, ceiling, universe_size), check_every) ->
       let prepare budget =
         Generic_join.prepare ~num_vars:3 ~universe_size ~budget ~order atoms
       in
@@ -416,7 +500,7 @@ let prop_count_matches_run =
       let shared = Budget.create () in
       let n_run, _, t_run = by_run shared in
       let n_count, _, t_both = by_count shared in
-      let squeeze () = Budget.create ~max_ticks:ceiling ~check_every:1 () in
+      let squeeze () = Budget.create ~max_ticks:ceiling ~check_every () in
       n_run = n_count
       && t_both = 2 * t_run
       && by_run (squeeze ()) = by_count (squeeze ()))
@@ -565,6 +649,8 @@ let tests =
     Alcotest.test_case "intersect arrays" `Quick test_intersect_arrays;
     Alcotest.test_case "intersect bounds" `Quick test_intersect_bounds;
     Alcotest.test_case "intersect stops on false" `Quick test_intersect_stops;
+    QCheck_alcotest.to_alcotest prop_mem_at_matches_list;
+    QCheck_alcotest.to_alcotest prop_projection_matches_sorted;
     QCheck_alcotest.to_alcotest prop_counts_agree;
     QCheck_alcotest.to_alcotest prop_solutions_identical_sequence;
     QCheck_alcotest.to_alcotest prop_matches_ordered_brute;

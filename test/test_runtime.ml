@@ -87,6 +87,49 @@ let test_budget_none_is_free () =
   done;
   Alcotest.(check bool) "unlimited" false (Budget.limited Budget.none)
 
+(* [Budget.charge t k] against [k] calls to [Budget.tick] on a twin
+   budget: the same raise or none, the same final [ticks], and the same
+   trip. Pre-ticks may trip the budget first, and a forced budget must
+   raise on the charge's first tick. Half the charges end within a tick
+   of the first check that can trip (the first multiple of the period
+   above [max_ticks]), where an off-by-one at either end would show. *)
+let prop_charge_is_ticks =
+  QCheck2.Test.make ~count:500 ~name:"budget: charge k = k ticks"
+    QCheck2.Gen.(
+      quad (int_range 0 3000)
+        (oneofl [ 1; 2; 16; 512 ])
+        (int_range 0 1000) bool
+      >>= fun (max_ticks, check_every, pre, forced) ->
+      let trip_at = ((max_ticks / check_every) + 1) * check_every in
+      oneof [ int_range 0 2000; map (fun d -> trip_at - pre + d) (int_range (-1) 1) ]
+      >|= fun k -> (max_ticks, check_every, (pre, max 0 (min 2000 k)), forced))
+    (fun (max_ticks, check_every, (pre, k), forced) ->
+      let attempt f =
+        match f () with
+        | () -> None
+        | exception Budget.Budget_exceeded tr ->
+            Some (tr.Budget.limit, tr.Budget.ticks)
+      in
+      let twin () =
+        let b = Budget.create ~max_ticks ~check_every () in
+        ignore
+          (attempt (fun () ->
+               for _ = 1 to pre do
+                 Budget.tick b
+               done));
+        if forced then Budget.exhaust b;
+        b
+      in
+      let charged = twin () and ticked = twin () in
+      let by_charge = attempt (fun () -> Budget.charge charged k) in
+      let by_ticks =
+        attempt (fun () ->
+            for _ = 1 to k do
+              Budget.tick ticked
+            done)
+      in
+      by_charge = by_ticks && Budget.ticks charged = Budget.ticks ticked)
+
 let test_budget_slice () =
   (* slicing an unlimited budget is the identity *)
   Alcotest.(check bool) "slice of none is none" true
@@ -356,6 +399,7 @@ let tests =
       test_budget_none_is_free;
     Alcotest.test_case "budget: slices are isolated, absorbed" `Quick
       test_budget_slice;
+    QCheck_alcotest.to_alcotest prop_charge_is_ticks;
     Alcotest.test_case "error: classes and exit codes are distinct" `Quick
       test_error_codes_distinct;
     Alcotest.test_case "error: guard maps exceptions" `Quick test_error_guard;
