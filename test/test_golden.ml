@@ -14,7 +14,14 @@
    strict governed planner run, with the estimate as the hex of
    [Int64.bits_of_float]. Its last rows pin the single-stream paths:
    one DLM edge-count estimate, JVV and DLM sampler draws per query and
-   one Karp-Luby union count, each from one seeded [Random.State.t]. *)
+   one Karp-Luby union count, each from one seeded [Random.State.t].
+
+   [golden/cost.tsv] pins the cost model over the [examples/queries]
+   corpus on two seeded [Dbgen] databases (the second dense enough that
+   a negated atom's complement is its smallest relation): per query the
+   exact rung's join order, then each ranked alternative's rung and
+   log2 probes, probe cost and cost as [%h], at the default targets and
+   at eps 0.05, delta 0.01. *)
 
 module Json = Ac_analysis.Json
 module Wire = Ac_server.Wire
@@ -358,6 +365,53 @@ let test_estimates () =
     Alcotest.failf "%d estimate row(s) drifted:\n%s" (List.length drifted)
       (String.concat "\n" drifted)
 
+(* ---------- cost model ---------- *)
+
+let cost_lines () =
+  let module Cost = Ac_analysis.Cost in
+  let module Cardinality = Ac_analysis.Cardinality in
+  let dbs =
+    [
+      ("sparse", 11, 40, [ ("E", 2, 200); ("R", 2, 200); ("P", 1, 30) ]);
+      ("dense", 12, 12, [ ("E", 2, 130); ("R", 2, 40); ("P", 1, 5) ]);
+    ]
+  in
+  List.concat_map
+    (fun (dname, seed, universe_size, relations) ->
+      let db =
+        Ac_workload.Dbgen.random_structure
+          ~rng:(Random.State.make [| seed |])
+          ~universe_size relations
+      in
+      let stats = Cardinality.of_structure db in
+      List.concat_map
+        (fun (qname, q) ->
+          let cost =
+            Cost.analyze ~stats q (Ac_analysis.Classify.classify q)
+          in
+          let order =
+            Cost.join_order ~stats q |> Array.to_list
+            |> List.map string_of_int |> String.concat ","
+          in
+          let alts target alternatives =
+            List.map
+              (fun (a : Cost.alternative) ->
+                Printf.sprintf "%s\t%s\t%s\t%s\t%h\t%h\t%h" dname qname target
+                  (Cost.rung_name a.Cost.rung) a.Cost.log2_probes
+                  a.Cost.log2_probe_cost a.Cost.log2_cost)
+              alternatives
+          in
+          (Printf.sprintf "%s\t%s\torder\t%s" dname qname order
+          :: alts "0.25/0.1" cost.Cost.alternatives)
+          @ alts "0.05/0.01" (Cost.rank ~eps:0.05 ~delta:0.01 cost))
+        (Test_cost.corpus ()))
+    dbs
+
+let test_cost () =
+  Alcotest.(check string) "cost.tsv is byte-identical"
+    (read_file (golden "cost.tsv"))
+    (String.concat "" (List.map (fun l -> l ^ "\n") (cost_lines ())))
+
 let tests =
   [
     Alcotest.test_case "wire frames decode and re-encode byte-for-byte" `Quick
@@ -369,4 +423,6 @@ let tests =
     Alcotest.test_case "golden manifest + journal recover" `Quick test_recover;
     Alcotest.test_case "seeded estimates are bit-identical" `Quick
       test_estimates;
+    Alcotest.test_case "cost model prices the corpus byte-for-byte" `Quick
+      test_cost;
   ]
