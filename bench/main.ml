@@ -607,8 +607,8 @@ let run_conformance () =
       ("trials", Json.Int trials);
       ("delta", Json.Float delta);
       ("confidence", Json.Float 0.95);
-      ("sketch_constant", Json.Float Approxcount.Fpras.sketch_constant);
-      ("sketch_floor", Json.Int Approxcount.Fpras.sketch_floor);
+      ("sketch_constant", Json.Float Ac_automata.Acjr.sketch_constant);
+      ("sketch_floor", Json.Int Ac_automata.Acjr.sketch_floor);
       ("fixed_kappa", Json.Int fixed_kappa);
       ("rows", Json.List (List.map fst rows));
     ],

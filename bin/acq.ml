@@ -603,7 +603,7 @@ let db_opt_term =
   let doc =
     "Optional database file (or - for stdin): enables the database-aware \
      checks (QL006 signature mismatch, QL010 empty relation, QL012 output \
-     blow-up, QL013 complement cap)."
+     blow-up)."
   in
   Arg.(value & opt (some string) None & info [ "db" ] ~docv:"FILE" ~doc)
 
@@ -636,7 +636,7 @@ let lint_cmd =
         Ac_analysis.Report.exit_status report_)
   in
   let doc =
-    "Statically analyse a query: stable-coded diagnostics (QL000-QL013) \
+    "Statically analyse a query: stable-coded diagnostics (QL000-QL012) \
      plus the Figure 1 classification. Exit 0 when free of errors, 1 \
      otherwise."
   in

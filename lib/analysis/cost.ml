@@ -4,6 +4,7 @@ module Bitset = Ac_hypergraph.Bitset
 module Widths = Ac_hypergraph.Widths
 module Rat = Ac_lp.Rat
 module Error = Ac_runtime.Error
+module Acjr = Ac_automata.Acjr
 
 type rung = Rung.t = Fpras | Exact | Tree_dp | Generic_join | Partial
 
@@ -43,29 +44,6 @@ type t = {
   star_size : int;
   alternatives : alternative list;
 }
-
-(* ---------- the ACJR trial-count formulas ----------
-
-   Mirrors of [Fpras.repetitions_for] (median batch of Theorem 16
-   sketch repetitions) and [Edge_count.repetitions_for] (DLM median
-   trials per subsampling level). They live below [lib/core]/[lib/dlm]
-   in the dependency order, so the formulas are restated here;
-   [test/test_cost.ml] pins them to the originals. *)
-
-let fpras_repetitions ~delta =
-  let delta = Float.min 0.49 (Float.max 1e-12 delta) in
-  let m = int_of_float (ceil (1.25 *. Float.log (1.0 /. delta))) in
-  max 3 ((2 * m) + 1)
-
-let edge_count_repetitions ~delta =
-  let m = int_of_float (ceil (2.5 *. Float.log (1.0 /. delta))) in
-  (2 * max 2 m) + 1
-
-(* Mirror of [Fpras.sketch_size_for]: κ(ε) = ⌈c/ε²⌉ samples and union
-   rounds per sketch cell, floored at 16. *)
-let fpras_sketch_size ~eps =
-  let k = Float.ceil (0.12 /. (eps *. eps)) in
-  max 16 (int_of_float (Float.min k 1e9))
 
 let output_blowup_threshold = 1e7
 let output_blowup_threshold_log2 = Float.log2 output_blowup_threshold
@@ -279,35 +257,27 @@ let bound_of_vertices ~stats ~universe vs =
 
 (* ---------- the exact rung's join order ----------
 
-   Restatement of [Generic_join.default_order] over the catalog (the
-   join sits above this library): variables ascending by the smallest
-   relation of an atom they occur in, ties by index, where a negated
-   atom's relation is its complement view of [U^arity - |R|] rows and a
-   variable in no atom comes last. [test/test_cost.ml] pins it to
-   [Hom.order]. *)
+   The order [Generic_join.prepare] binds in, from the catalog: each
+   atom sized by its relation's cardinality, a negated atom by its
+   complement view's [U^arity - |R|] rows; an atom whose symbol the
+   catalog lacks bounds nothing. *)
 let join_order ~(stats : Cardinality.t) q =
-  let best = Array.make (Ecq.num_vars q) max_int in
-  let visit rows vars =
-    Array.iter (fun v -> if rows < best.(v) then best.(v) <- rows) vars
+  let sized symbol vars size =
+    Option.map
+      (fun s -> (vars, size s.Cardinality.cardinality))
+      (Cardinality.find stats symbol)
   in
-  let card symbol =
-    Option.map (fun s -> s.Cardinality.cardinality) (Cardinality.find stats symbol)
-  in
-  List.iter
-    (function
-      | Ecq.Atom (symbol, vars) ->
-          visit (Option.value (card symbol) ~default:max_int) vars
-      | Ecq.Neg_atom (symbol, vars) ->
-          let complement r =
-            Ac_relational.Relation.complement_cardinality
-              ~universe_size:stats.Cardinality.universe
-              ~arity:(Array.length vars) r
-          in
-          visit (Option.fold ~none:max_int ~some:complement (card symbol)) vars
-      | Ecq.Diseq _ -> ())
-    (Ecq.atoms q);
-  let vars = List.init (Ecq.num_vars q) Fun.id in
-  Array.of_list (List.stable_sort (fun u v -> Int.compare best.(u) best.(v)) vars)
+  Ac_join.Generic_join.default_order ~num_vars:(Ecq.num_vars q)
+    (List.filter_map
+       (function
+         | Ecq.Atom (symbol, vars) -> sized symbol vars Fun.id
+         | Ecq.Neg_atom (symbol, vars) ->
+             sized symbol vars
+               (Ac_relational.Relation.complement_cardinality
+                  ~universe_size:stats.Cardinality.universe
+                  ~arity:(Array.length vars))
+         | Ecq.Diseq _ -> None)
+       (Ecq.atoms q))
 
 (* The exact rung's work (Lemma 48's projection as [Exact] runs it):
    the join reports each distinct assignment of the order prefix ending
@@ -447,8 +417,8 @@ let rank ~eps ~delta t =
   let fpras_alt =
     mk Fpras ~applicable:t.is_cq ~guaranteed:true
       ~probes:
-        (Float.log2 (float_of_int (fpras_repetitions ~delta))
-        +. Float.log2 (float_of_int (fpras_sketch_size ~eps)))
+        (Float.log2 (float_of_int (Acjr.repetitions_for ~delta))
+        +. Float.log2 (float_of_int (Acjr.sketch_size_for ~eps)))
       ~probe_cost:
         (clamp0 t.run_bound_log2 +. Float.log2 (float_of_int ((2 * t.num_vars) + 1)))
       (if t.is_cq then
@@ -456,7 +426,7 @@ let rank ~eps ~delta t =
           cells are 2|vars|+1 shape nodes x the max instantiated bag bound"
        else "requires a CQ (Observation 10)")
   in
-  let ec_reps = edge_count_repetitions ~delta in
+  let ec_reps = Ac_dlm.Edge_count.repetitions_for ~delta in
   let tree_alt =
     mk Tree_dp ~applicable:true ~guaranteed:true
       ~probes:(sampling_probes ec_reps)

@@ -86,14 +86,9 @@ type t = {
   alternatives : alternative list;  (** ranked at [(eps, delta)] *)
 }
 
-(** Restatements of [Fpras.repetitions_for], [Fpras.sketch_size_for],
-    [Edge_count.repetitions_for] and [Generic_join.default_order] (those
-    modules sit above this library); pinned to the originals by the test
-    suite. [join_order] is the variable order the exact rung's join
-    binds in, from the catalog cardinalities. *)
-val fpras_repetitions : delta:float -> int
-val fpras_sketch_size : eps:float -> int
-val edge_count_repetitions : delta:float -> int
+(** The variable order the exact rung's join binds in:
+    [Ac_join.Generic_join.default_order] fed the catalog cardinalities,
+    a negated atom sized by [Ac_relational.Relation.complement_cardinality]. *)
 val join_order : stats:Cardinality.t -> Ac_query.Ecq.t -> int array
 
 (** QL012 fires when the whole-query bound exceeds this many answers. *)

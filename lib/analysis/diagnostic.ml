@@ -14,7 +14,6 @@ type code =
   | Empty_relation
   | Quantifier_free
   | Output_blowup
-  | Complement_blowup
 
 type span = { start : int; stop : int }
 
@@ -40,7 +39,6 @@ let code_number = function
   | Empty_relation -> 10
   | Quantifier_free -> 11
   | Output_blowup -> 12
-  | Complement_blowup -> 13
 
 let code_id c = Printf.sprintf "QL%03d" (code_number c)
 
@@ -58,14 +56,13 @@ let code_slug = function
   | Empty_relation -> "empty-relation"
   | Quantifier_free -> "quantifier-free-exact"
   | Output_blowup -> "output-blowup"
-  | Complement_blowup -> "complement-materialisation-cap"
 
 let all_codes =
   [
     Syntax_error; Unused_variable; Disconnected; Diseq_degenerate;
     Duplicate_atom; Negated_twin; Signature_mismatch; Star_size;
     Width_blowup; Unguarded_variable; Empty_relation; Quantifier_free;
-    Output_blowup; Complement_blowup;
+    Output_blowup;
   ]
 
 let severity_name = function

@@ -23,7 +23,6 @@ type code =
   | Empty_relation        (** QL010 — positive atom over a relation empty in this database *)
   | Quantifier_free       (** QL011 — quantifier-free and disequality-free: exact counting is FPT *)
   | Output_blowup         (** QL012 — instantiated edge-cover bound predicts an output blow-up *)
-  | Complement_blowup     (** QL013 — negated-atom complement exceeds the materialisation cap *)
 
 (** Half-open character range [start, stop) into the query text. *)
 type span = { start : int; stop : int }
@@ -37,7 +36,9 @@ type t = {
       (** the paper item the diagnostic cites, e.g. ["Observation 10"] *)
 }
 
-(** Stable identifier, ["QL000"] … ["QL013"]. *)
+(** Stable identifier, ["QL000"] … ["QL012"]. QL013 is retired (it
+    warned of a complement-materialisation cap no engine path applies)
+    and is not reused. *)
 val code_id : code -> string
 
 (** Stable kebab-case slug, e.g. ["disconnected-query"]. *)

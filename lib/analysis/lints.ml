@@ -295,35 +295,6 @@ let output_blowup ~(cost : Cost.t) (c : Classification.t) acc =
     :: acc
   else acc
 
-(* QL013 — a negated atom whose complement relation cannot be
-   materialised under the engine cap: execution falls back to lazy
-   complement views, paying the universe sweep on every enumeration. *)
-let complement_blowup ~db ~spans q acc =
-  let universe = float_of_int (Structure.universe_size db) in
-  let cap = Relation.default_complement_cap in
-  let found = ref acc in
-  List.iteri
-    (fun idx atom ->
-      match atom with
-      | Ecq.Neg_atom (_, vs) ->
-          let tuples = universe ** float_of_int (Array.length vs) in
-          if tuples > float_of_int cap then
-            found :=
-              diag
-                ?span:(span_of spans idx)
-                ~theorem:"Definition 20 (complement semantics)"
-                D.Complement_blowup D.Warning
-                (Printf.sprintf
-                   "negated atom %s: complement spans %.3g tuples, above \
-                    the %d materialisation cap — the engine uses a lazy \
-                    complement view, paying the universe sweep per \
-                    enumeration"
-                   (atom_to_string q atom) tuples cap)
-              :: !found
-      | _ -> ())
-    (Ecq.atoms q);
-  !found
-
 (* QL011 — quantifier-free, disequality-free: counting reduces to the
    footnote 4 #Hom DP, exact in polynomial time for bounded treewidth. *)
 let quantifier_free (c : Classification.t) acc =
@@ -353,9 +324,4 @@ let run ?db ?cost ?spans q (c : Classification.t) =
   in
   let acc = quantifier_free c acc in
   let acc = match cost with Some cost -> output_blowup ~cost c acc | None -> acc in
-  let acc =
-    match db with
-    | Some db -> complement_blowup ~db ~spans q acc
-    | None -> acc
-  in
   List.sort D.compare acc

@@ -11,6 +11,27 @@ type config = {
 let default_config ~seed ?(budget = Budget.none) () =
   { sketch_size = 48; union_rounds = 48; rng = Random.State.make [| seed |]; budget }
 
+(* Median repetitions for confidence 1 - delta: the single-sketch
+   estimator is within the accuracy band with constant probability, so
+   ~ln(1/δ) independent repetitions around the median amplify it. *)
+let repetitions_for ~delta =
+  let delta = Float.min 0.49 (Float.max 1e-12 delta) in
+  let m = int_of_float (ceil (1.25 *. Float.log (1.0 /. delta))) in
+  max 3 ((2 * m) + 1)
+
+(* Sketch size κ(ε) = max κ_min ⌈c/ε²⌉, for both the per-(node, state)
+   sample pool and the Karp–Luby union rounds. A single sketch's
+   relative error falls like 1/√κ; [c] and [κ_min] are calibrated
+   against exact counts by the (ε, δ) conformance test, not proven (see
+   DESIGN.md substitution 3). The cap only keeps the conversion to int
+   defined: a sketch that large exhausts any budget first. *)
+let sketch_constant = 0.12
+let sketch_floor = 16
+
+let sketch_size_for ~eps =
+  let k = Float.ceil (sketch_constant /. (eps *. eps)) in
+  max sketch_floor (int_of_float (Float.min k 1e9))
+
 (* Shape nodes flattened in postorder (children get smaller ids). *)
 type snode = { children : int list }
 

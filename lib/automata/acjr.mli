@@ -28,6 +28,20 @@ type config = {
 (** The fixed 48-sample sketch drawing from [Random.State.make [|seed|]]. *)
 val default_config : seed:int -> ?budget:Ac_runtime.Budget.t -> unit -> config
 
+(** Median repetitions giving confidence [1 - delta] for the sketch
+    estimator ([max 3 (2⌈1.25 ln(1/δ)⌉ + 1)]): the batch
+    {!estimate_median} takes the median of. *)
+val repetitions_for : delta:float -> int
+
+(** [c] and [κ_min] of {!sketch_size_for}, calibrated against exact
+    counts by the (ε, δ) conformance test (DESIGN.md substitution 3). *)
+val sketch_constant : float
+val sketch_floor : int
+
+(** Sketch size for accuracy [eps]: κ(ε) = [max κ_min ⌈c/ε²⌉], used for
+    both {!config.sketch_size} and {!config.union_rounds}. *)
+val sketch_size_for : eps:float -> int
+
 (** Estimate of the number of labelings of [shape] accepted by the
     automaton. *)
 val estimate_fixed_shape : config:config -> Tree_automaton.t -> Ltree.shape -> float

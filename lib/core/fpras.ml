@@ -286,27 +286,6 @@ let with_budget budget (config : Acjr.config) =
   | None -> config
   | Some b -> { config with Acjr.budget = b }
 
-(* Median repetitions for confidence 1 - delta: the single-sketch
-   estimator is within the accuracy band with constant probability, so
-   ~ln(1/δ) independent repetitions around the median amplify it. *)
-let repetitions_for ~delta =
-  let delta = Float.min 0.49 (Float.max 1e-12 delta) in
-  let m = int_of_float (ceil (1.25 *. Float.log (1.0 /. delta))) in
-  max 3 ((2 * m) + 1)
-
-(* Sketch size κ(ε) = max κ_min ⌈c/ε²⌉, for both the per-(node, state)
-   sample pool and the Karp–Luby union rounds. A single sketch's
-   relative error falls like 1/√κ; [c] and [κ_min] are calibrated
-   against exact counts by the (ε, δ) conformance test, not proven (see
-   DESIGN.md substitution 3). The cap only keeps the conversion to int
-   defined: a sketch that large exhausts any budget first. *)
-let sketch_constant = 0.12
-let sketch_floor = 16
-
-let sketch_size_for ~eps =
-  let k = Float.ceil (sketch_constant /. (eps *. eps)) in
-  max sketch_floor (int_of_float (Float.min k 1e9))
-
 (* Phase span: [k] receives the span (None when [parent] is — one
    branch on the untraced path). The phase's tick delta on [budget] is
    attributed to the span so "which phase burned the budget" is
@@ -328,7 +307,7 @@ let sketch_config ?budget ?config ~eps rng =
   match config with
   | Some c -> with_budget budget c
   | None ->
-      let k = sketch_size_for ~eps in
+      let k = Acjr.sketch_size_for ~eps in
       {
         Acjr.sketch_size = k;
         union_rounds = k;
@@ -351,7 +330,7 @@ let approx_count ?budget ?config ~exec ?repetitions ~eps q db =
       let repetitions =
         match repetitions with
         | Some r -> max 1 r
-        | None -> repetitions_for ~delta:0.05
+        | None -> Acjr.repetitions_for ~delta:0.05
       in
       phase ?budget parent "fpras:median" (fun sp ->
           Acjr.estimate_median ?budget ~config

@@ -43,29 +43,16 @@ val build :
   Ac_relational.Structure.t ->
   build option
 
-(** Median repetitions giving confidence [1 - delta] for the sketch
-    estimator ([max 3 (2⌈1.25 ln(1/δ)⌉ + 1)]). *)
-val repetitions_for : delta:float -> int
-
-(** [c] and [κ_min] of {!sketch_size_for}, calibrated against exact
-    counts by the (ε, δ) conformance test (DESIGN.md substitution 3). *)
-val sketch_constant : float
-val sketch_floor : int
-
-(** Sketch size for accuracy [eps]: κ(ε) = [max κ_min ⌈c/ε²⌉], used for
-    both the per-(node, state) sample pool and the Karp–Luby union
-    rounds. *)
-val sketch_size_for : eps:float -> int
-
 (** Approximate [|Ans(φ, D)|] end to end (the Theorem 16 FPRAS).
     [budget] governs both the automaton construction and the sketch
     propagation (overriding [config]'s own budget field). The sketch is
-    sized by [eps] ({!sketch_size_for}); a [config] given explicitly
-    replaces that sizing (for sketch-size ablations) and [eps] is then
-    unused.
+    sized by [eps] ({!Ac_automata.Acjr.sketch_size_for}); a [config]
+    given explicitly replaces that sizing (for sketch-size ablations)
+    and [eps] is then unused.
 
     A median over [repetitions] independent sketch propagations
-    (default: the δ=0.05 batch of {!repetitions_for}) is fanned out over
+    (default: the δ=0.05 batch of
+    {!Ac_automata.Acjr.repetitions_for}) is fanned out over
     [exec]'s domains via {!Ac_automata.Acjr.estimate_median}; every
     repetition draws from its own stream of [exec]'s seed, so the result
     is bit-identical for any jobs count. A single repetition runs one

@@ -42,7 +42,7 @@ let run_rung ~budget ~exec ?engine ~eps ~delta rung q db =
   match (rung : rung) with
   | Fpras ->
       ( Fpras.approx_count ~budget ~exec ~eps
-          ~repetitions:(Fpras.repetitions_for ~delta) q db,
+          ~repetitions:(Ac_automata.Acjr.repetitions_for ~delta) q db,
         false )
   | Tree_dp | Generic_join ->
       let engine =

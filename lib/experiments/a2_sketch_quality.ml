@@ -6,11 +6,12 @@
    together (κ = rounds ∈ {4, 12, 48, 96}) and report the observed error
    over five seeds — the error should shrink roughly like 1/√κ, and the
    cost grow linearly. Beside the sweep, the κ(ε) the FPRAS picks for a
-   few accuracies ([Fpras.sketch_size_for]). *)
+   few accuracies ([Acjr.sketch_size_for]). *)
 
 module QF = Ac_workload.Query_families
 module Dbgen = Ac_workload.Dbgen
 module Fpras = Approxcount.Fpras
+module Acjr = Ac_automata.Acjr
 module Exact = Approxcount.Exact
 
 let run fmt =
@@ -30,7 +31,7 @@ let run fmt =
                 (fun seed ->
                   let config =
                     {
-                      Ac_automata.Acjr.sketch_size = kappa;
+                      Acjr.sketch_size = kappa;
                       union_rounds = kappa;
                       rng = Random.State.make [| seed |];
                       budget = Ac_runtime.Budget.none;
@@ -63,11 +64,11 @@ let run fmt =
   Common.table fmt
     ~title:
       (Printf.sprintf "A2  kappa(eps) = max %d ceil(%g/eps^2) picked by the FPRAS"
-         Fpras.sketch_floor Fpras.sketch_constant)
+         Acjr.sketch_floor Acjr.sketch_constant)
     ~header:[ "eps"; "kappa(eps)" ]
     (List.map
        (fun eps ->
-         [ Printf.sprintf "%g" eps; string_of_int (Fpras.sketch_size_for ~eps) ])
+         [ Printf.sprintf "%g" eps; string_of_int (Acjr.sketch_size_for ~eps) ])
        [ 0.5; 0.25; 0.1; 0.05; 0.01 ])
 
 let experiment =

@@ -2,6 +2,7 @@ module Ecq = Ac_query.Ecq
 module Structure = Ac_relational.Structure
 module Planner = Approxcount.Planner
 module Fpras = Approxcount.Fpras
+module Acjr = Ac_automata.Acjr
 module Exact = Approxcount.Exact
 module Rung = Ac_analysis.Rung
 module Engine = Ac_exec.Engine
@@ -105,7 +106,7 @@ let run ?kappa ~eps ~delta ~trials case =
           }
         in
         ( Fpras.approx_count ~config ~exec
-            ~repetitions:(Fpras.repetitions_for ~delta) ~eps q db,
+            ~repetitions:(Acjr.repetitions_for ~delta) ~eps q db,
           false )
     | _ ->
         Planner.run_rung ~budget:Budget.none ~exec ~eps ~delta case.rung q db
@@ -122,7 +123,7 @@ let run ?kappa ~eps ~delta ~trials case =
     kappa =
       (match case.rung with
       | Rung.Fpras ->
-          Some (Option.value kappa ~default:(Fpras.sketch_size_for ~eps))
+          Some (Option.value kappa ~default:(Acjr.sketch_size_for ~eps))
       | _ -> None);
     trials;
     violations;

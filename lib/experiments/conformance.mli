@@ -9,7 +9,7 @@
     [Planner.run_rung], the estimator dispatch of the request path.
 
     The corpus is the one the FPRAS sketch size κ(ε) is calibrated on
-    ([Fpras.sketch_size_for]): 2-, 3- and 4-path and 3-star CQs on
+    ([Acjr.sketch_size_for]): 2-, 3- and 4-path and 3-star CQs on
     G(14, 0.3) seed 5 and the 2-path on a [Dbgen] database (seed 1401,
     |U| = 20, 60 edges), plus FPTRAS cases big enough that the edge-count
     layer samples instead of enumerating. *)

@@ -405,14 +405,6 @@ let count_solutions ?diseqs ?project ?tally p =
 
 let order p = Generic_join.order p.full_join
 
-let decide_backtracking ?domains inst =
-  decide (prepare ~strategy:Backtracking inst) ?domains ()
-
-let decide_decomposition ?domains inst =
-  decide (prepare ~strategy:Decomposition inst) ?domains ()
-
-let find ?domains inst = solve (prepare ~strategy:Backtracking inst) ?domains ()
-
 let is_homomorphism { source; target } h =
   Array.length h = Structure.universe_size source
   && Array.for_all (fun b -> b >= 0 && b < Structure.universe_size target) h

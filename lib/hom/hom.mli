@@ -92,12 +92,6 @@ val count_solutions :
 (** The variable order {!iter_solutions} binds in. *)
 val order : prepared -> int array
 
-(** {2 One-shot wrappers} *)
-
-val decide_backtracking : ?domains:int array option array -> instance -> bool
-val decide_decomposition : ?domains:int array option array -> instance -> bool
-val find : ?domains:int array option array -> instance -> int array option
-
 (** Checks that [h] is a homomorphism. *)
 val is_homomorphism : instance -> int array -> bool
 

@@ -113,18 +113,14 @@ let validate ~num_vars atoms =
         a.scope)
     atoms
 
-let default_order ~num_vars atoms =
+let default_order ~num_vars sized =
   let best = Array.make num_vars max_int in
   List.iter
-    (fun a ->
-      let c = Relation.cardinality a.relation in
-      Array.iter (fun v -> if c < best.(v) then best.(v) <- c) a.scope)
-    atoms;
+    (fun (scope, rows) ->
+      Array.iter (fun v -> if rows < best.(v) then best.(v) <- rows) scope)
+    sized;
   let vars = List.init num_vars Fun.id in
-  let sorted =
-    List.stable_sort (fun u v -> Int.compare best.(u) best.(v)) vars
-  in
-  Array.of_list sorted
+  Array.of_list (List.stable_sort (fun u v -> Int.compare best.(u) best.(v)) vars)
 
 let prepare ~num_vars ~universe_size ?(budget = Budget.none) ?order atoms =
   validate ~num_vars atoms;
@@ -133,7 +129,9 @@ let prepare ~num_vars ~universe_size ?(budget = Budget.none) ?order atoms =
     | Some o ->
         if Array.length o <> num_vars then invalid_arg "Generic_join: bad order";
         Array.copy o
-    | None -> default_order ~num_vars atoms
+    | None ->
+        default_order ~num_vars
+          (List.map (fun a -> (a.scope, Relation.cardinality a.relation)) atoms)
   in
   let position = Array.make num_vars (-1) in
   Array.iteri (fun i v -> position.(v) <- i) order;

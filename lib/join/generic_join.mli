@@ -170,7 +170,10 @@ val solutions :
   atom list ->
   int array list
 
-(** A min-weight-first variable order: variables are taken in increasing
-    order of the smallest relation they appear in (ties by index); a good
-    default for decision queries. *)
-val default_order : num_vars:int -> atom list -> int array
+(** The order {!prepare} binds in by default, from each atom's scope and
+    row count: variables ascending by the smallest [rows] of an atom
+    whose scope holds them, ties by index; a variable in no atom comes
+    last. {!prepare} feeds it the relations' cardinalities (a complement
+    view's is {!Ac_relational.Relation.complement_cardinality}), so a
+    caller holding only catalog counts computes the same order. *)
+val default_order : num_vars:int -> (int array * int) list -> int array

@@ -378,11 +378,6 @@ let copy r =
 
 let is_empty r = cardinality r = 0
 
-let universal ~universe_size ~arity =
-  let r = create ~arity in
-  iter_universal ~universe_size ~arity (add r);
-  r
-
 (* --- complements --- *)
 
 let complement_view ~universe_size r =
@@ -394,19 +389,6 @@ let complement_view ~universe_size r =
   | _ ->
       seal r;
       { arity = r.arity; repr = Complement { base = r; universe_size } }
-
-let default_complement_cap = 20_000_000
-
-let complement ?(cap = default_complement_cap) ~universe_size r =
-  let cells = pow_saturating universe_size r.arity in
-  if cells > cap then
-    Error.raise_e
-      (Error.Complement_overflow { arity = r.arity; universe = universe_size; cap });
-  let view = complement_view ~universe_size r in
-  let out = create ~arity:r.arity in
-  iter (add out) view;
-  seal out;
-  out
 
 (* --- sorted projections (the join kernels' index) --- *)
 

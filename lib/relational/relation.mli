@@ -110,17 +110,6 @@ val is_empty : t -> bool
     base. *)
 val complement_view : universe_size:int -> t -> t
 
-(** Materialize [U^arity \ rel] as a sealed relation. Raises the typed
-    [Ac_runtime.Error.Complement_overflow] (as [Error.E]) when
-    [universe_size^arity] exceeds [cap] (default 2·10^7) — callers that
-    only need membership or iteration should use {!complement_view}. *)
-val complement : ?cap:int -> universe_size:int -> t -> t
-
-val default_complement_cap : int
-
-(** [universal ~universe_size ~arity] is [U^arity], materialized. *)
-val universal : universe_size:int -> arity:int -> t
-
 (** Enumerate [U^arity] in lexicographic order. *)
 val iter_universal : universe_size:int -> arity:int -> (Tuple.t -> unit) -> unit
 

@@ -10,7 +10,6 @@ type t =
   | Deadline_exceeded of { deadline_ms : int; msg : string }
   | Retry_unsafe of { verb : string; msg : string }
   | Sealed_mutation of string
-  | Complement_overflow of { arity : int; universe : int; cap : int }
 
 exception E of t
 
@@ -28,11 +27,6 @@ let message = function
   | Retry_unsafe { verb; msg } ->
       Printf.sprintf "%s cannot be retried safely: %s" verb msg
   | Sealed_mutation msg -> "sealed mutation: " ^ msg
-  | Complement_overflow { arity; universe; cap } ->
-      Printf.sprintf
-        "complement overflow: materializing U^%d over a universe of %d \
-         exceeds the %d-tuple cap; use the lazy complement view instead"
-        arity universe cap
 
 let class_name = function
   | Parse _ -> "parse"
@@ -46,7 +40,6 @@ let class_name = function
   | Deadline_exceeded _ -> "deadline"
   | Retry_unsafe _ -> "retry"
   | Sealed_mutation _ -> "sealed"
-  | Complement_overflow _ -> "complement"
 
 let exit_code = function
   | Parse _ -> 10
@@ -60,7 +53,6 @@ let exit_code = function
   | Deadline_exceeded _ -> 18
   | Retry_unsafe _ -> 19
   | Sealed_mutation _ -> 20
-  | Complement_overflow _ -> 21
 
 let of_exn = function
   | E e -> Some e

@@ -34,23 +34,19 @@ type t =
           sealed — immutable, columnar — relation or structure; the
           build phase is over, so the mutation is a caller bug, never a
           silent hashtable write *)
-  | Complement_overflow of { arity : int; universe : int; cap : int }
-      (** materializing [U^arity \ R] would exceed [cap] tuples; use
-          {!Ac_relational.Relation.complement_view} (lazy membership and
-          iteration) instead of forcing the blow-up *)
 
 exception E of t
 
 val message : t -> string
 
 (** Stable class slug: parse | io | signature | budget | overflow |
-    fault | overloaded | internal | deadline | retry | sealed |
-    complement. *)
+    fault | overloaded | internal | deadline | retry | sealed. *)
 val class_name : t -> string
 
 (** CLI exit codes: 10 parse, 11 io, 12 signature, 13 budget,
     14 overflow, 15 fault, 16 internal, 17 overloaded, 18 deadline,
-    19 retry, 20 sealed, 21 complement. *)
+    19 retry, 20 sealed. Exit 21 is retired (it was the materialised
+    complement's overflow) and is not reused. *)
 val exit_code : t -> int
 
 (** Map an exception to its typed error; [None] for exceptions that

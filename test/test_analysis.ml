@@ -200,30 +200,6 @@ let test_ql012_output_blowup () =
   Alcotest.(check bool) "no db, no QL012" false
     (has Diagnostic.Output_blowup (Analysis.analyze q))
 
-(* QL013: a negated binary atom over a 5000-element universe spans
-   2.5·10^7 complement tuples, above the 2·10^7 materialisation cap. *)
-let test_ql013_complement_blowup () =
-  let blown = Structure.create ~universe_size:5000 in
-  Structure.declare blown "E" ~arity:2;
-  Structure.declare blown "R" ~arity:2;
-  Structure.add_fact blown "E" [| 0; 1 |];
-  let q = Ecq.parse "ans(x, y) :- E(x, y), !R(x, y)" in
-  let report = Analysis.analyze ~db:blown q in
-  Alcotest.(check bool) "cap flagged" true
-    (has Diagnostic.Complement_blowup report);
-  Alcotest.(check int) "exit 0" 0 (Analysis.exit_status report);
-  let small = Structure.create ~universe_size:100 in
-  Structure.declare small "E" ~arity:2;
-  Structure.declare small "R" ~arity:2;
-  Structure.add_fact small "E" [| 0; 1 |];
-  Alcotest.(check bool) "small universe clean" false
-    (has Diagnostic.Complement_blowup (Analysis.analyze ~db:small q));
-  Alcotest.(check bool) "positive atoms never flagged" false
-    (has Diagnostic.Complement_blowup
-       (Analysis.analyze ~db:blown (Ecq.parse "ans(x, y) :- E(x, y)")));
-  Alcotest.(check bool) "no db, no QL013" false
-    (has Diagnostic.Complement_blowup (Analysis.analyze q))
-
 (* ---------- spans through parse_spans ---------- *)
 
 let test_spans_align () =
@@ -475,7 +451,6 @@ let tests =
     Alcotest.test_case "QL010 empty relation" `Quick test_ql010_empty_relation;
     Alcotest.test_case "QL011 quantifier-free" `Quick test_ql011_quantifier_free;
     Alcotest.test_case "QL012 output blow-up" `Quick test_ql012_output_blowup;
-    Alcotest.test_case "QL013 complement cap" `Quick test_ql013_complement_blowup;
     Alcotest.test_case "atom spans align with source" `Quick test_spans_align;
     Alcotest.test_case "parse errors carry positions" `Quick test_parse_error_positions;
     Alcotest.test_case "report JSON smoke" `Quick test_json_smoke;

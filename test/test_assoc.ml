@@ -109,8 +109,10 @@ let prop_lemma30 =
           let hat_a = Assoc.hat_source q in
           let hom_for_colouring colours =
             let hat_b = Assoc.hat_target q db ~parts colours in
-            Ac_hom.Hom.decide_backtracking
-              { Ac_hom.Hom.source = hat_a; target = hat_b }
+            Ac_hom.Hom.decide
+              (Ac_hom.Hom.prepare ~strategy:Ac_hom.Hom.Backtracking
+                 { Ac_hom.Hom.source = hat_a; target = hat_b })
+              ()
           in
           let in_box i v = Array.exists (( = ) v) parts.(i) in
           (* ground truth: any answer with free values inside the box? *)

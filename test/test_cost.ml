@@ -1,6 +1,5 @@
 (* The static cost & cardinality analyzer: Rat overflow degradation,
-   the restated ACJR repetition formulas pinned to their originals,
-   qcheck soundness of the instantiated edge-cover bound against exact
+   the fpras price read off the sketch size, qcheck soundness of the instantiated edge-cover bound against exact
    counts, estimate preservation under cost-driven chain reordering,
    ladder shape, and catalog distinct counts. *)
 
@@ -17,8 +16,7 @@ module Report = Ac_analysis.Report
 module Engine = Ac_exec.Engine
 module Planner = Approxcount.Planner
 module Exact = Approxcount.Exact
-module Fpras = Approxcount.Fpras
-module Edge_count = Ac_dlm.Edge_count
+module Acjr = Ac_automata.Acjr
 
 let analyze_with db q =
   Cost.analyze ~stats:(Cardinality.of_structure db) q (Classify.classify q)
@@ -36,43 +34,20 @@ let test_rat_overflow () =
   | _ -> Alcotest.fail "expected Rat.Overflow on denominator product"
   | exception Rat.Overflow -> ())
 
-(* ---------- repetition formulas pinned to the originals ----------
-
-   [Cost] sits below [lib/core]/[lib/dlm] in the dependency order and
-   restates their trial-count formulas; these checks are what keeps the
-   restatements honest. *)
-
-let test_repetition_formulas () =
-  List.iter
-    (fun delta ->
-      Alcotest.(check int)
-        (Printf.sprintf "fpras reps at delta=%g" delta)
-        (Fpras.repetitions_for ~delta)
-        (Cost.fpras_repetitions ~delta);
-      Alcotest.(check int)
-        (Printf.sprintf "edge-count reps at delta=%g" delta)
-        (Edge_count.repetitions_for ~delta)
-        (Cost.edge_count_repetitions ~delta))
-    [ 0.49; 0.3; 0.1; 0.05; 0.01; 1e-3; 1e-6; 1e-12 ]
-
 (* [Cost] prices an fpras run at log₂ reps + log₂ κ(ε) probes: the
    executor runs reps sketches of κ(ε) = max κ_min ⌈c/ε²⌉ samples and
-   union rounds per cell. The restated sketch size is the original at
-   every ε, and the price is its log₂ exactly, including where the floor
-   binds. *)
+   union rounds per cell. The price is its log₂ exactly at every ε,
+   including where the floor binds. *)
 let test_fpras_sketch_price () =
   let db =
     Structure.of_facts ~universe_size:3 [ ("E", [| 0; 1 |]); ("E", [| 1; 2 |]) ]
   in
   let cost = analyze_with db (Ecq.parse "ans(x, y) :- E(x, z), E(z, y)") in
   let delta = 0.1 in
-  let log2_reps = Float.log2 (float_of_int (Fpras.repetitions_for ~delta)) in
+  let log2_reps = Float.log2 (float_of_int (Acjr.repetitions_for ~delta)) in
   List.iter
     (fun eps ->
-      let kappa = Fpras.sketch_size_for ~eps in
-      Alcotest.(check int)
-        (Printf.sprintf "sketch size at eps=%g" eps)
-        kappa (Cost.fpras_sketch_size ~eps);
+      let kappa = Acjr.sketch_size_for ~eps in
       let fpras =
         List.find
           (fun a -> a.Cost.rung = Cost.Fpras)
@@ -88,7 +63,7 @@ let test_fpras_sketch_price () =
     (fun eps ->
       Alcotest.(check int)
         (Printf.sprintf "floor at eps=%g" eps)
-        Fpras.sketch_floor (Fpras.sketch_size_for ~eps))
+        Acjr.sketch_floor (Acjr.sketch_size_for ~eps))
     [ 0.1; 0.25; 0.5; 1.0 ]
 
 (* ---------- bound soundness: 2^bound >= exact count ---------- *)
@@ -174,14 +149,14 @@ let prop_prices_move_one_way =
       let clamp0 x = Float.max 0.0 x in
       let inv_eps2 = -2.0 *. Float.log2 eps in
       let sampling =
-        Float.log2 (float_of_int (Cost.edge_count_repetitions ~delta))
+        Float.log2 (float_of_int (Ac_dlm.Edge_count.repetitions_for ~delta))
         +. inv_eps2
         +. (2.0 *. float_of_int (min t.Cost.star_size 24))
       in
       let old =
         [
           ( Cost.Fpras,
-            Float.log2 (float_of_int (Cost.fpras_repetitions ~delta))
+            Float.log2 (float_of_int (Acjr.repetitions_for ~delta))
             +. inv_eps2 +. clamp0 t.Cost.run_bound_log2 );
           ( Cost.Tree_dp,
             sampling
@@ -204,8 +179,8 @@ let prop_prices_move_one_way =
                  (Cost.rung_name rung) (price rung) was eps (Ecq.to_string q))
           old)
 
-(* [Cost.join_order] restates [Generic_join.default_order] over the
-   catalog; the exact rung's prefix is read off it, so it must be the
+(* [Cost.join_order] feeds [Generic_join.default_order] the catalog's
+   counts; the exact rung's prefix is read off it, so it must be the
    order [Hom] binds in. *)
 let hom_order q db =
   Ac_hom.Hom.order
@@ -738,8 +713,6 @@ let test_memo_concurrent () =
 let tests =
   [
     Alcotest.test_case "rat: overflow is typed" `Quick test_rat_overflow;
-    Alcotest.test_case "repetition formulas pinned" `Quick
-      test_repetition_formulas;
     QCheck_alcotest.to_alcotest prop_bound_sound;
     QCheck_alcotest.to_alcotest prop_component_bounds_sound;
     QCheck_alcotest.to_alcotest prop_chain_is_ladder;

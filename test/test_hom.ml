@@ -3,6 +3,10 @@ open Ac_hom
 
 let structure_of facts ~universe_size = Structure.of_facts ~universe_size facts
 
+let decide ?domains strategy inst = Hom.decide (Hom.prepare ~strategy inst) ?domains ()
+let solve ?domains inst =
+  Hom.solve (Hom.prepare ~strategy:Hom.Backtracking inst) ?domains ()
+
 (* K3 → K3 has homomorphisms (identity); C5 → K2 does not (odd cycle not
    2-colourable); C4 → K2 does. *)
 let cycle_structure n =
@@ -25,8 +29,8 @@ let clique_structure n =
 let test_colouring () =
   let check name source target expected =
     let inst = { Hom.source; target } in
-    Alcotest.(check bool) (name ^ " backtracking") expected (Hom.decide_backtracking inst);
-    Alcotest.(check bool) (name ^ " decomposition") expected (Hom.decide_decomposition inst)
+    Alcotest.(check bool) (name ^ " backtracking") expected (decide Hom.Backtracking inst);
+    Alcotest.(check bool) (name ^ " decomposition") expected (decide Hom.Decomposition inst)
   in
   check "C5 -> K2" (cycle_structure 5) (clique_structure 2) false;
   check "C4 -> K2" (cycle_structure 4) (clique_structure 2) true;
@@ -35,7 +39,7 @@ let test_colouring () =
 
 let test_find_valid () =
   let inst = { Hom.source = cycle_structure 4; target = clique_structure 2 } in
-  match Hom.find inst with
+  match solve inst with
   | None -> Alcotest.fail "expected a homomorphism"
   | Some h -> Alcotest.(check bool) "valid" true (Hom.is_homomorphism inst h)
 
@@ -43,14 +47,14 @@ let test_domains_pin () =
   let inst = { Hom.source = cycle_structure 4; target = clique_structure 2 } in
   let domains = Array.make 4 None in
   domains.(0) <- Some [| 1 |];
-  (match Hom.find ~domains inst with
+  (match solve ~domains inst with
   | None -> Alcotest.fail "expected a homomorphism with pin"
   | Some h -> Alcotest.(check int) "pinned" 1 h.(0));
   (* contradictory pins on adjacent vertices of C4 into K2 *)
   let domains = Array.make 4 None in
   domains.(0) <- Some [| 0 |];
   domains.(1) <- Some [| 0 |];
-  Alcotest.(check bool) "contradictory pin" false (Hom.decide_backtracking ~domains inst)
+  Alcotest.(check bool) "contradictory pin" false (decide ~domains Hom.Backtracking inst)
 
 let test_restrict_domains () =
   (* target where vertex 2 is isolated: no source vertex can map there *)
@@ -106,8 +110,8 @@ let prop_solvers_agree =
   QCheck2.Test.make ~count:300 ~name:"solvers agree with brute force" gen_instance
     (fun inst ->
       let expected = Hom.count_brute_force inst > 0 in
-      Hom.decide_backtracking inst = expected
-      && Hom.decide_decomposition inst = expected)
+      decide Hom.Backtracking inst = expected
+      && decide Hom.Decomposition inst = expected)
 
 let prop_prepared_consistent =
   QCheck2.Test.make ~count:100 ~name:"prepared solver reusable" gen_instance

@@ -119,9 +119,10 @@ let prop_core_hom_equivalent =
       let g = Ac_workload.Graph.random_gnp ~rng n 0.5 in
       let s = Ac_workload.Graph.to_structure g in
       let c = Hom.core s in
+      let decide inst = Hom.decide (Hom.prepare ~strategy:Hom.Backtracking inst) () in
       Hom.is_core c
-      && Hom.decide_backtracking { Hom.source = s; target = c }
-      && Hom.decide_backtracking { Hom.source = c; target = s })
+      && decide { Hom.source = s; target = c }
+      && decide { Hom.source = c; target = s })
 
 (* ---------- DLM edge sampler ---------- *)
 

@@ -21,21 +21,43 @@ let test_relation_basics () =
     (Invalid_argument "Relation.add: tuple length does not match arity")
     (fun () -> Relation.add r [| 1 |])
 
+(* [U^k] in lexicographic order, by counting in base [u]: the reference
+   the lazy sweeps are checked against. *)
+let all_tuples ~universe_size:u ~arity:k =
+  let total = int_of_float (float_of_int u ** float_of_int k) in
+  List.init total (fun n ->
+      let t = Array.make k 0 in
+      let n = ref n in
+      for j = k - 1 downto 0 do
+        t.(j) <- !n mod u;
+        n := !n / u
+      done;
+      t)
+
 let test_complement () =
   let r = Relation.of_list ~arity:2 [ [| 0; 0 |]; [| 1; 1 |] ] in
-  let c = Relation.complement ~universe_size:2 r in
+  let c = Relation.complement_view ~universe_size:2 r in
   Alcotest.(check int) "complement size" 2 (Relation.cardinality c);
   Alcotest.(check bool) "complement mem" true (Relation.mem c [| 0; 1 |]);
   Alcotest.(check bool) "complement not mem" false (Relation.mem c [| 0; 0 |]);
+  Alcotest.(check (list (array int))) "complement content, ascending"
+    [ [| 0; 1 |]; [| 1; 0 |] ] (Relation.to_list c);
   (* complement of complement = original *)
-  Alcotest.(check bool) "involution" true
-    (Relation.equal r (Relation.complement ~universe_size:2 c))
+  Alcotest.(check (list (array int))) "involution" (Relation.to_list r)
+    (Relation.to_list (Relation.complement_view ~universe_size:2 c))
 
 let test_universal () =
-  let u = Relation.universal ~universe_size:3 ~arity:2 in
-  Alcotest.(check int) "9 tuples" 9 (Relation.cardinality u);
-  let u1 = Relation.universal ~universe_size:4 ~arity:1 in
-  Alcotest.(check int) "4 tuples" 4 (Relation.cardinality u1)
+  let sweep ~universe_size ~arity =
+    let seen = ref [] in
+    Relation.iter_universal ~universe_size ~arity (fun t -> seen := t :: !seen);
+    List.rev !seen
+  in
+  Alcotest.(check (list (array int))) "9 tuples, ascending"
+    (all_tuples ~universe_size:3 ~arity:2) (sweep ~universe_size:3 ~arity:2);
+  Alcotest.(check int) "4 tuples" 4
+    (List.length (sweep ~universe_size:4 ~arity:1));
+  Alcotest.(check int) "empty universe" 0
+    (List.length (sweep ~universe_size:0 ~arity:2))
 
 let test_structure () =
   let s = Structure.create ~universe_size:5 in
@@ -80,9 +102,13 @@ let prop_complement_partition =
       List.iter
         (fun (a, b) -> if a < u && b < u then Relation.add r [| a; b |])
         pairs;
-      let c = Relation.complement ~universe_size:u r in
+      let c = Relation.complement_view ~universe_size:u r in
       Relation.cardinality r + Relation.cardinality c = u * u
-      && Relation.fold (fun t acc -> acc && not (Relation.mem c t)) r true)
+      && Relation.fold (fun t acc -> acc && not (Relation.mem c t)) r true
+      && Relation.to_list c
+         = List.filter
+             (fun t -> not (Relation.mem r t))
+             (all_tuples ~universe_size:u ~arity:2))
 
 let test_fingerprint () =
   let fp = Structure.fingerprint in
