@@ -227,6 +227,48 @@ let prop_join_order =
     (Gen.ecq_with_db ~allow_neg:true ~allow_diseq:true)
     (fun (q, db) -> hom_order q db = Cost.join_order ~stats:(Cardinality.of_structure db) q)
 
+(* The rule by hand: ascending by the smallest row count of an atom
+   holding the variable, ties by index, a variable in no atom last; a
+   negated atom counts at its complement's [U^arity - |R|] rows, and a
+   symbol the catalog lacks bounds nothing. *)
+let test_join_order_by_hand () =
+  Alcotest.(check (array int))
+    "default_order: ties by index, unbound last" [| 0; 2; 1 |]
+    (Ac_join.Generic_join.default_order ~num_vars:3
+       [ ([| 2 |], 5); ([| 0; 2 |], 5) ]);
+  let rel symbol arity cardinality =
+    {
+      Cardinality.symbol;
+      arity;
+      cardinality;
+      active_domain = 10;
+      distinct = Array.make arity 10;
+    }
+  in
+  let stats rels =
+    { Cardinality.universe = 10; db_size = 0; nominal = false; stats = rels }
+  in
+  let names q order = Array.map (Ecq.var_name q) order in
+  let q = Ecq.parse "ans(x, y) :- E(x, y), !P(x), Q(y)" in
+  (* !P(x) is 10 - 8 = 2 rows: x before Q's 5; at P's own 8, y would lead *)
+  Alcotest.(check (array string))
+    "negated atom at its complement" [| "x"; "y" |]
+    (names q
+       (Cost.join_order
+          ~stats:(stats [ rel "E" 2 50; rel "P" 1 8; rel "Q" 1 5 ])
+          q));
+  Alcotest.(check (array string))
+    "negated atom near full" [| "y"; "x" |]
+    (names q
+       (Cost.join_order
+          ~stats:(stats [ rel "E" 2 50; rel "P" 1 3; rel "Q" 1 5 ])
+          q));
+  (* without Q in the catalog y is bounded by E's 50 alone *)
+  Alcotest.(check (array string))
+    "missing symbol bounds nothing" [| "x"; "y" |]
+    (names q
+       (Cost.join_order ~stats:(stats [ rel "E" 2 50; rel "P" 1 3 ]) q))
+
 (* On a friends graph the 2-path projection has a few thousand answers
    among |U|² = 14,400 free prefixes: the exact rung answers in tens of
    milliseconds where the FPRAS takes hundreds, and Auto must pick it. *)
@@ -736,6 +778,7 @@ let tests =
     QCheck_alcotest.to_alcotest prop_join_order;
     Alcotest.test_case "join order mirrors Hom on the corpus" `Quick
       test_join_order_corpus;
+    Alcotest.test_case "join order by hand" `Quick test_join_order_by_hand;
     Alcotest.test_case "fleet graph: bulk last level ranks exact first" `Quick
       test_fleet_graph_bulk_exact;
     Alcotest.test_case "friends 2-path: Auto answers exactly" `Quick
