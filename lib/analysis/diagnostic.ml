@@ -57,14 +57,6 @@ let code_slug = function
   | Quantifier_free -> "quantifier-free-exact"
   | Output_blowup -> "output-blowup"
 
-let all_codes =
-  [
-    Syntax_error; Unused_variable; Disconnected; Diseq_degenerate;
-    Duplicate_atom; Negated_twin; Signature_mismatch; Star_size;
-    Width_blowup; Unguarded_variable; Empty_relation; Quantifier_free;
-    Output_blowup;
-  ]
-
 let severity_name = function
   | Error -> "error"
   | Warning -> "warning"

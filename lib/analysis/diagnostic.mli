@@ -44,9 +44,6 @@ val code_id : code -> string
 (** Stable kebab-case slug, e.g. ["disconnected-query"]. *)
 val code_slug : code -> string
 
-(** Every code, in QL-number order (the documented table). *)
-val all_codes : code list
-
 (** ["error"], ["warning"], ["info"], ["hint"]. *)
 val severity_name : severity -> string
 

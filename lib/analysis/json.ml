@@ -366,5 +366,4 @@ let to_float = function
   | _ -> None
 
 let to_str = function String s -> Some s | _ -> None
-let to_bool = function Bool b -> Some b | _ -> None
 let to_list = function List l -> Some l | _ -> None

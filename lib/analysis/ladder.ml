@@ -40,10 +40,6 @@ let build ?(max_relax = default_max_relax) ~eps ~delta cost =
   in
   base @ relaxed @ [ { rung = Cost.Partial; eps; relaxed = false } ]
 
-let pp_step fmt s =
-  Format.fprintf fmt "%s@eps=%.3g%s" (Cost.rung_name s.rung) s.eps
-    (if s.relaxed then " (relaxed)" else "")
-
 let to_json steps =
   Json.List
     (List.map

@@ -28,5 +28,4 @@ val eps_cap : float
     ends with [Partial]. *)
 val build : ?max_relax:int -> eps:float -> delta:float -> Cost.t -> step list
 
-val pp_step : Format.formatter -> step -> unit
 val to_json : step list -> Json.t

@@ -11,7 +11,6 @@ type t = {
   initial : int;
   by_symbol : (int, (int * rhs) list ref) Hashtbl.t; (* symbol → (state, rhs) *)
   seen : (int * int * rhs, unit) Hashtbl.t;
-  mutable count : int;
 }
 
 (* Ltree id → run states of one automaton. *)
@@ -29,7 +28,6 @@ let create ~num_states ~num_symbols ~initial =
     initial;
     by_symbol = Hashtbl.create 64;
     seen = Hashtbl.create 256;
-    count = 0;
   }
 
 let num_states a = a.num_states
@@ -59,16 +57,13 @@ let add_transition a ~state ~symbol rhs =
           Hashtbl.replace a.by_symbol symbol b;
           b
     in
-    bucket := (state, rhs) :: !bucket;
-    a.count <- a.count + 1
+    bucket := (state, rhs) :: !bucket
   end
 
 let transitions a ~state ~symbol =
   match Hashtbl.find_opt a.by_symbol symbol with
   | None -> []
   | Some b -> List.filter_map (fun (s, r) -> if s = state then Some r else None) !b
-
-let num_transitions a = a.count
 
 let iter_transitions a f =
   Hashtbl.iter

@@ -30,9 +30,6 @@ val add_transition : t -> state:int -> symbol:int -> rhs -> unit
 
 val transitions : t -> state:int -> symbol:int -> rhs list
 
-(** Total number of transitions. *)
-val num_transitions : t -> int
-
 (** Iterate over all transitions. *)
 val iter_transitions : t -> (state:int -> symbol:int -> rhs -> unit) -> unit
 

@@ -93,7 +93,6 @@ module Request = struct
   let with_budget budget r = { r with budget }
   let with_strict strict r = { r with strict }
   let with_verbose verbose r = { r with verbose }
-  let with_chaos chaos r = { r with chaos }
   let with_trace trace r = { r with trace }
 end
 

@@ -83,7 +83,6 @@ module Request : sig
   val with_budget : Ac_runtime.Budget.t option -> request -> request
   val with_strict : bool -> request -> request
   val with_verbose : bool -> request -> request
-  val with_chaos : Ac_runtime.Chaos.t option -> request -> request
   val with_trace : Ac_obs.Trace.t option -> request -> request
 end
 

@@ -86,30 +86,26 @@ let restrict_domains ({ source; target } as inst) =
 type strategy = Backtracking | Decomposition
 
 (* A decomposition node compiled for the DP: the bag's variables (sorted),
-   the prepared join over the facts assigned to this bag, and for each
-   child the positions of the shared variables in both bags. *)
+   the prepared join over the facts assigned to this bag, and the
+   positions (in this bag, ascending by variable) of the variables it
+   shares with its parent and with each child. *)
 type dp_node = {
   vars : int array;
   join : Generic_join.prepared;
-  children : (int * int array * int array) list;
-      (* child id, positions of shared vars in this bag, in child bag *)
-  mutable up : int array;
-      (* positions (in this bag) of the vars shared with the parent;
-         [||] at the root — the decision DP keys its tables on this
-         projection, so bag solutions never need to be retained *)
+  up : int array;
+      (* [||] at the root; both DPs memoise a node on the values at these
+         positions, so bag solutions never need to be retained *)
+  children : (int * int array) list; (* child id, shared positions here *)
 }
 
 type dp = {
   nodes : dp_node array;
-  postorder : int array;
   root : int;
-  fast_keys : bool;
-      (* every shared-var projection encodes into one int (u^w fits) *)
-  key_pool : (int, bool) Hashtbl.t array list Atomic.t;
-      (* recycled per-node memo tables for the fast decision search:
-         the oracle path decides thousands of times per second against
-         one [dp], and a fresh 64-bucket table per bag per call would
-         be most of the allocation; pooled tables are cleared (bucket
+  key_pool : (int array, bool) Hashtbl.t array list Atomic.t;
+      (* recycled per-node memo tables for the decision search: the
+         oracle path decides thousands of times per second against one
+         [dp], and a fresh 64-bucket table per bag per call would be
+         most of the allocation; pooled tables are cleared (bucket
          arrays kept) between calls *)
   base_domains : int array array option;
       (* arc-consistent domains the bag joins start from, computed once
@@ -120,43 +116,42 @@ type dp = {
 
 type prepared = {
   strat : strategy;
-  universe_size : int;
   full_join : Generic_join.prepared;
   dp : dp option; (* [Decomposition] over at least one variable *)
   budget : Budget.t;
 }
 
-(* Does [u^w] fit an OCaml int? Decides whether a shared-variable tuple
-   can be semijoin-hashed as a single int instead of an allocated key. *)
-let pow_fits u w =
-  let u = max u 2 in
-  let rec go acc i = i = 0 || (acc <= max_int / u && go (acc * u) (i - 1)) in
-  go u (w - 1)
+(* positions in [vars] of the variables [other] also holds; both are
+   sorted, so parent and child list a shared variable at the same index *)
+let shared_positions vars other =
+  Array.to_list vars
+  |> List.mapi (fun i v -> (i, v))
+  |> List.filter_map (fun (i, v) -> if Array.mem v other then Some i else None)
+  |> Array.of_list
 
 let build_dp ~budget inst atoms =
   let h = hypergraph inst.source in
-  let d = Tree_decomposition.decompose h in
+  let d = Tree_decomposition.contract (Tree_decomposition.decompose h) in
   let num_nodes = Tree_decomposition.num_nodes d in
   let capacity = Hypergraph.num_vertices h in
-  (* assign each atom to the first bag containing its scope *)
+  (* each atom joins in every bag containing its scope: a bag's
+     solutions are then as few as its facts allow, so a parent hands
+     its children no key they must reject for a fact it holds *)
   let assigned = Array.make num_nodes [] in
   List.iter
     (fun (a : Generic_join.atom) ->
       let scope_set =
         Bitset.of_list ~capacity (Array.to_list a.Generic_join.scope)
       in
-      let node = ref (-1) in
-      (try
-         Array.iteri
-           (fun i b ->
-             if Bitset.subset scope_set b then begin
-               node := i;
-               raise Exit
-             end)
-           d.Tree_decomposition.bags
-       with Exit -> ());
-      if !node < 0 then invalid_arg "Hom: invalid decomposition";
-      assigned.(!node) <- a :: assigned.(!node))
+      let covering = ref false in
+      Array.iteri
+        (fun i b ->
+          if Bitset.subset scope_set b then begin
+            covering := true;
+            assigned.(i) <- a :: assigned.(i)
+          end)
+        d.Tree_decomposition.bags;
+      if not !covering then invalid_arg "Hom: invalid decomposition")
     atoms;
   let bag_vars = Array.map (fun b -> Array.of_list (Bitset.to_list b)) d.Tree_decomposition.bags in
   let kids = Tree_decomposition.children d in
@@ -178,51 +173,18 @@ let build_dp ~budget inst atoms =
           Generic_join.prepare ~num_vars:(Array.length vars) ~universe_size
             ~budget local_atoms
         in
-        let children =
-          List.map
-            (fun child ->
-              let cvars = bag_vars.(child) in
-              let shared =
-                Array.to_list vars
-                |> List.filter (fun v -> Array.exists (( = ) v) cvars)
-              in
-              let pos_in arr v =
-                let p = ref (-1) in
-                Array.iteri (fun i u -> if u = v then p := i) arr;
-                !p
-              in
-              ( child,
-                Array.of_list (List.map (pos_in vars) shared),
-                Array.of_list (List.map (pos_in cvars) shared) ))
-            kids.(node)
-        in
-        { vars; join; children; up = [||] })
+        let parent = d.Tree_decomposition.parent.(node) in
+        {
+          vars;
+          join;
+          up = (if parent < 0 then [||] else shared_positions vars bag_vars.(parent));
+          children =
+            List.map (fun c -> (c, shared_positions vars bag_vars.(c))) kids.(node);
+        })
   in
-  (* a child's upward projection is [there] as seen from its parent *)
-  Array.iter
-    (fun n ->
-      List.iter (fun (child, _, there) -> nodes.(child).up <- there) n.children)
-    nodes;
-  let fast_keys =
-    Array.for_all
-      (fun n ->
-        List.for_all
-          (fun (_, _, there) -> pow_fits universe_size (Array.length there))
-          n.children)
-      nodes
-  in
-  let root = Tree_decomposition.root d in
-  let order = ref [] in
-  let rec visit node =
-    List.iter visit kids.(node);
-    order := node :: !order
-  in
-  visit root;
   {
     nodes;
-    postorder = Array.of_list (List.rev !order);
-    root;
-    fast_keys;
+    root = Tree_decomposition.root d;
     key_pool = Atomic.make [];
     base_domains = restrict_domains inst;
   }
@@ -240,7 +202,7 @@ let prepare ~strategy ?(budget = Budget.none) inst =
     | Decomposition ->
         if num_vars = 0 then None else Some (build_dp ~budget inst atoms)
   in
-  { strat = strategy; universe_size; full_join; dp; budget }
+  { strat = strategy; full_join; dp; budget }
 
 let strategy p = p.strat
 
@@ -261,13 +223,20 @@ let merged_domains dp domains =
       in
       if Array.exists (fun d -> d = [||]) merged then None else Some merged
 
-(* Decision DP over the tree decomposition. Fast path (every shared-var
-   projection encodes into one int): each bag keeps only the set of
-   upward projections of its surviving solutions, the semijoin against
-   the children is an int-hashtable probe inside the join callback, and
-   no solution array is ever copied out of the join — the root
-   early-exits on its first surviving solution. The slow path (huge
-   universes) keeps full solutions keyed by allocated projections. *)
+(* Both DPs walk the compiled bags top-down: node [n] is evaluated under
+   a [key], the values of its variables shared with the parent, pinned
+   in its join's domains; each child is evaluated under the projection
+   of a bag solution onto the variables they share. Memoising on
+   (node, key) evaluates each pair at most once — the bottom-up DP's
+   worst case — while bags never enumerate outside the projections
+   their parent reaches. *)
+let bag_domains merged n key =
+  let local = Array.map (fun v -> Some merged.(v)) n.vars in
+  Array.iteri (fun i p -> local.(p) <- Some [| key.(i) |]) n.up;
+  local
+
+let project sol positions = Array.map (fun p -> sol.(p)) positions
+
 (* Treiber stack, CAS-retry via recursion (concurrent trial engines
    decide against one shared [dp]). *)
 let rec pool_take pool =
@@ -280,25 +249,13 @@ let rec pool_give pool s =
   let old = Atomic.get pool in
   if not (Atomic.compare_and_set pool old (s :: old)) then pool_give pool s
 
-let decide_dp_fast ~budget ~universe dp merged =
-  let num_nodes = Array.length dp.nodes in
+(* Decision (Theorem 31): does the subtree at [node] have a solution
+   agreeing with [key]? Each bag stops at its first witness. *)
+let decide_dp ~budget dp merged =
   let memo =
     match pool_take dp.key_pool with
     | Some tables -> tables
-    | None -> Array.init num_nodes (fun _ -> Hashtbl.create 64)
-  in
-  (* Top-down with memoization: [sat node key] — does the subtree rooted
-     at [node] have a solution whose shared-with-parent projection
-     decodes [key]? Each (node, key) pair is evaluated at most once (the
-     bottom-up DP's worst case), but the search early-exits at every
-     level: the root stops at its first satisfiable solution, and bags
-     never enumerate outside the parent's surviving projections. *)
-  let encode sol positions =
-    let acc = ref 0 in
-    for idx = 0 to Array.length positions - 1 do
-      acc := (!acc * universe) + sol.(positions.(idx))
-    done;
-    !acc
+    | None -> Array.map (fun _ -> Hashtbl.create 64) dp.nodes
   in
   let rec sat node key =
     match Hashtbl.find_opt memo.(node) key with
@@ -306,80 +263,22 @@ let decide_dp_fast ~budget ~universe dp merged =
     | None ->
         Budget.tick budget;
         let n = dp.nodes.(node) in
-        let local = Array.map (fun v -> Some merged.(v)) n.vars in
-        (* pin the shared positions to [key]'s digits (base [universe],
-           most-significant first — the encoding order of [encode]) *)
-        let k = ref key in
-        for idx = Array.length n.up - 1 downto 0 do
-          local.(n.up.(idx)) <- Some [| !k mod universe |];
-          k := !k / universe
-        done;
         let found = ref false in
-        Generic_join.run ~reuse:true ~domains:local n.join ~f:(fun sol ->
-            if
-              List.for_all
-                (fun (child, here, _) -> sat child (encode sol here))
-                n.children
-            then begin
-              found := true;
-              false
-            end
-            else true);
+        Generic_join.run ~reuse:true ~domains:(bag_domains merged n key) n.join
+          ~f:(fun sol ->
+            found :=
+              List.for_all (fun (child, here) -> sat child (project sol here)) n.children;
+            not !found);
         Hashtbl.add memo.(node) key !found;
         !found
   in
-  let answer = sat dp.root 0 (* root: [up = [||]], key 0, no pins *) in
+  let answer = sat dp.root [||] in
   (* clear (keeping bucket arrays) and recycle; like the generic-join
      cursor pool, states are dropped on the exception path — a budget
      trip mid-search leaves tables in an unknown fill state worth GCing *)
   Array.iter Hashtbl.clear memo;
   pool_give dp.key_pool memo;
   answer
-
-let decide_dp_exact ~budget dp merged =
-  let num_nodes = Array.length dp.nodes in
-  let solutions = Array.make num_nodes [] in
-  let alive = ref true in
-  Array.iter
-    (fun node ->
-      Budget.tick budget;
-      if !alive then begin
-        let n = dp.nodes.(node) in
-        let local_domains = Array.map (fun v -> Some merged.(v)) n.vars in
-        (* child projections hashed for the semijoin *)
-        let child_tables =
-          List.map
-            (fun (child, here, there) ->
-              let table = Hashtbl.create 64 in
-              List.iter
-                (fun sol ->
-                  Hashtbl.replace table
-                    (Array.to_list (Array.map (fun p -> sol.(p)) there))
-                    ())
-                solutions.(child);
-              (here, table))
-            n.children
-        in
-        let keep = ref [] in
-        Generic_join.run ~domains:local_domains n.join ~f:(fun sol ->
-            let ok =
-              List.for_all
-                (fun (here, table) ->
-                  Hashtbl.mem table
-                    (Array.to_list (Array.map (fun p -> sol.(p)) here)))
-                child_tables
-            in
-            if ok then keep := sol :: !keep;
-            true);
-        solutions.(node) <- !keep;
-        if !keep = [] then alive := false
-      end)
-    dp.postorder;
-  !alive && solutions.(dp.root) <> []
-
-let decide_dp ~budget ~universe dp merged =
-  if dp.fast_keys then decide_dp_fast ~budget ~universe dp merged
-  else decide_dp_exact ~budget dp merged
 
 let solve p ?domains () =
   let result = ref None in
@@ -394,8 +293,7 @@ let decide p ?domains () =
   | Some dp -> (
       match merged_domains dp domains with
       | None -> false
-      | Some merged ->
-          decide_dp ~budget:p.budget ~universe:p.universe_size dp merged)
+      | Some merged -> decide_dp ~budget:p.budget dp merged)
 
 let iter_solutions ?domains ?reuse ?diseqs ?project p ~f =
   Generic_join.run ?domains ?reuse ?diseqs ?project p.full_join ~f
@@ -460,110 +358,35 @@ let rec core s =
       in
       core (Structure.induced s image)
 
-module Nice = Ac_hypergraph.Nice_decomposition
-
-(* Exact #Hom by DP over a nice tree decomposition of H(A) (Dalmau &
-   Jonsson). Tables map bag assignments (over the bag's sorted variable
-   list) to the number of extensions below the node. Constraints are
-   enforced by filtering at every node whose bag contains an atom's whole
-   scope — filtering is idempotent, so enforcing at several nodes is
-   harmless; multiplicities arise only from forget-sums. *)
-let count_dp ?(budget = Budget.none) ({ source; target = _ } as inst) =
-  let n = Structure.universe_size source in
-  if n = 0 then 1
-  else begin
-    match restrict_domains inst with
+(* Exact #Hom (Dalmau–Jonsson): the number of assignments to the
+   subtree at [node] that agree with [key] is the sum, over the bag's
+   solutions, of the product of the children's counts at their
+   projections. *)
+let count_dp ?(budget = Budget.none) inst =
+  if Structure.universe_size inst.source = 0 then 1
+  else
+    let dp = build_dp ~budget inst (to_atoms inst) in
+    match merged_domains dp None with
     | None -> 0
-    | Some domains ->
-        let atoms = to_atoms inst in
-        let h = hypergraph source in
-        let nice = Nice.of_hypergraph h in
-        let bag_vars =
-          Array.map (fun b -> Array.of_list (Bitset.to_list b)) nice.Nice.bags
+    | Some merged ->
+        let memo = Array.map (fun _ -> Hashtbl.create 64) dp.nodes in
+        let rec count node key =
+          match Hashtbl.find_opt memo.(node) key with
+          | Some c -> c
+          | None ->
+              Budget.tick budget;
+              let n = dp.nodes.(node) in
+              let total = ref 0 in
+              Generic_join.run ~reuse:true ~domains:(bag_domains merged n key)
+                n.join ~f:(fun sol ->
+                  total :=
+                    !total
+                    + List.fold_left
+                        (fun acc (child, here) ->
+                          if acc = 0 then 0 else acc * count child (project sol here))
+                        1 n.children;
+                  true);
+              Hashtbl.add memo.(node) key !total;
+              !total
         in
-        (* atoms indexed by scope sets for the per-node filter *)
-        let capacity = Hypergraph.num_vertices h in
-        let atom_scopes =
-          List.map
-            (fun (a : Generic_join.atom) ->
-              ( Bitset.of_list ~capacity (Array.to_list a.Generic_join.scope),
-                a ))
-            atoms
-        in
-        let satisfies_bag node (alpha : int array) =
-          let vars = bag_vars.(node) in
-          let value_of v =
-            let p = ref (-1) in
-            Array.iteri (fun i u -> if u = v then p := i) vars;
-            alpha.(!p)
-          in
-          List.for_all
-            (fun (scope_set, (a : Generic_join.atom)) ->
-              (not (Bitset.subset scope_set nice.Nice.bags.(node)))
-              || Ac_relational.Relation.mem a.Generic_join.relation
-                   (Array.map value_of a.Generic_join.scope))
-            atom_scopes
-        in
-        let tables :
-            (int list, int) Hashtbl.t array =
-          Array.make (Nice.num_nodes nice) (Hashtbl.create 1)
-        in
-        let kids = Nice.children nice in
-        let bump table key count =
-          Budget.tick budget;
-          if count > 0 then
-            Hashtbl.replace table key
-              (count + Option.value ~default:0 (Hashtbl.find_opt table key))
-        in
-        Array.iter
-          (fun node ->
-            let table = Hashtbl.create 64 in
-            (match (nice.Nice.kind.(node), kids.(node)) with
-            | Nice.Leaf, [] -> Hashtbl.replace table [] 1
-            | Nice.Introduce v, [ c ] ->
-                (* position of v in this bag's sorted variable list *)
-                let vars = bag_vars.(node) in
-                let pos = ref 0 in
-                Array.iteri (fun i u -> if u = v then pos := i) vars;
-                Hashtbl.iter
-                  (fun key count ->
-                    let key = Array.of_list key in
-                    Array.iter
-                      (fun x ->
-                        let alpha =
-                          Array.init (Array.length vars) (fun i ->
-                              if i < !pos then key.(i)
-                              else if i = !pos then x
-                              else key.(i - 1))
-                        in
-                        if satisfies_bag node alpha then
-                          bump table (Array.to_list alpha) count)
-                      domains.(v))
-                  tables.(c)
-            | Nice.Forget v, [ c ] ->
-                let cvars = bag_vars.(c) in
-                let pos = ref 0 in
-                Array.iteri (fun i u -> if u = v then pos := i) cvars;
-                Hashtbl.iter
-                  (fun key count ->
-                    let key = Array.of_list key in
-                    let projected =
-                      Array.to_list
-                        (Array.init
-                           (Array.length key - 1)
-                           (fun i -> if i < !pos then key.(i) else key.(i + 1)))
-                    in
-                    bump table projected count)
-                  tables.(c)
-            | Nice.Join, [ c1; c2 ] ->
-                Hashtbl.iter
-                  (fun key count1 ->
-                    match Hashtbl.find_opt tables.(c2) key with
-                    | Some count2 -> bump table key (count1 * count2)
-                    | None -> ())
-                  tables.(c1)
-            | _ -> invalid_arg "Hom.count_dp: decomposition is not nice");
-            tables.(node) <- table)
-          (Nice.postorder nice);
-        Option.value ~default:0 (Hashtbl.find_opt tables.(nice.Nice.root) [])
-  end
+        count dp.root [||]

@@ -7,8 +7,10 @@
       fact of [A] — the engine standing in for Marx's adaptive-width
       algorithm (Theorem 36, see DESIGN.md substitution 2);
     - [`Decomposition]: dynamic programming over a tree decomposition of
-      [H(A)] with per-bag joins and semijoin filtering — the
-      Dalmau–Kolaitis–Vardi style algorithm behind Theorem 31.
+      [H(A)] with per-bag joins, each bag memoised on the values it
+      shares with its parent — the Dalmau–Kolaitis–Vardi style
+      algorithm behind Theorem 31. {!count_dp} sums and multiplies
+      over the same bag joins.
 
     Both accept optional per-variable [domains] (used by the colour-coding
     reduction to pin unary constraints cheaply). The colour-coding oracle
@@ -42,7 +44,7 @@ type strategy = Backtracking | Decomposition
 type prepared
 
 (** [budget], when given, is ticked by every later decision/enumeration
-    (per generic-join search node, per DP table row), so a tripped
+    (per generic-join search node, per DP memo entry), so a tripped
     budget cancels the computation with
     [Ac_runtime.Budget.Budget_exceeded]. *)
 val prepare :
@@ -98,11 +100,15 @@ val is_homomorphism : instance -> int array -> bool
 (** Count all homomorphisms (exponential; testing baseline). *)
 val count_brute_force : instance -> int
 
-(** Exact homomorphism counting by dynamic programming over a nice tree
-    decomposition of [H(A)] — Dalmau–Jonsson's fixed-parameter algorithm
-    (the paper's footnote 4: counting answers to quantifier-free CQs is
-    counting homomorphisms, easy for bounded treewidth). Polynomial in
-    [‖B‖] for bounded [tw(A)]. [budget] is ticked per table row. *)
+(** Exact homomorphism counting by dynamic programming over the tree
+    decomposition of [H(A)] that [Decomposition] decides on —
+    Dalmau–Jonsson's fixed-parameter algorithm (the paper's footnote 4:
+    counting answers to quantifier-free CQs is counting homomorphisms,
+    easy for bounded treewidth). A bag's count under the values it
+    shares with its parent is the sum, over its solutions, of the
+    product of its children's counts. Polynomial in [‖B‖] for bounded
+    [tw(A)]. [budget] is ticked per memo entry (one per bag and shared
+    values) and per search node of the bag joins. *)
 val count_dp : ?budget:Ac_runtime.Budget.t -> instance -> int
 
 (** {2 Homomorphic cores}

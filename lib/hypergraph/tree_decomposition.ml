@@ -16,6 +16,34 @@ let children d =
   Array.iteri (fun i p -> if p >= 0 then kids.(p) <- i :: kids.(p)) d.parent;
   kids
 
+let contract d =
+  let n = num_nodes d in
+  let bags = Array.copy d.bags and parent = Array.copy d.parent in
+  let alive = Array.make n true in
+  let kids = children d in
+  (* children first, so a bag is compared with its parent only after
+     every bag below it has been merged into it *)
+  let rec visit i =
+    List.iter visit kids.(i);
+    let p = parent.(i) in
+    if p >= 0 && (Bitset.subset bags.(i) bags.(p) || Bitset.subset bags.(p) bags.(i))
+    then begin
+      bags.(p) <- Bitset.union bags.(p) bags.(i);
+      alive.(i) <- false;
+      Array.iteri (fun c q -> if q = i then parent.(c) <- p) parent
+    end
+  in
+  visit (root d);
+  let keep = List.filter (fun i -> alive.(i)) (List.init n Fun.id) in
+  let index = Array.make n (-1) in
+  List.iteri (fun k i -> index.(i) <- k) keep;
+  {
+    bags = Array.of_list (List.map (fun i -> bags.(i)) keep);
+    parent =
+      Array.of_list
+        (List.map (fun i -> if parent.(i) < 0 then -1 else index.(parent.(i))) keep);
+  }
+
 let width d =
   Array.fold_left (fun acc b -> max acc (Bitset.cardinal b - 1)) (-1) d.bags
 

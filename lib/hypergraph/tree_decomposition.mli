@@ -17,6 +17,12 @@ val root : t -> int
 val num_nodes : t -> int
 val children : t -> int list array
 
+(** [contract d] merges every bag into its parent where one contains
+    the other, until no bag is nested in a neighbour's: the same width,
+    the same separators, and no node whose join is a projection of its
+    neighbour's. *)
+val contract : t -> t
+
 (** [width d] = [max |bag| - 1] (Definition 4). *)
 val width : t -> int
 

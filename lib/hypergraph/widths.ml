@@ -97,9 +97,6 @@ let integral_cover_number h x =
 let fhw_of_decomposition h (d : Tree_decomposition.t) =
   Array.fold_left (fun acc b -> Float.max acc (fst (fcn h b))) 0.0 d.bags
 
-let fhw_of_nice h (d : Nice_decomposition.t) =
-  Array.fold_left (fun acc b -> Float.max acc (fst (fcn h b))) 0.0 d.bags
-
 let fhw_exact h =
   if Hypergraph.num_vertices h > 18 then invalid_arg "Widths.fhw_exact: too large";
   let cost b = fst (fcn h b) in

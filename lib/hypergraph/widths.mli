@@ -33,8 +33,6 @@ val integral_cover_number : Hypergraph.t -> Bitset.t -> int
 (** Max over bags of [fcn] (Definition 41 applied to a decomposition). *)
 val fhw_of_decomposition : Hypergraph.t -> Tree_decomposition.t -> float
 
-val fhw_of_nice : Hypergraph.t -> Nice_decomposition.t -> float
-
 (** Exact fractional hypertreewidth for small hypergraphs (≤ 18 vertices)
     via the subset DP; returns the width and a witness decomposition. *)
 val fhw_exact : Hypergraph.t -> float * Tree_decomposition.t

@@ -95,7 +95,6 @@ let counter_value (c : counter) = Atomic.get c
 let set g v = if Atomic.get switch then Atomic.set g v
 let incr_gauge g = if Atomic.get switch then Atomic.incr g
 let decr_gauge g = if Atomic.get switch then Atomic.decr g
-let gauge_value (g : gauge) = Atomic.get g
 
 let rec add_float a x =
   let old = Atomic.get a in

@@ -62,7 +62,6 @@ val counter_value : counter -> int
 val set : gauge -> int -> unit
 val incr_gauge : gauge -> unit
 val decr_gauge : gauge -> unit
-val gauge_value : gauge -> int
 
 val observe : histogram -> float -> unit
 

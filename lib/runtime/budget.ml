@@ -87,10 +87,6 @@ let ticks t = t.count
 let elapsed_ms t = (now () -. t.start) *. 1000.0
 let tripped t = t.trip
 
-let remaining_ms t =
-  if t.deadline = infinity then None
-  else Some (Float.max 0.0 ((t.deadline -. now ()) *. 1000.0))
-
 let stop t limit note =
   let tr =
     { limit; label = t.label; elapsed_ms = elapsed_ms t; ticks = t.count; note }

@@ -82,10 +82,6 @@ val tripped : t -> trip option
 val ticks : t -> int
 val elapsed_ms : t -> float
 
-(** Milliseconds until the deadline ([None] when no deadline is set);
-    never negative. *)
-val remaining_ms : t -> float option
-
 (** [slice t] is a child budget over [fraction] (default [0.5]) of [t]'s
     remaining wall-clock time and work ticks, with [t]'s heap watermark.
     A tripped child does not poison the parent — that is the point: the

@@ -64,14 +64,6 @@ let guard t site =
       if r_fail < t.p_fail then apply t site (Fail "random fault")
       else if r_delay < t.p_delay then apply t site (Delay_ms t.delay_ms)
 
-let wrap t ?(site = "wrap") f x =
-  guard t site;
-  f x
-
-let wrap_oracle t ?(site = "oracle") f x =
-  guard t site;
-  f x
-
 (* ---------- wire-level fault plans ---------- *)
 
 type wire_fault =

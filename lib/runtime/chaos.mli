@@ -7,10 +7,7 @@
     Faults are reproducible two ways: positionally via [plan] (exact
     call numbers, what the fallback-chain tests use) and statistically
     via [p_fail]/[p_delay] with a fixed [seed] (what the chaos suite's
-    smoke tests use — same seed, same event stream).
-
-    [wrap] turns any function — typically a hom-counting oracle — into
-    a chaotic one that consults the stream before every call. *)
+    smoke tests use — same seed, same event stream). *)
 
 type action =
   | Fail of string  (** raise [Error.E (Fault _)] *)
@@ -44,12 +41,6 @@ val history : t -> (int * string * string) list
 (** Consult the stream once; [site] labels the instrumentation point in
     fault messages and {!history}. *)
 val guard : t -> string -> unit
-
-(** [wrap t ~site f] guards every application of [f]. *)
-val wrap : t -> ?site:string -> ('a -> 'b) -> 'a -> 'b
-
-(** {!wrap} specialised to decision oracles, for intent. *)
-val wrap_oracle : t -> ?site:string -> ('a -> bool) -> 'a -> bool
 
 (** {1 Wire-level faults}
 

@@ -74,8 +74,6 @@ type request =
   | Ping
   | Health
 
-let method_of_name = Api.method_of_string
-
 let verb_of_request = function
   | Ping -> Verb.Ping | Stats -> Verb.Stats | Metrics_req _ -> Verb.Metrics
   | Use _ -> Verb.Use | Load _ -> Verb.Load | Count _ -> Verb.Count

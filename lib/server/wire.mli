@@ -151,11 +151,6 @@ type request =
   | Ping
   | Health
 
-(** The shared method codec — an alias for
-    [Approxcount.Api.method_of_string], so the wire and the CLI accept
-    exactly the same spellings. *)
-val method_of_name : string -> Approxcount.Api.method_ option
-
 val verb_of_request : request -> Verb.t
 
 (** Stable lowercase verb slug, used in error messages and the

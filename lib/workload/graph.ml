@@ -1,5 +1,4 @@
 module Structure = Ac_relational.Structure
-module Hypergraph = Ac_hypergraph.Hypergraph
 
 type t = {
   num_vertices : int;
@@ -61,20 +60,6 @@ let to_structure ?(symbol = "E") g =
       Structure.add_fact s symbol [| v; u |])
     g.edges;
   s
-
-let to_hypergraph g =
-  let covered = Array.make g.num_vertices false in
-  List.iter
-    (fun (u, v) ->
-      covered.(u) <- true;
-      covered.(v) <- true)
-    g.edges;
-  let singles =
-    List.init g.num_vertices Fun.id
-    |> List.filter_map (fun v -> if covered.(v) then None else Some [ v ])
-  in
-  Hypergraph.create ~num_vertices:g.num_vertices
-    (List.map (fun (u, v) -> [ u; v ]) g.edges @ singles)
 
 let path n =
   create ~num_vertices:n (List.init (max 0 (n - 1)) (fun i -> (i, i + 1)))

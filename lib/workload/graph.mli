@@ -24,10 +24,6 @@ val common_neighbour_pairs : t -> (int * int) list
     universe: both [(u,v)] and [(v,u)] for each edge. *)
 val to_structure : ?symbol:string -> t -> Ac_relational.Structure.t
 
-(** 2-uniform hypergraph of the graph (isolated vertices become singleton
-    edges). *)
-val to_hypergraph : t -> Ac_hypergraph.Hypergraph.t
-
 (** {2 Families} *)
 
 val path : int -> t

@@ -30,7 +30,7 @@
 #      Report's memo of the query-only analysis: its values are pure
 #      functions of the query key, so a hit equals a recomputation.
 #   7. One count path — a COUNT reaches the estimators only through
-#      Planner.run_algorithm: Fpras.approx_count, Fptras.approx_count
+#      Planner.run_rung: Fpras.approx_count, Fptras.approx_count
 #      and Exact.by_join_projection never appear in lib/core/api.ml,
 #      lib/server/ or bin/.
 #   8. Kernel access — the join kernels (lib/kernels/*.ml,
@@ -138,7 +138,7 @@ direct_estimators=$(grep -rn \
   --include="*.ml" lib/core/api.ml lib/server bin 2>/dev/null || true)
 if [ -n "$direct_estimators" ]; then
   echo "$direct_estimators" >&2
-  complain "estimator called outside Planner.run_algorithm on the request path (dispatch through the planner)"
+  complain "estimator called outside Planner.run_rung on the request path (dispatch through the planner)"
 fi
 
 # --- 8. kernel access ---------------------------------------------------------

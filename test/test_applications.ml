@@ -124,10 +124,12 @@ let test_hamiltonian_fptras () =
     (int_of_float r.Fptras.estimate);
   let g4 = G.random_gnp ~rng:(Random.State.make [| 13 |]) 4 0.8 in
   let expected4 = Hardness.exact_paths g4 in
+  (* the probe would settle every box by a join; off, the oracle colours *)
   let r4 =
-    Hardness.approx_via_query
+    Fptras.approx_count
       ~exec:(Ac_exec.Engine.sequential ~seed:14)
-      ~rounds:24 ~eps:0.3 ~delta:0.2 g4
+      ~probe:false ~rounds:24 ~eps:0.3 ~delta:0.2 (Hardness.query 4)
+      (Hardness.database_of g4)
   in
   Alcotest.(check int) "colour engine equals DP (n=4)" expected4
     (int_of_float r4.Fptras.estimate)

@@ -159,3 +159,58 @@ let tests =
       Alcotest.test_case "count_dp known values" `Quick test_count_dp_known;
       QCheck_alcotest.to_alcotest prop_count_dp_matches_brute;
     ]
+
+(* A separator whose values overflow one int key: two K6 glued on 5
+   vertices (separator of 5) into a universe of 8192, so |U|^5 > max_int.
+   The target holds one K6 at large values plus stray edges; the homs
+   send the glued K5 injectively into the K6 and both apexes onto the
+   K6's sixth vertex: 6·5·4·3·2 = 720. *)
+let test_large_keys () =
+  let sym facts (a, b) = ("E", [| a; b |]) :: ("E", [| b; a |]) :: facts in
+  let clique vs =
+    List.concat_map (fun a -> List.filter_map (fun b -> if a < b then Some (a, b) else None) vs) vs
+  in
+  let source =
+    structure_of
+      (List.fold_left sym [] (clique [ 0; 1; 2; 3; 4; 5 ] @ clique [ 0; 1; 2; 3; 4; 6 ]))
+      ~universe_size:7
+  in
+  let k6 = [ 1000; 2000; 3000; 4000; 5000; 8191 ] in
+  let target =
+    structure_of
+      (List.fold_left sym [] (clique k6 @ [ (0, 1); (100, 8191); (4000, 4001); (7000, 7001) ]))
+      ~universe_size:8192
+  in
+  let inst = { Hom.source; target } in
+  let d = Ac_hypergraph.Tree_decomposition.decompose (Hom.hypergraph source) in
+  let separator i p =
+    Ac_hypergraph.Bitset.(cardinal (inter d.bags.(i) d.bags.(p)))
+  in
+  let widest = ref 0 in
+  Array.iteri (fun i p -> if p >= 0 then widest := max !widest (separator i p)) d.parent;
+  Alcotest.(check int) "separator of 5" 5 !widest;
+  Alcotest.(check bool) "8192^5 overflows an int" true (8192. ** 5. > float_of_int max_int);
+  let pin pins =
+    let domains = Array.make 7 None in
+    List.iter (fun (v, d) -> domains.(v) <- Some d) pins;
+    domains
+  in
+  List.iter
+    (fun (name, domains, expected) ->
+      Alcotest.(check bool) (name ^ " backtracking") expected
+        (decide ?domains Hom.Backtracking inst);
+      Alcotest.(check bool) (name ^ " decomposition") expected
+        (decide ?domains Hom.Decomposition inst))
+    [
+      ("unpinned", None, true);
+      ("apexes on one value", Some (pin [ (5, [| 8191 |]); (6, [| 8191 |]) ]), true);
+      ("apexes apart", Some (pin [ (5, [| 1000 |]); (6, [| 2000 |]) ]), false);
+      ("apex on a stray edge", Some (pin [ (5, [| 100; 4001 |]) ]), false);
+      ("separator pinned", Some (pin [ (0, [| 1000 |]); (1, [| 2000 |]); (2, [| 3000 |]);
+                                       (3, [| 4000 |]); (4, [| 5000 |]) ]), true);
+    ];
+  Alcotest.(check int) "count_dp = backtracking count" 720 (Hom.count_dp inst);
+  Alcotest.(check int) "backtracking count" 720
+    (Hom.count_solutions (Hom.prepare ~strategy:Hom.Backtracking inst))
+
+let tests = tests @ [ Alcotest.test_case "separator values overflow an int" `Quick test_large_keys ]
