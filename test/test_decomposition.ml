@@ -142,3 +142,24 @@ let tests =
     QCheck_alcotest.to_alcotest prop_nice_random;
     QCheck_alcotest.to_alcotest prop_nice_width_preserved;
   ]
+
+(* Contraction keeps a valid decomposition of the same width and leaves
+   no bag nested in its parent's. *)
+let prop_contract =
+  QCheck2.Test.make ~count:100 ~name:"contract: valid, same width, no nested bag"
+    gen_hypergraph
+    (fun h ->
+      let d = Tree_decomposition.of_elimination_order h (Tree_decomposition.min_fill_order h) in
+      let c = Tree_decomposition.contract d in
+      Tree_decomposition.is_valid h c
+      && Tree_decomposition.width c = Tree_decomposition.width d
+      && Array.for_all Fun.id
+           (Array.mapi
+              (fun i p ->
+                p < 0
+                || not
+                     (Bitset.subset c.bags.(i) c.bags.(p)
+                     || Bitset.subset c.bags.(p) c.bags.(i)))
+              c.parent))
+
+let tests = tests @ [ QCheck_alcotest.to_alcotest prop_contract ]
